@@ -349,12 +349,13 @@ def verify_newton(cfg: RunConfig):
     dom = cfg.domain(datum.rank)
     weights = minuscule_weights(datum, mu)
     d = len(weights)
+    characters = [ext_power_character(datum, weights, i)
+                  for i in range(d + 1)]
     reports = []
     for k in range(cfg.trials):
         rng = _trial_rng(cfg.seed, k)
         s = SatakeParameter.random(dom, datum.rank, rng)
-        e_vals = [evaluate(ext_power_character(datum, weights, i), s)
-                  for i in range(d + 1)]
+        e_vals = [evaluate(c, s) for c in characters]
         p_vals = [None]
         for j in range(1, d + 1):
             total = dom.zero()

@@ -13,10 +13,22 @@ M at s, which is how every identity here is tested.
 The verification operations are exact matrix identities:
 
 * ``cayley_hamilton_check``: the evaluated polynomial annihilates M
-  (the residual matrix must vanish identically);
+  (the residual matrix must vanish identically) and its coefficients
+  equal those of det(X - M) (``charpoly_match``).  Annihilation alone
+  passes any monic polynomial vanishing on the distinct eigenvalues of
+  M, so both are required.  On a FrobeniusMatrix the check uses the
+  diagonal: the residual is diag(p(a_j)) by Horner, the characteristic
+  polynomial comes from the elementary symmetric functions of the
+  a_j, and M is singular iff some a_j is zero.  A plain matrix gets the
+  dense Horner residual and Berkowitz's characteristic polynomial;
 * ``inertia_relation_check``: the degenerate binomial relation
   sum_i (-1)^i C(d,i) M^i = (I - M)^d, with (M - I)^d = 0 reported for
   unipotent M.
+
+The determinant and characteristic polynomial of a plain matrix come
+from Berkowitz's division-free algorithm (Berkowitz 1984, Inf. Process.
+Lett. 18): O(n^4) ring operations and no inverses, so it works over
+every domain here, the formal one included.
 
 Reports render every scalar exactly; pass means the residual is the
 zero matrix, never "small".
@@ -33,8 +45,8 @@ from .errors import ValidationError
 from .laurent import LaurentHalf, RationalWithV, ScalarDomain, PrimeFieldWithV
 from .characters import SymmetricFunction, ext_power_character, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
-from .satake import (FrobeniusMatrix, SatakeParameter, evaluate,
-                     frobenius_matrix, resolve_twist, trace_of)
+from .satake import (FrobeniusMatrix, SatakeParameter, elementary_symmetric,
+                     evaluate, frobenius_matrix, resolve_twist, trace_of)
 
 
 # -- small exact matrix kit --------------------------------------------------
@@ -68,32 +80,51 @@ def mat_mul(dom: ScalarDomain, a, b) -> list[list]:
     return out
 
 def mat_pow(dom: ScalarDomain, a, k: int) -> list[list]:
-    out = mat_identity(dom, len(a))
-    for _ in range(k):
-        out = mat_mul(dom, out, a)
-    return out
+    """a^k by square-and-multiply: at most 2 log2(k) products."""
+    out = None
+    while k:
+        if k & 1:
+            out = ([list(row) for row in a] if out is None
+                   else mat_mul(dom, out, a))
+        k >>= 1
+        if k:
+            a = mat_mul(dom, a, a)
+    return mat_identity(dom, len(a)) if out is None else out
 
 def mat_is_zero(dom: ScalarDomain, a) -> bool:
     return all(dom.is_zero(x) for row in a for x in row)
 
+def mat_charpoly(dom: ScalarDomain, a) -> list:
+    """Coefficients of det(X - A); index i is the coefficient of X^{n-i}.
+
+    Berkowitz's algorithm: with A_k the leading k x k block, written as
+    [[A_{k-1}, C], [R, a_kk]], the coefficient vector of A_k is a
+    lower-triangular Toeplitz matrix with first column
+    (1, -a_kk, -R C, -R A_{k-1} C, ..., -R A_{k-1}^{k-2} C) applied to
+    that of A_{k-1}.  Only ring operations are used.
+    """
+    poly = [dom.one()]
+    for k in range(len(a)):
+        column = [dom.one(), dom.neg(a[k][k])]
+        vec = [a[i][k] for i in range(k)]  # A_{k-1}^j C, j = 0, 1, ...
+        for _ in range(k):
+            column.append(dom.neg(_dot(dom, a[k], vec)))
+            vec = [_dot(dom, a[i], vec) for i in range(k)]
+        poly = [_dot(dom, column[i::-1], poly) for i in range(k + 2)]
+    return poly
+
+def _dot(dom: ScalarDomain, row, vec):
+    """sum_j row[j] * vec[j] over the shorter of the two."""
+    acc = dom.zero()
+    for x, y in zip(row, vec):
+        acc = dom.add(acc, dom.mul(x, y))
+    return acc
+
 def mat_determinant(dom: ScalarDomain, a) -> Any:
-    """Division-free determinant by DP over column subsets."""
+    """det A = (-1)^n times the constant term of det(X - A)."""
     n = len(a)
-    prev = {frozenset(): dom.one()}
-    for r in range(n):
-        cur: dict[frozenset, Any] = {}
-        for cols, val in prev.items():
-            for j in range(n):
-                if j in cols:
-                    continue
-                pos = sum(1 for c in cols if c < j)
-                term = dom.mul(val, a[r][j])
-                if (r + pos) % 2:
-                    term = dom.neg(term)
-                key = cols | {j}
-                cur[key] = dom.add(cur.get(key, dom.zero()), term)
-        prev = cur
-    return prev[frozenset(range(n))]
+    c = mat_charpoly(dom, a)[n]
+    return dom.neg(c) if n % 2 else c
 
 def mat_strings(dom: ScalarDomain, a) -> list[list[str]]:
     return [[dom.scalar_str(x) for x in row] for row in a]
@@ -239,29 +270,27 @@ def cayley_hamilton_check(h: HeckePolynomial, m, coeff_values: list,
     ``coeff_values[i]`` is the value of the coefficient of X^{d-i}; the
     residual is sum_i coeff_values[i] * M^{d-i}, computed by Horner.
     Up to the global sign (-1)^d this is the alternating excursion sum,
-    so "residual zero" is the same relation either way.  Singular M is
+    so "residual zero" is the same relation either way.  The report's
+    ``charpoly_match`` says whether the values are exactly the
+    coefficients of det(X - M); ``passed`` needs both.  Singular M is
     rejected: the element it models acts invertibly.
+
+    A FrobeniusMatrix is never densified: every domain here is an
+    integral domain, so M is singular iff a diagonal entry is zero, and
+    the residual is diag(p(a_j)).
     """
     import time
     start = time.monotonic()
-    if isinstance(m, FrobeniusMatrix):
-        matrix = m.to_matrix()
-    else:
-        matrix = [list(row) for row in m]
     d = h.degree
     if len(coeff_values) != d + 1:
         raise ValidationError(f"need {d + 1} coefficient values")
-    if len(matrix) != d or any(len(row) != d for row in matrix):
-        raise ValidationError(f"matrix must be {d}x{d}")
-    if domain.is_zero(mat_determinant(domain, matrix)):
-        raise ValidationError("matrix is singular")
-    residual = mat_scale(domain, coeff_values[0], mat_identity(domain, d))
-    for i in range(1, d + 1):
-        residual = mat_mul(domain, residual, matrix)
-        residual = mat_add(
-            domain, residual,
-            mat_scale(domain, coeff_values[i], mat_identity(domain, d)))
-    passed = mat_is_zero(domain, residual)
+    if isinstance(m, FrobeniusMatrix):
+        residual, charpoly = _diagonal_residual(h, m, coeff_values, domain)
+    else:
+        residual, charpoly = _dense_residual(h, m, coeff_values, domain)
+    charpoly_match = all(domain.eq(x, y)
+                         for x, y in zip(coeff_values, charpoly))
+    passed = mat_is_zero(domain, residual) and charpoly_match
     return RelationReport(
         check="cayley-hamilton", passed=passed,
         residual=mat_strings(domain, residual),
@@ -270,7 +299,45 @@ def cayley_hamilton_check(h: HeckePolynomial, m, coeff_values: list,
         twist={"preset": h.twist_preset, "exponent": h.twist_exponent},
         domain=domain.to_json(),
         parameter=parameter.to_json()["entries"] if parameter else None,
-        elapsed=time.monotonic() - start)
+        elapsed=time.monotonic() - start,
+        extra={"charpoly_match": charpoly_match})
+
+
+def _diagonal_residual(h: HeckePolynomial, m: FrobeniusMatrix,
+                       coeff_values: list, domain: ScalarDomain):
+    """diag(p(a_j)) by Horner, and det(X - M) from e_k of the a_j."""
+    d = h.degree
+    if m.size != d:
+        raise ValidationError(f"matrix must be {d}x{d}")
+    if any(domain.is_zero(a) for a in m.diagonal):
+        raise ValidationError("matrix is singular")
+    residual = [[domain.zero()] * d for _ in range(d)]
+    for j, a in enumerate(m.diagonal):
+        acc = coeff_values[0]
+        for c in coeff_values[1:]:
+            acc = domain.add(domain.mul(acc, a), c)
+        residual[j][j] = acc
+    charpoly = [domain.neg(e) if i % 2 else e for i, e in
+                enumerate(elementary_symmetric(domain, m.diagonal))]
+    return residual, charpoly
+
+
+def _dense_residual(h: HeckePolynomial, m, coeff_values: list,
+                    domain: ScalarDomain):
+    """Horner with matrix products, and det(X - M) by Berkowitz."""
+    d = h.degree
+    matrix = [list(row) for row in m]
+    if len(matrix) != d or any(len(row) != d for row in matrix):
+        raise ValidationError(f"matrix must be {d}x{d}")
+    charpoly = mat_charpoly(domain, matrix)
+    if domain.is_zero(charpoly[d]):
+        raise ValidationError("matrix is singular")
+    residual = mat_scale(domain, coeff_values[0], mat_identity(domain, d))
+    for c in coeff_values[1:]:
+        residual = mat_mul(domain, residual, matrix)
+        for j in range(d):
+            residual[j][j] = domain.add(residual[j][j], c)
+    return residual, charpoly
 
 
 def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
@@ -280,7 +347,10 @@ def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
     Verifies sum_i (-1)^i C(d,i) M^i = (I - M)^d exactly (the excursion
     values collapse to dimensions), and separately reports whether
     (M - I)^d = 0.  With ``require_nilpotent`` the report's residual is
-    (M - I)^d, so pass means M is unipotent of the right depth.
+    (M - I)^d, so pass means M is unipotent of the right depth.  The
+    left side sums the explicit powers M^i and the right side is a
+    square-and-multiply power, so the identity compares two independent
+    computations; (M - I)^d is (-1)^d (I - M)^d.
     """
     import time
     start = time.monotonic()
@@ -296,13 +366,14 @@ def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
     lhs = mat_scale(domain, domain.from_int(comb(d, 0)), ident)
     power = ident
     for i in range(1, d + 1):
-        power = mat_mul(domain, power, matrix)
+        power = matrix if i == 1 else mat_mul(domain, power, matrix)
         coeff = domain.from_int((-1) ** i * comb(d, i))
         lhs = mat_add(domain, lhs, mat_scale(domain, coeff, power))
     rhs = mat_pow(domain, mat_sub(domain, ident, matrix), d)
     binomial_residual = mat_sub(domain, lhs, rhs)
     binomial_ok = mat_is_zero(domain, binomial_residual)
-    nilpotent_power = mat_pow(domain, mat_sub(domain, matrix, ident), d)
+    nilpotent_power = rhs if d % 2 == 0 else [
+        [domain.neg(x) for x in row] for row in rhs]
     nilpotent = mat_is_zero(domain, nilpotent_power)
     residual = nilpotent_power if require_nilpotent else binomial_residual
     passed = nilpotent if require_nilpotent else binomial_ok

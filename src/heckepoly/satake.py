@@ -239,15 +239,19 @@ def frobenius_matrix(datum: BasedRootDatum, mu: Coweight, s: SatakeParameter,
     return FrobeniusMatrix(weights, diag, dom, twist_exponent)
 
 
+def elementary_symmetric(dom: ScalarDomain, values) -> list:
+    """e_0..e_d of the values by the triangular recurrence, O(d^2)."""
+    d = len(values)
+    e = [dom.one()] + [dom.zero()] * d
+    for a in values:
+        for k in range(d, 0, -1):
+            e[k] = dom.add(e[k], dom.mul(a, e[k - 1]))
+    return e
+
+
 def trace_of(m: FrobeniusMatrix, i: int):
     """Trace of the i-th exterior power: e_i of the diagonal entries."""
     d = m.size
     if not 0 <= i <= d:
         raise ValidationError(f"exterior power index {i} outside 0..{d}")
-    dom = m.domain
-    # elementary symmetric polynomials by the usual triangular recurrence
-    e = [dom.one()] + [dom.zero()] * d
-    for a in m.diagonal:
-        for k in range(d, 0, -1):
-            e[k] = dom.add(e[k], dom.mul(a, e[k - 1]))
-    return e[i]
+    return elementary_symmetric(m.domain, m.diagonal)[i]

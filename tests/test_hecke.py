@@ -7,11 +7,13 @@ from heckepoly.errors import ValidationError
 from heckepoly.laurent import LaurentHalf, PrimeFieldWithV, RationalWithV
 from heckepoly.characters import WeightMultiset, minuscule_weights
 from heckepoly.root_data import build_standard
-from heckepoly.satake import SatakeParameter, frobenius_matrix, trace_of
+from heckepoly.satake import (FormalTorusDomain, FrobeniusMatrix,
+                              SatakeParameter, frobenius_matrix, trace_of)
 from heckepoly.hecke import (cayley_hamilton_check, evaluate_coefficients,
                              excursion_values, hecke_polynomial,
-                             inertia_relation_check, mat_determinant,
-                             mat_identity, reduce_mod_ell)
+                             inertia_relation_check, mat_charpoly,
+                             mat_determinant, mat_identity, mat_mul, mat_pow,
+                             reduce_mod_ell)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -66,6 +68,73 @@ def _charpoly_via_cofactor(dom, matrix):
     poly = det(rows)  # index = degree in X
     return [poly[d - i] if d - i < len(poly) else dom.zero()
             for i in range(d + 1)]
+
+
+def _determinant_via_subsets(dom, a):
+    """Division-free determinant by DP over column subsets, O(2^n n^2)."""
+    n = len(a)
+    prev = {frozenset(): dom.one()}
+    for r in range(n):
+        cur = {}
+        for cols, val in prev.items():
+            for j in range(n):
+                if j in cols:
+                    continue
+                pos = sum(1 for c in cols if c < j)
+                term = dom.mul(val, a[r][j])
+                if (r + pos) % 2:
+                    term = dom.neg(term)
+                key = cols | {j}
+                cur[key] = dom.add(cur.get(key, dom.zero()), term)
+        prev = cur
+    return prev[frozenset(range(n))]
+
+
+# -- matrix kit against the oracles ----------------------------------------------
+
+def _random_matrices(rng):
+    """(domain, matrix) pairs: n <= 6 over the fields, n <= 4 formally."""
+    q = RationalWithV(3)
+    f = PrimeFieldWithV(11, 4)
+    formal = FormalTorusDomain(2)
+    for n in range(1, 7):
+        for _ in range(3):
+            yield q, [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                       for _ in range(n)] for _ in range(n)]
+            yield f, [[rng.randrange(11) for _ in range(n)] for _ in range(n)]
+            if n <= 4:
+                yield formal, [[formal.random_unit(rng) for _ in range(n)]
+                               for _ in range(n)]
+
+
+def test_charpoly_and_determinant_match_oracles():
+    rng = random.Random(61)
+    seen = set()
+    for dom, m in _random_matrices(rng):
+        seen.add((dom.kind, len(m)))
+        cp = mat_charpoly(dom, m)
+        oracle = _charpoly_via_cofactor(dom, m)
+        assert len(cp) == len(m) + 1
+        assert all(dom.eq(a, b) for a, b in zip(cp, oracle))
+        assert dom.eq(mat_determinant(dom, m), _determinant_via_subsets(dom, m))
+    assert len(seen) == 6 + 6 + 4
+
+
+def test_determinant_of_singular_and_empty():
+    dom = PrimeFieldWithV(11, 4)
+    assert mat_determinant(dom, [[1, 2], [2, 4]]) == 0
+    assert mat_determinant(dom, []) == 1
+    assert mat_charpoly(dom, []) == [1]
+
+
+def test_mat_pow_matches_repeated_products():
+    dom = RationalWithV(2)
+    m = [[Fraction(1), Fraction(2)], [Fraction(-3), Fraction(1, 2)]]
+    expected = mat_identity(dom, 2)
+    for k in range(8):
+        assert mat_pow(dom, m, k) == expected
+        expected = mat_mul(dom, expected, m)
+    assert mat_pow(dom, m, 1) is not m
 
 
 # -- polynomial construction ---------------------------------------------------
@@ -206,6 +275,57 @@ def test_ch_arbitrary_invertible_matrix_with_its_charpoly():
         assert rep.passed
 
 
+def _ch_cases():
+    """(h, m, coefficient values, domain, parameter) over all three domains."""
+    rng = random.Random(67)
+    for datum, mu in [(GL2, (1, 0)), (GL3, (1, 0, 0)), (GL4, (1, 1, 0, 0))]:
+        h = hecke_polynomial(datum, mu, "paper")
+        for s in (SatakeParameter.random(F11, datum.rank, rng),
+                  SatakeParameter.random(RationalWithV(3), datum.rank, rng),
+                  SatakeParameter.generic(datum.rank)):
+            m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
+            yield h, m, evaluate_coefficients(h, s), s.domain, s
+
+
+def test_ch_diagonal_path_renders_like_dense_path():
+    kinds = set()
+    for h, m, values, dom, s in _ch_cases():
+        bad = list(values)
+        bad[-1] = dom.add(bad[-1], dom.one())
+        for coeffs in (values, bad):
+            fast = cayley_hamilton_check(h, m, coeffs, dom, s)
+            dense = cayley_hamilton_check(h, m.to_matrix(), coeffs, dom, s)
+            assert fast.to_json() == dense.to_json()
+        assert fast.residual[0][1] == dom.scalar_str(dom.zero())
+        assert not fast.passed and not fast.extra["charpoly_match"]
+        kinds.add(dom.kind)
+    assert kinds == {"prime-field-with-v", "rational-with-v", "formal-laurent"}
+    # the formal zero renders as an empty term list, not "0"
+    assert FormalTorusDomain(2).scalar_str(FormalTorusDomain(2).zero()) == "[]"
+
+
+def test_ch_catches_wrong_polynomial_with_repeated_eigenvalue():
+    # GL3 over F_11 (v=4) at s = (2, 2, 7): M = diag(A, A, B), A != B.
+    # (X - A)(X - B)^2 annihilates M but is not det(X - M).
+    dom = PrimeFieldWithV(11, 4)
+    s = SatakeParameter(dom, (2, 2, 7))
+    h = hecke_polynomial(GL3, (1, 0, 0), "paper")
+    m = frobenius_matrix(GL3, (1, 0, 0), s)
+    a, _, b = m.diagonal
+    assert m.diagonal == (a, a, b) and a != b
+    true_values = evaluate_coefficients(h, s)
+    assert cayley_hamilton_check(h, m, true_values, dom, s).passed
+    # (X - A)(X - B)^2 = X^3 - (A + 2B) X^2 + (2AB + B^2) X - A B^2
+    wrong = [1, (-(a + 2 * b)) % 11, (2 * a * b + b * b) % 11,
+             (-a * b * b) % 11]
+    assert wrong != true_values
+    for matrix in (m, m.to_matrix()):
+        rep = cayley_hamilton_check(h, matrix, wrong, dom, s)
+        assert all(x == "0" for row in rep.residual for x in row)
+        assert rep.extra["charpoly_match"] is False
+        assert rep.passed is False
+
+
 def test_ch_rejects_singular_and_misshaped():
     h = hecke_polynomial(GL2, (1, 0))
     dom = RationalWithV(2)
@@ -216,6 +336,13 @@ def test_ch_rejects_singular_and_misshaped():
         cayley_hamilton_check(h, mat_identity(dom, 2), [Fraction(1)] * 2, dom)
     with pytest.raises(ValidationError):
         cayley_hamilton_check(h, mat_identity(dom, 3), [Fraction(1)] * 3, dom)
+    f = PrimeFieldWithV(11, 4)
+    diag = FrobeniusMatrix(((1, 0), (0, 1)), (3, 0), f, 2)
+    with pytest.raises(ValidationError):
+        cayley_hamilton_check(h, diag, [1, 0, 0], f)
+    small = FrobeniusMatrix(((1, 0),), (3,), f, 2)
+    with pytest.raises(ValidationError):
+        cayley_hamilton_check(h, small, [1, 0, 0], f)
 
 
 def test_ch_detects_wrong_coefficients():
@@ -250,6 +377,22 @@ def test_inertia_non_unipotent_reports_expected_fail():
     assert not rep.extra["unipotent_depth_d"]
     rep = inertia_relation_check(2, [[2, 0], [0, 1]], require_nilpotent=True)
     assert not rep.passed
+
+
+def test_inertia_unipotent_residual_is_m_minus_i_power():
+    # odd d: (M - I)^d is rendered with its own sign, not that of (I - M)^d
+    dom = RationalWithV(1)
+    for d in (3, 4):
+        m = [[Fraction(2 if i == j else (i + 2 * j) % 3) for j in range(d)]
+             for i in range(d)]
+        shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(m)]
+        expected = mat_identity(dom, d)
+        for _ in range(d):
+            expected = mat_mul(dom, expected, shifted)
+        rep = inertia_relation_check(d, m, dom, require_nilpotent=True)
+        assert not rep.passed
+        assert rep.residual == [[str(x) for x in row] for row in expected]
 
 
 def test_inertia_binomial_identity_random_matrices():
