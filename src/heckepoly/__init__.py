@@ -9,15 +9,14 @@ field with a chosen square root of q.
 """
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .laurent import (FracScaled, LaurentHalf, PrimeFieldWithV, RationalWithV,
-                      ScalarDomain, validate_sqrt)
+from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain,
+                      validate_sqrt)
 from .root_data import BasedRootDatum, Coweight, WeylElement, build_standard
 from .characters import (SymmetricFunction, WeightMultiset, decompose,
                          dimension, ext_power_character, minuscule_weights,
                          orbit_character, weyl_character)
 from .satake import (FormalTorusDomain, FrobeniusMatrix, SatakeParameter,
-                     SphericalElement, evaluate, frobenius_matrix,
-                     resolve_twist, trace_of)
+                     evaluate, frobenius_matrix, resolve_twist, trace_of)
 from .hecke import (ExcursionValue, HeckePolynomial, RelationReport,
                     cayley_hamilton_check, evaluate_coefficients,
                     excursion_values, hecke_polynomial,
@@ -28,10 +27,10 @@ from .iwahori import (AffineHeckeAlgebra, AffineHeckeElement,
 __all__ = [
     "AffineHeckeAlgebra", "AffineHeckeElement", "BasedRootDatum",
     "ConsistencyError", "Coweight", "ExcursionValue", "FormalTorusDomain",
-    "FracScaled", "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
+    "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
     "PrimeFieldWithV", "RationalWithV", "RelationReport", "ResourceLimitError",
     "SatakeParameter", "ScalarDomain", "SphericalCosetVector",
-    "SphericalElement", "SymmetricFunction", "ValidationError",
+    "SymmetricFunction", "ValidationError",
     "WeightMultiset", "WeylElement", "build_standard",
     "cayley_hamilton_check", "decompose", "dimension",
     "evaluate", "evaluate_coefficients", "ext_power_character",

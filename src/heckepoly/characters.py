@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 
 from .errors import ConsistencyError, ValidationError
 from .laurent import LaurentHalf, ONE
@@ -358,8 +357,3 @@ def decompose(datum: BasedRootDatum,
         if not work.coeff(lam).is_zero():
             raise ConsistencyError("highest-weight stripping failed to cancel")
     raise ConsistencyError("decomposition did not terminate")
-
-
-def binomial_dimension(d: int, i: int) -> int:
-    """dim of the i-th exterior power of a d-dimensional space."""
-    return comb(d, i)

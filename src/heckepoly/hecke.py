@@ -46,7 +46,7 @@ from .laurent import LaurentHalf, RationalWithV, ScalarDomain, PrimeFieldWithV
 from .characters import SymmetricFunction, ext_power_character, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
 from .satake import (FrobeniusMatrix, SatakeParameter, elementary_symmetric,
-                     evaluate, frobenius_matrix, resolve_twist, trace_of)
+                     evaluate, frobenius_matrix, resolve_twist)
 
 
 # -- small exact matrix kit --------------------------------------------------
@@ -220,7 +220,8 @@ def excursion_values(datum: BasedRootDatum, mu: Coweight,
         raise ValidationError("frobenius mode needs a parameter")
     t = resolve_twist(datum, mu, twist, e_over_f)
     m = frobenius_matrix(datum, mu, s, twist_exponent=t)
-    return [ExcursionValue(i, trace_of(m, i)) for i in range(d + 1)]
+    traces = elementary_symmetric(m.domain, m.diagonal)
+    return [ExcursionValue(i, traces[i]) for i in range(d + 1)]
 
 
 # -- reports ------------------------------------------------------------------
@@ -229,9 +230,8 @@ def excursion_values(datum: BasedRootDatum, mu: Coweight,
 class RelationReport:
     """Outcome of one exact matrix identity check.
 
-    ``passed`` is True exactly when the residual matrix is zero.  The
-    elapsed time is kept on the object but never serialized, so that
-    reports with a fixed seed are byte-identical.
+    ``passed`` is True exactly when the residual matrix is zero.  No
+    timing is kept, so reports with a fixed seed are byte-identical.
     """
 
     check: str
@@ -242,7 +242,6 @@ class RelationReport:
     twist: dict | None = None
     domain: dict | None = None
     parameter: list | None = None
-    elapsed: float | None = None
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -279,8 +278,6 @@ def cayley_hamilton_check(h: HeckePolynomial, m, coeff_values: list,
     integral domain, so M is singular iff a diagonal entry is zero, and
     the residual is diag(p(a_j)).
     """
-    import time
-    start = time.monotonic()
     d = h.degree
     if len(coeff_values) != d + 1:
         raise ValidationError(f"need {d + 1} coefficient values")
@@ -299,7 +296,6 @@ def cayley_hamilton_check(h: HeckePolynomial, m, coeff_values: list,
         twist={"preset": h.twist_preset, "exponent": h.twist_exponent},
         domain=domain.to_json(),
         parameter=parameter.to_json()["entries"] if parameter else None,
-        elapsed=time.monotonic() - start,
         extra={"charpoly_match": charpoly_match})
 
 
@@ -352,8 +348,6 @@ def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
     square-and-multiply power, so the identity compares two independent
     computations; (M - I)^d is (-1)^d (I - M)^d.
     """
-    import time
-    start = time.monotonic()
     if d < 1:
         raise ValidationError("d must be >= 1")
     if domain is None:
@@ -381,7 +375,6 @@ def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
         check="inertia", passed=passed,
         residual=mat_strings(domain, residual),
         domain=domain.to_json(),
-        elapsed=time.monotonic() - start,
         extra={"binomial_identity": binomial_ok, "unipotent_depth_d": nilpotent,
                "d": d})
 

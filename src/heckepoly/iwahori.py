@@ -5,7 +5,11 @@ Conventions (fixed once, then pinned by the minuscule calibration
 identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
 
 * extended affine Weyl group: pairs x = (lam, w) = t_lam w with the
-  group law (lam1, w1)(lam2, w2) = (lam1 + w1 lam2, w1 w2);
+  group law (lam1, w1)(lam2, w2) = (lam1 + w1 lam2, w1 w2); w is the
+  index of a finite Weyl element in ``datum.weyl_elements``, and every
+  product, inverse and inversion set comes from the datum's index
+  tables, so this module never sees a lattice matrix (reduced words
+  appear only in ``to_json``);
 * length: ell(t_lam w) = sum over positive roots alpha of
   |<alpha, lam>| when w^{-1} alpha > 0 and |<alpha, lam> - 1| when
   w^{-1} alpha < 0;
@@ -33,16 +37,16 @@ ResourceLimitError instead of thrashing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE, Q
 from .characters import SymmetricFunction, WeightMultiset, orbit_character
-from .root_data import (BasedRootDatum, Coweight, Matrix,
-                        solve_integer_combination, _mat_vec, _mat_mul)
+from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
 DEFAULT_MAX_SUPPORT = 20_000
 
-AffKey = tuple[Coweight, Matrix]
+AffKey = tuple[Coweight, int]
 
 
 @dataclass
@@ -96,8 +100,8 @@ class AffineHeckeElement:
 
     def to_json(self, datum: BasedRootDatum):
         items = []
-        for (lam, m), c in sorted(self.terms.items()):
-            word = list(datum.weyl_element(m).word)
+        for (lam, w), c in sorted(self.terms.items()):
+            word = list(datum.weyl_elements[w].word)
             items.append({"translation": list(lam), "finite_word": word,
                           "coeff": c.serialize()})
         if self.denom == ONE:
@@ -152,7 +156,6 @@ class AffineHeckeAlgebra:
         self.datum = datum
         self.max_support = max_support
         self._zero_vec = tuple(0 for _ in range(datum.rank))
-        self._ident = datum.identity_matrix()
         self._length_memo: dict[AffKey, int] = {}
         self._theta_memo: dict[Coweight, AffineHeckeElement] = {}
         self._gens = self._build_generators()
@@ -163,17 +166,10 @@ class AffineHeckeAlgebra:
         datum = self.datum
         gens: dict[int, AffKey] = {}
         for i in range(datum.num_simple):
-            gens[i + 1] = (self._zero_vec, datum.reflection_matrix(i))
+            gens[i + 1] = (self._zero_vec, datum.weyl_right[0][i])
         if datum.num_simple > 0:
             theta = datum.highest_root
-            theta_v = datum.coroot_of(theta)
-            cols = []
-            for j in range(datum.rank):
-                basis = tuple(1 if k == j else 0 for k in range(datum.rank))
-                c = datum.pairing(theta, basis)
-                cols.append(tuple(x - c * y for x, y in zip(basis, theta_v)))
-            s_theta = tuple(zip(*cols))
-            gens[0] = (theta_v, s_theta)
+            gens[0] = (datum.coroot_of(theta), datum.reflection_index(theta))
         return gens
 
     @property
@@ -184,39 +180,34 @@ class AffineHeckeAlgebra:
         return self._gens[idx]
 
     def identity_key(self) -> AffKey:
-        return (self._zero_vec, self._ident)
+        return (self._zero_vec, 0)
 
     def translation_key(self, lam: Coweight) -> AffKey:
-        return (tuple(lam), self._ident)
+        return (tuple(lam), 0)
 
     def mul_aff(self, x: AffKey, y: AffKey) -> AffKey:
-        (l1, m1), (l2, m2) = x, y
-        return (tuple(a + b for a, b in zip(l1, _mat_vec(m1, l2))),
-                _mat_mul(m1, m2))
+        (l1, w1), (l2, w2) = x, y
+        datum = self.datum
+        return (tuple(a + b for a, b in zip(l1, datum.act(w1, l2))),
+                datum.weyl_mul(w1, w2))
 
     def inv_aff(self, x: AffKey) -> AffKey:
-        lam, m = x
-        m_inv = self.datum.inverse_matrix(m)
-        neg = tuple(-a for a in _mat_vec(m_inv, lam))
-        return (neg, m_inv)
+        lam, w = x
+        w_inv = self.datum.weyl_inverse[w]
+        return (tuple(-a for a in self.datum.act(w_inv, lam)), w_inv)
 
     def length(self, x: AffKey) -> int:
         memo = self._length_memo
         cached = memo.get(x)
         if cached is not None:
             return cached
-        lam, m = x
+        lam, w = x
         datum = self.datum
+        inversions = datum.weyl_inversions[w]
         total = 0
         for alpha in datum.positive_roots:
             pair = datum.pairing(alpha, lam)
-            # w^{-1} alpha as a dual vector: components sum_k alpha_k m[k][j]
-            winv = tuple(sum(alpha[k] * m[k][j] for k in range(datum.rank))
-                         for j in range(datum.rank))
-            if datum.is_positive_root(winv):
-                total += abs(pair)
-            else:
-                total += abs(pair - 1)
+            total += abs(pair - 1) if alpha in inversions else abs(pair)
         memo[x] = total
         return total
 
@@ -319,6 +310,7 @@ class AffineHeckeAlgebra:
             cur = self._left_mul_gen_inv(idx, cur)
         return AffineHeckeElement(cur)
 
+    @cached_property
     def _dominant_lifters(self) -> list[Coweight]:
         """One dominant sigma_i per simple root with <alpha_i, sigma_i> >= 1."""
         datum = self.datum
@@ -348,7 +340,7 @@ class AffineHeckeAlgebra:
     def _dominant_decomposition(self, lam: Coweight) -> tuple[Coweight, Coweight]:
         """lam = lam1 - lam2 with both parts dominant, lam2 greedily small."""
         datum = self.datum
-        lifters = self.__dict__.setdefault("_lifters", self._dominant_lifters())
+        lifters = self._dominant_lifters
         cur = tuple(lam)
         lam2 = self._zero_vec
         while True:
@@ -405,7 +397,7 @@ class AffineHeckeAlgebra:
 
     def finite_sum(self) -> AffineHeckeElement:
         return AffineHeckeElement(
-            {(self._zero_vec, w.matrix): ONE for w in self.datum.weyl_elements})
+            {(self._zero_vec, w): ONE for w in range(self.datum.weyl_order)})
 
     def spherical_idempotent(self) -> AffineHeckeElement:
         """e_K = (sum_w T_w) / P_W(q); idempotent."""
@@ -424,16 +416,16 @@ class AffineHeckeAlgebra:
         if product.denom != ONE:
             raise ConsistencyError("unexpected denominator in Satake product")
         by_coset: dict[Coweight, dict[AffKey, LaurentHalf]] = {}
-        for (lam, m), c in product.terms.items():
+        for (lam, w), c in product.terms.items():
             dom = self.datum.dominant_representative(lam)
-            by_coset.setdefault(dom, {})[(lam, m)] = c
+            by_coset.setdefault(dom, {})[(lam, w)] = c
         coords: dict[Coweight, LaurentHalf] = {}
         for dom, present in by_coset.items():
             orbit = self.datum.weyl_orbit(dom)
             values = set()
             for lam in orbit:
-                for w in self.datum.weyl_elements:
-                    values.add(present.get((lam, w.matrix), LaurentHalf.zero()))
+                for w in range(self.datum.weyl_order):
+                    values.add(present.get((lam, w), LaurentHalf.zero()))
             if len(values) != 1:
                 raise ConsistencyError(
                     f"coset W t_{dom} W has non-constant coefficients")
@@ -493,14 +485,7 @@ class AffineHeckeAlgebra:
 
     def satake_of_indicator(self, lam: Coweight) -> SymmetricFunction:
         """S(1_{K lam K}) expressed in monomial symmetric functions."""
-        lam = tuple(lam)
-        labels, b = self.satake_transform_matrix(self.datum.dominants_below(lam))
-        k = labels.index(lam)
-        total = WeightMultiset()
-        for i, nu in enumerate(labels):
-            if not b[i][k].is_zero():
-                total = total + orbit_character(self.datum, nu).weights.scale(b[i][k])
-        return SymmetricFunction(self.datum, total, check=False)
+        return self.satake_transform(SphericalCosetVector({tuple(lam): ONE}))
 
     def satake_transform(self, vec: SphericalCosetVector) -> SymmetricFunction:
         """Inverse of satake_inverse on the span of the vector's lower sets."""

@@ -25,7 +25,6 @@ zero polynomial prints as ``"0"``.  ``LaurentHalf.parse`` inverts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Any
@@ -208,31 +207,6 @@ ZERO = LaurentHalf.zero()
 ONE = LaurentHalf.from_int(1)
 V = LaurentHalf.v_power(1)
 Q = LaurentHalf.v_power(2)
-
-
-@dataclass(frozen=True)
-class FracScaled:
-    """A ring element divided by a single nonzero Laurent scalar.
-
-    The only denominators the package ever needs are Poincare
-    polynomials, so a full fraction field would be overkill.
-    """
-
-    numerator: Any
-    denominator: LaurentHalf = ONE
-
-    def __post_init__(self):
-        if self.denominator.is_zero():
-            raise ValidationError("FracScaled denominator must be nonzero")
-
-    def is_trivial(self) -> bool:
-        return self.denominator == ONE
-
-    def reduce(self) -> Any:
-        """Return the bare numerator when the denominator is 1."""
-        if not self.is_trivial():
-            raise ValidationError("denominator is not 1")
-        return self.numerator
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ standard dot product.  The finite Weyl group acts on the lattice by
 lam -> lam - <alpha_i, lam> alpha_i^vee and is enumerated by
 breadth-first search, which also yields reduced words.
 
+Inside the package a Weyl element is an int: its index in
+``weyl_elements``, which is sorted by (length, reduced word), so 0 is
+the identity.  Products, inverses, inversion sets and reflections are
+tables over these indices, built once per datum on first use.  Words
+and lattice matrices (``WeylElement``) appear only at the edges: JSON
+output, tests, and the tables' own construction in this module.
+
 Builders cover GL_n (lattice Z^n, roots e_i - e_j), SL_n (lattice =
 coroot lattice, coroots the standard basis), PGL_n (lattice = coweight
 lattice, roots the standard dual basis) and Sp_n for even n (type
@@ -200,22 +207,25 @@ class BasedRootDatum:
         a = self.simple_roots[i]
         return tuple(x - c * y for x, y in zip(chi, a))
 
-    def act(self, w, lam: Coweight) -> Coweight:
-        m = w.matrix if isinstance(w, WeylElement) else w
-        return _mat_vec(m, lam)
+    def act(self, w: int | WeylElement, lam: Coweight) -> Coweight:
+        """w lam, for an index into weyl_elements or a WeylElement."""
+        if not isinstance(w, WeylElement):
+            w = self.weyl_elements[w]
+        return _mat_vec(w.matrix, lam)
 
     # -- Weyl group -------------------------------------------------------
 
     @cached_property
     def weyl_elements(self) -> tuple[WeylElement, ...]:
         ident = WeylElement((), _identity(self.rank))
+        reflections = [self.reflection_matrix(i) for i in range(self.num_simple)]
         seen = {ident.matrix: ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(self.num_simple):
-                    m = _mat_mul(w.matrix, self.reflection_matrix(i))
+                for i, s_i in enumerate(reflections):
+                    m = _mat_mul(w.matrix, s_i)
                     if m not in seen:
                         elt = WeylElement(w.word + (i,), m)
                         seen[m] = elt
@@ -228,27 +238,57 @@ class BasedRootDatum:
         return len(self.weyl_elements)
 
     @cached_property
-    def _by_matrix(self) -> dict[Matrix, WeylElement]:
-        return {w.matrix: w for w in self.weyl_elements}
-
-    def weyl_element(self, matrix: Matrix) -> WeylElement:
-        return self._by_matrix[matrix]
+    def weyl_index(self) -> dict[Matrix, int]:
+        """Lattice matrix -> index into weyl_elements."""
+        return {w.matrix: k for k, w in enumerate(self.weyl_elements)}
 
     @cached_property
-    def _inverse_matrix(self) -> dict[Matrix, Matrix]:
-        out = {}
+    def weyl_right(self) -> tuple[tuple[int, ...], ...]:
+        """weyl_right[k][i] is the index of w_k s_i."""
+        reflections = [self.reflection_matrix(i) for i in range(self.num_simple)]
+        index = self.weyl_index
+        return tuple(tuple(index[_mat_mul(w.matrix, s_i)] for s_i in reflections)
+                     for w in self.weyl_elements)
+
+    def weyl_mul(self, a: int, b: int) -> int:
+        """Index of w_a w_b, walking weyl_right along the word of w_b."""
+        right = self.weyl_right
+        for i in self.weyl_elements[b].word:
+            a = right[a][i]
+        return a
+
+    @cached_property
+    def weyl_inverse(self) -> tuple[int, ...]:
+        """weyl_inverse[k] is the index of w_k^{-1}: its reversed word."""
+        right = self.weyl_right
+        out = []
         for w in self.weyl_elements:
-            m = _identity(self.rank)
+            k = 0
             for i in reversed(w.word):
-                m = _mat_mul(m, self.reflection_matrix(i))
-            out[w.matrix] = m
-        return out
+                k = right[k][i]
+            out.append(k)
+        return tuple(out)
 
-    def inverse_matrix(self, matrix: Matrix) -> Matrix:
-        return self._inverse_matrix[matrix]
+    @cached_property
+    def weyl_inversions(self) -> tuple[frozenset[Coweight], ...]:
+        """weyl_inversions[k]: the positive roots alpha with w_k^{-1} alpha < 0.
 
-    def identity_matrix(self) -> Matrix:
-        return _identity(self.rank)
+        w^{-1} alpha is the dual vector alpha^T m for w's matrix m.
+        """
+        n = self.rank
+        return tuple(
+            frozenset(alpha for alpha in self.positive_roots
+                      if not self.is_positive_root(tuple(
+                          sum(alpha[k] * w.matrix[k][j] for k in range(n))
+                          for j in range(n))))
+            for w in self.weyl_elements)
+
+    def reflection_index(self, alpha: Coweight) -> int:
+        """Index of the reflection s_alpha: lam -> lam - <alpha, lam> alpha^vee."""
+        alpha_v = self.coroot_of(alpha)
+        images = (tuple(x - _dot(alpha, col) * y for x, y in zip(col, alpha_v))
+                  for col in _identity(self.rank))
+        return self.weyl_index[tuple(zip(*images))]
 
     # -- roots ------------------------------------------------------------
 

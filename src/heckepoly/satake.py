@@ -1,8 +1,8 @@
 """Satake parameters and evaluation of spherical elements.
 
 The spherical Hecke algebra in Satake coordinates is the ring of
-W-invariant Laurent polynomials on the dual torus; a SphericalElement
-is therefore just a SymmetricFunction.  A SatakeParameter is a point of
+W-invariant Laurent polynomials on the dual torus, so a spherical
+element is just a SymmetricFunction.  A SatakeParameter is a point of
 the dual torus: one invertible scalar per lattice basis vector, in a
 chosen scalar domain.  Evaluation sends sum c_lam e^lam to
 sum c_lam s^lam with s^lam = prod s_j^{lam_j}.
@@ -34,8 +34,6 @@ from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
 from .characters import (SymmetricFunction, WeightMultiset,
                          minuscule_weights)
 from .root_data import BasedRootDatum, Coweight
-
-SphericalElement = SymmetricFunction
 
 TWIST_PRESETS = ("paper", "classical")
 

@@ -350,3 +350,13 @@ def test_element_json():
     th = H2.theta((1, 0))
     plain = th.to_json(GL2)
     assert isinstance(plain, list) and plain[0]["coeff"] == "1*v^-1"
+
+
+def test_element_json_term_order():
+    # terms sort by (translation, Weyl index); the index order is
+    # (length, reduced word), so the finite words come out in that order
+    words = [t["finite_word"] for t in H3.finite_sum().to_json(GL3)]
+    assert words == [[], [0], [1], [0, 1], [1, 0], [0, 1, 0]]
+    assert H2.theta((0, 1)).to_json(GL2) == [
+        {"translation": [0, 1], "finite_word": [], "coeff": "1*v^-1"},
+        {"translation": [1, 0], "finite_word": [0], "coeff": "1*v^-1+-1*v^1"}]

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckepoly.errors import ValidationError
-from heckepoly.laurent import (FracScaled, LaurentHalf, PrimeFieldWithV,
-                               RationalWithV, validate_sqrt)
+from heckepoly.laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
+                               validate_sqrt)
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-50, 50),
                            max_size=6).map(LaurentHalf)
@@ -118,18 +118,6 @@ def test_rational_domain():
     assert dom.inv(Fraction(3)) == Fraction(1, 3)
     with pytest.raises(ValidationError):
         RationalWithV(0)
-
-
-def test_frac_scaled():
-    num = LaurentHalf.from_int(6)
-    fs = FracScaled(num, LaurentHalf.from_int(1))
-    assert fs.is_trivial() and fs.reduce() == num
-    fs2 = FracScaled(num, LaurentHalf({0: 1, 2: 1}))
-    assert not fs2.is_trivial()
-    with pytest.raises(ValidationError):
-        fs2.reduce()
-    with pytest.raises(ValidationError):
-        FracScaled(num, LaurentHalf.zero())
 
 
 def test_scalar_string_roundtrip():

@@ -175,6 +175,58 @@ def test_gram_is_weyl_invariant():
                         datum.act(w, x), datum.act(w, y))
 
 
+# -- index tables (oracle: lattice matrices) -----------------------------------
+
+TABLE_DATA = [GL3, SL3, PGL3, SP4, GL4]
+TABLE_IDS = ["GL3", "SL3", "PGL3", "Sp4", "GL4"]
+
+
+def _reflection_by_columns(datum, alpha):
+    """s_alpha's matrix, column j = e_j - <alpha, e_j> alpha^vee."""
+    alpha_v = datum.coroot_of(alpha)
+    cols = []
+    for j in range(datum.rank):
+        basis = tuple(1 if k == j else 0 for k in range(datum.rank))
+        c = datum.pairing(alpha, basis)
+        cols.append(tuple(x - c * y for x, y in zip(basis, alpha_v)))
+    return tuple(zip(*cols))
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
+def test_weyl_mul_matches_matrix_product(datum):
+    elts = datum.weyl_elements
+    assert elts[0].matrix == _identity(datum.rank)
+    for a in range(datum.weyl_order):
+        for b in range(datum.weyl_order):
+            assert elts[datum.weyl_mul(a, b)].matrix == _mat_mul(
+                elts[a].matrix, elts[b].matrix)
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
+def test_weyl_index_tables(datum):
+    elts = datum.weyl_elements
+    for k, w in enumerate(elts):
+        assert datum.weyl_index[w.matrix] == k
+        inv = datum.weyl_inverse[k]
+        assert datum.weyl_mul(k, inv) == 0 and datum.weyl_mul(inv, k) == 0
+        assert len(datum.weyl_inversions[k]) == w.length
+        for i in range(datum.num_simple):
+            assert elts[datum.weyl_right[k][i]].matrix == _mat_mul(
+                w.matrix, datum.reflection_matrix(i))
+        lam = tuple(range(1, datum.rank + 1))
+        assert datum.act(k, lam) == datum.act(w, lam)
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
+def test_reflection_index(datum):
+    theta = datum.highest_root
+    k = datum.reflection_index(theta)
+    assert datum.weyl_elements[k].matrix == _reflection_by_columns(datum, theta)
+    for i, alpha in enumerate(datum.simple_roots):
+        assert datum.reflection_index(alpha) == datum.weyl_right[0][i]
+        assert datum.weyl_inversions[datum.weyl_right[0][i]] == {alpha}
+
+
 def test_json_roundtrip_and_validation():
     datum = BasedRootDatum.from_json(GL3.to_json())
     assert datum.simple_roots == GL3.simple_roots
