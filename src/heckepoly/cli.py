@@ -60,13 +60,27 @@ def parse_field(text: str, rank: int) -> ScalarDomain:
     if text == "formal":
         return FormalTorusDomain(rank)
     if text.startswith("rat:v="):
-        return RationalWithV(Fraction(text[len("rat:v="):]))
+        try:
+            v_value = Fraction(text[len("rat:v="):])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad field spec {text!r}: v must be a "
+                                  "nonzero rational <num>[/den]") from exc
+        return RationalWithV(v_value)
     if text.startswith("ell="):
-        parts = dict(p.split("=", 1) for p in text.split(","))
+        pairs = [p.partition("=") for p in text.split(",")]
+        if any(not sep for _, sep, _ in pairs):
+            raise ValidationError(f"bad field spec {text!r}: every part "
+                                  "must be key=value")
+        parts = {key: value for key, _, value in pairs}
         if "ell" not in parts or "v" not in parts:
             raise ValidationError(f"bad field spec {text!r}")
-        q = int(parts["q"]) if "q" in parts else None
-        return PrimeFieldWithV(int(parts["ell"]), int(parts["v"]), q)
+        try:
+            ell, v_image = int(parts["ell"]), int(parts["v"])
+            q = int(parts["q"]) if "q" in parts else None
+        except ValueError as exc:
+            raise ValidationError(f"bad field spec {text!r}: ell, v and q "
+                                  "must be integers") from exc
+        return PrimeFieldWithV(ell, v_image, q)
     raise ValidationError(f"bad field spec {text!r} "
                           "(expected formal | rat:v=<q> | ell=<p>,v=<r>)")
 
@@ -111,6 +125,11 @@ class RunConfig:
     def require_mu(self) -> tuple[int, ...]:
         if self.mu is None:
             raise ValidationError("--mu is required")
+        lattice_rank = self.datum().rank
+        if len(self.mu) != lattice_rank:
+            raise ValidationError(
+                f"--mu has {len(self.mu)} entries, but the lattice of "
+                f"{self.family}{self.rank} has rank {lattice_rank}")
         return self.mu
 
 
@@ -225,7 +244,10 @@ def cmd_eval(cfg: RunConfig) -> tuple[list[str], int]:
     mu = cfg.require_mu()
     dom = cfg.domain(datum.rank)
     if cfg.entries is not None:
-        entries = tuple(dom.parse_scalar(t) for t in cfg.entries.split(","))
+        try:
+            entries = tuple(dom.parse_scalar(t) for t in cfg.entries.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad --entries {cfg.entries!r}") from exc
         s = SatakeParameter(dom, entries)
     elif isinstance(dom, FormalTorusDomain):
         s = SatakeParameter.generic(datum.rank)

@@ -8,8 +8,14 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   group law (lam1, w1)(lam2, w2) = (lam1 + w1 lam2, w1 w2); w is the
   index of a finite Weyl element in ``datum.weyl_elements``, and every
   product, inverse and inversion set comes from the datum's index
-  tables, so this module never sees a lattice matrix (reduced words
-  appear only in ``to_json``);
+  tables (reduced words appear only in ``to_json``);
+* the hot path never applies the group law in general: a generator
+  t_mu s_alpha (a simple reflection, or s_0 = t_{theta^vee} s_theta)
+  sends (lam, w) to (mu + s_alpha lam, s_alpha w), one reflection and
+  one lookup in a precomputed left-multiplication row; a right descent
+  by a finite s_i is one ``weyl_right`` lookup; and a length-zero
+  element relabels a support through its finite part's lattice matrix,
+  built once from the word and kept as sparse rows;
 * length: ell(t_lam w) = sum over positive roots alpha of
   |<alpha, lam>| when w^{-1} alpha > 0 and |<alpha, lam> - 1| when
   w^{-1} alpha < 0;
@@ -158,6 +164,7 @@ class AffineHeckeAlgebra:
         self._zero_vec = tuple(0 for _ in range(datum.rank))
         self._length_memo: dict[AffKey, int] = {}
         self._theta_memo: dict[Coweight, AffineHeckeElement] = {}
+        self._finite_left_memo: dict[int, tuple] = {}
         self._gens = self._build_generators()
 
     # -- extended affine Weyl group -------------------------------------
@@ -171,6 +178,23 @@ class AffineHeckeAlgebra:
             theta = datum.highest_root
             gens[0] = (datum.coroot_of(theta), datum.reflection_index(theta))
         return gens
+
+    @cached_property
+    def _gen_actions(self) -> dict[int, tuple]:
+        """Per generator (mu, s_alpha): (mu, alpha, alpha^vee, row), where
+        row[w] is the index of s_alpha w.
+
+        The generator sends (lam, w) to
+        (mu + lam - <alpha, lam> alpha^vee, row[w]): one reflection and
+        one lookup.
+        """
+        datum = self.datum
+        acts = {}
+        for idx, (mu, s_alpha) in self._gens.items():
+            alpha = datum.simple_roots[idx - 1] if idx else datum.highest_root
+            acts[idx] = (mu, alpha, datum.coroot_of(alpha),
+                         self._finite_left(s_alpha)[1])
+        return acts
 
     @property
     def generator_indices(self) -> tuple[int, ...]:
@@ -212,13 +236,20 @@ class AffineHeckeAlgebra:
         return total
 
     def reduced_word(self, x: AffKey) -> tuple[AffKey, tuple[int, ...]]:
-        """Write x = pi * s_{i_1} ... s_{i_m} with ell(pi) = 0, m = ell(x)."""
+        """Write x = pi * s_{i_1} ... s_{i_m} with ell(pi) = 0, m = ell(x).
+
+        Right descents by a finite s_i are one weyl_right lookup,
+        (lam, w) s_i = (lam, w s_i); only s_0 goes through the group law.
+        """
+        right = self.datum.weyl_right
         word: list[int] = []
         cur = x
         length = self.length(cur)
         while length > 0:
+            lam, w = cur
             for idx in self.generator_indices:
-                y = self.mul_aff(cur, self._gens[idx])
+                y = ((lam, right[w][idx - 1]) if idx
+                     else self.mul_aff(cur, self._gens[0]))
                 if self.length(y) < length:
                     cur = y
                     length -= 1
@@ -255,10 +286,13 @@ class AffineHeckeAlgebra:
 
     def _left_mul_gen(self, idx: int, terms: dict) -> dict:
         q_minus_1 = Q - ONE
-        g = self._gens[idx]
+        mu, alpha, alpha_v, row = self._gen_actions[idx]
         out: dict[AffKey, LaurentHalf] = {}
         for z, c in terms.items():
-            sz = self.mul_aff(g, z)
+            lam, w = z
+            k = sum(a * x for a, x in zip(alpha, lam))
+            sz = (tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v)),
+                  row[w])
             if self.length(sz) > self.length(z):
                 self._acc(out, sz, c)
             else:
@@ -285,8 +319,35 @@ class AffineHeckeAlgebra:
         for idx in reversed(word):
             cur = self._left_mul_gen(idx, cur)
         if pi != self.identity_key():
-            cur = {self.mul_aff(pi, z): c for z, c in cur.items()}
+            mu, w_pi = pi
+            m, row = self._finite_left(w_pi)
+            cur = {(tuple(a + sum(r * lam[j] for j, r in m_row)
+                          for a, m_row in zip(mu, m)), row[w]): c
+                   for (lam, w), c in cur.items()}
         return cur
+
+    def _finite_left(self, w: int) -> tuple:
+        """Left multiplication by the finite Weyl element w, memoized: its
+        lattice matrix as sparse rows of (column, entry), and the row of
+        indices of w v, walked along w's word through weyl_left.
+
+        Only generators and length-zero elements ask, and there are few
+        of each.
+        """
+        got = self._finite_left_memo.get(w)
+        if got is None:
+            datum = self.datum
+            left = datum.weyl_left
+            word = datum.weyl_elements[w].word
+            row = []
+            for v in range(datum.weyl_order):
+                for i in reversed(word):
+                    v = left[v][i]
+                row.append(v)
+            sparse = tuple(tuple((j, r) for j, r in enumerate(m_row) if r)
+                           for m_row in datum.weyl_elements[w].matrix)
+            got = self._finite_left_memo[w] = (sparse, tuple(row))
+        return got
 
     def multiply(self, a: AffineHeckeElement,
                  b: AffineHeckeElement) -> AffineHeckeElement:

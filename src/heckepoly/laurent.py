@@ -26,7 +26,6 @@ zero polynomial prints as ``"0"``.  ``LaurentHalf.parse`` inverts it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Any
 
 from .errors import ValidationError
@@ -213,15 +212,35 @@ Q = LaurentHalf.v_power(2)
 # scalar domains
 
 
+# Deterministic Miller-Rabin: the first 13 primes as bases decide every
+# n below PRIME_TEST_BOUND (Sorenson and Webster 2015, psi_13).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < PRIME_TEST_BOUND; larger n is rejected."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValidationError(
+            f"{n} is too large: primality is decided below {PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for p in range(3, isqrt(n) + 1, 2):
+    for p in _MILLER_RABIN_BASES:
         if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

@@ -4,15 +4,20 @@ A BasedRootDatum fixes the cocharacter lattice Z^n of a split maximal
 torus, simple roots (vectors in the dual lattice) and simple coroots
 (vectors in the lattice); the pairing between the two sides is the
 standard dot product.  The finite Weyl group acts on the lattice by
-lam -> lam - <alpha_i, lam> alpha_i^vee and is enumerated by
-breadth-first search, which also yields reduced words.
+lam -> lam - <alpha_i, lam> alpha_i^vee.
 
 Inside the package a Weyl element is an int: its index in
 ``weyl_elements``, which is sorted by (length, reduced word), so 0 is
-the identity.  Products, inverses, inversion sets and reflections are
-tables over these indices, built once per datum on first use.  Words
-and lattice matrices (``WeylElement``) appear only at the edges: JSON
-output, tests, and the tables' own construction in this module.
+the identity.  The group is enumerated by breadth-first search on orbit
+points: W acts simply transitively on the orbit of the regular coweight
+x0 = 2 rho^vee, so w is stored as v_w = w^{-1} x0, and the edge
+w -> w s_i costs one reflection of v_w.  Products, inverses, inversion
+sets and reflections are tables over the indices, built once per datum
+on first use from orbit points and reduced words.  |W| itself comes from
+the heights of the positive roots, so ``weyl_order`` enumerates nothing,
+and the enumeration refuses groups larger than MAX_WEYL_ORDER before it
+starts.  Lattice matrices are never stored: ``WeylElement.matrix``
+builds one from the word when asked (tests, the Gram form).
 
 Builders cover GL_n (lattice Z^n, roots e_i - e_j), SL_n (lattice =
 coroot lattice, coroots the standard basis), PGL_n (lattice = coweight
@@ -26,8 +31,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 Coweight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -36,13 +42,12 @@ SUPPORTED_FAMILIES = ("GL", "SL", "PGL", "Sp")
 
 _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
+# Largest Weyl group that weyl_elements enumerates (GL8 has 40320).
+MAX_WEYL_ORDER = 100_000
+
 
 def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_vec(m: Matrix, x: Coweight) -> Coweight:
-    return tuple(sum(m[i][j] * x[j] for j in range(len(x))) for i in range(len(m)))
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -101,21 +106,28 @@ def solve_integer_combination(columns: list[Coweight], target) -> tuple | None:
 
 
 class WeylElement:
-    """Finite Weyl group element: reduced word plus lattice matrix.
+    """Finite Weyl group element of a datum, held as its reduced word.
 
-    Equality and hashing go through the matrix; the word is one fixed
-    reduced expression found by the BFS enumeration.
+    The word is the lexicographically smallest reduced expression.  The
+    lattice matrix is built from it on each access and never stored, so
+    the whole group costs one word per element.  Equality and hashing go
+    through the matrix.
     """
 
-    __slots__ = ("word", "matrix")
+    __slots__ = ("word", "datum")
 
-    def __init__(self, word: tuple[int, ...], matrix: Matrix):
+    def __init__(self, word: tuple[int, ...], datum: "BasedRootDatum"):
         self.word = word
-        self.matrix = matrix
+        self.datum = datum
 
     @property
     def length(self) -> int:
         return len(self.word)
+
+    @property
+    def matrix(self) -> Matrix:
+        columns = (self.datum.act(self, e) for e in _identity(self.datum.rank))
+        return tuple(zip(*columns))
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -208,47 +220,87 @@ class BasedRootDatum:
         return tuple(x - c * y for x, y in zip(chi, a))
 
     def act(self, w: int | WeylElement, lam: Coweight) -> Coweight:
-        """w lam, for an index into weyl_elements or a WeylElement."""
+        """w lam, for an index into weyl_elements or a WeylElement.
+
+        Applies the simple reflections of w's reduced word, right to left.
+        """
         if not isinstance(w, WeylElement):
             w = self.weyl_elements[w]
-        return _mat_vec(w.matrix, lam)
+        lam = tuple(lam)
+        for i in reversed(w.word):
+            lam = self.reflect(i, lam)
+        return lam
 
     # -- Weyl group -------------------------------------------------------
 
     @cached_property
     def weyl_elements(self) -> tuple[WeylElement, ...]:
-        ident = WeylElement((), _identity(self.rank))
-        reflections = [self.reflection_matrix(i) for i in range(self.num_simple)]
-        seen = {ident.matrix: ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i, s_i in enumerate(reflections):
-                    m = _mat_mul(w.matrix, s_i)
-                    if m not in seen:
-                        elt = WeylElement(w.word + (i,), m)
-                        seen[m] = elt
-                        nxt.append(elt)
-            frontier = nxt
-        return tuple(sorted(seen.values(), key=lambda w: (w.length, w.word)))
+        """W sorted by (length, reduced word); 0 is the identity.
+
+        Breadth-first search on orbit points: w is represented by
+        v_w = w^{-1} x0 with x0 = 2 rho^vee, which is regular, so w -> v_w
+        is injective.  The edge w -> w s_i is one reflection,
+        v_{w s_i} = s_i v_w.  Each level is scanned in word order and
+        letters in increasing order, so the first word to reach an
+        element is its lexicographically smallest reduced word, and
+        elements are found already sorted.  The search also fills
+        ``weyl_index`` and ``weyl_right``.
+        """
+        if self.weyl_order > MAX_WEYL_ORDER:
+            raise ResourceLimitError(
+                f"Weyl group enumeration: |W| = {self.weyl_order} exceeds "
+                f"the bound {MAX_WEYL_ORDER}")
+        reflect = self.reflect
+        simple = range(self.num_simple)
+        index = {self.two_rho_hat: 0}
+        words = [()]
+        points = [self.two_rho_hat]
+        right = []
+        k = 0
+        while k < len(words):
+            row = []
+            for i in simple:
+                p = reflect(i, points[k])
+                j = index.get(p)
+                if j is None:
+                    j = index[p] = len(words)
+                    words.append(words[k] + (i,))
+                    points.append(p)
+                row.append(j)
+            right.append(tuple(row))
+            k += 1
+        self.__dict__["weyl_index"] = index
+        self.__dict__["weyl_right"] = tuple(right)
+        return tuple(WeylElement(word, self) for word in words)
 
     @cached_property
     def weyl_order(self) -> int:
-        return len(self.weyl_elements)
+        """|W| = prod over positive roots of (ht alpha + 1) / ht alpha.
+
+        Macdonald's product for the Poincare polynomial at t = 1; it needs
+        the roots only, not the group.
+        """
+        heights = [sum(self._root_expansions[a]) for a in self.positive_roots]
+        return int(prod(h + 1 for h in heights) // prod(heights))
 
     @cached_property
-    def weyl_index(self) -> dict[Matrix, int]:
-        """Lattice matrix -> index into weyl_elements."""
-        return {w.matrix: k for k, w in enumerate(self.weyl_elements)}
+    def weyl_index(self) -> dict[Coweight, int]:
+        """Orbit point w^{-1} 2rho^vee -> index of w; filled by the BFS."""
+        self.weyl_elements
+        return self.__dict__["weyl_index"]
 
     @cached_property
     def weyl_right(self) -> tuple[tuple[int, ...], ...]:
-        """weyl_right[k][i] is the index of w_k s_i."""
-        reflections = [self.reflection_matrix(i) for i in range(self.num_simple)]
-        index = self.weyl_index
-        return tuple(tuple(index[_mat_mul(w.matrix, s_i)] for s_i in reflections)
-                     for w in self.weyl_elements)
+        """weyl_right[k][i] is the index of w_k s_i; filled by the BFS."""
+        self.weyl_elements
+        return self.__dict__["weyl_right"]
+
+    @cached_property
+    def weyl_left(self) -> tuple[tuple[int, ...], ...]:
+        """weyl_left[k][i] is the index of s_i w_k = (w_k^{-1} s_i)^{-1}."""
+        inverse, right = self.weyl_inverse, self.weyl_right
+        return tuple(tuple(inverse[j] for j in right[inverse[k]])
+                     for k in range(self.weyl_order))
 
     def weyl_mul(self, a: int, b: int) -> int:
         """Index of w_a w_b, walking weyl_right along the word of w_b."""
@@ -273,22 +325,24 @@ class BasedRootDatum:
     def weyl_inversions(self) -> tuple[frozenset[Coweight], ...]:
         """weyl_inversions[k]: the positive roots alpha with w_k^{-1} alpha < 0.
 
-        w^{-1} alpha is the dual vector alpha^T m for w's matrix m.
+        <w^{-1} alpha, x0> = <alpha, w x0>, and w x0 is the orbit point of
+        w^{-1}; a root is negative iff it pairs negatively with x0.
         """
-        n = self.rank
+        points = list(self.weyl_index)
         return tuple(
             frozenset(alpha for alpha in self.positive_roots
-                      if not self.is_positive_root(tuple(
-                          sum(alpha[k] * w.matrix[k][j] for k in range(n))
-                          for j in range(n))))
-            for w in self.weyl_elements)
+                      if _dot(alpha, points[k_inv]) < 0)
+            for k_inv in self.weyl_inverse)
 
     def reflection_index(self, alpha: Coweight) -> int:
-        """Index of the reflection s_alpha: lam -> lam - <alpha, lam> alpha^vee."""
-        alpha_v = self.coroot_of(alpha)
-        images = (tuple(x - _dot(alpha, col) * y for x, y in zip(col, alpha_v))
-                  for col in _identity(self.rank))
-        return self.weyl_index[tuple(zip(*images))]
+        """Index of the reflection s_alpha: lam -> lam - <alpha, lam> alpha^vee.
+
+        s_alpha is an involution, so its orbit point is s_alpha x0.
+        """
+        x0 = self.two_rho_hat
+        c = _dot(alpha, x0)
+        point = tuple(x - c * y for x, y in zip(x0, self.coroot_of(alpha)))
+        return self.weyl_index[point]
 
     # -- roots ------------------------------------------------------------
 
@@ -390,7 +444,7 @@ class BasedRootDatum:
         n = self.rank
         total = [[0] * n for _ in range(n)]
         for w in self.weyl_elements:
-            m = w.matrix
+            m = w.matrix  # built from the word and dropped after use
             for i in range(n):
                 for j in range(n):
                     total[i][j] += sum(m[k][i] * m[k][j] for k in range(n))

@@ -1,9 +1,12 @@
+import hashlib
 import importlib.resources
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
+import pytest
 
 from heckepoly.cli import main
 
@@ -195,3 +198,72 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
                          "--mu", "1,0"], capsys)
     assert code == 1
     assert json.loads(out.strip().split("\n")[-1])["failures"] == 1
+
+
+# -- error contract: malformed input exits 2 with a JSON error -----------------
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--family", "GL", "--rank", "2", "--mu", "1"],
+    ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0",
+     "--field", "ell=11,v"],
+    ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0",
+     "--field", "ell=abc,v=3"],
+    ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0",
+     "--field", "rat:v=x"],
+], ids=["mu-too-short", "field-v-without-value", "field-ell-not-int",
+        "field-rat-not-rational"])
+def test_malformed_input_exits_2(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    jsonschema.validate(json.loads(err), _schema("error"))
+    assert json.loads(err)["error"]["kind"] == "validation"
+
+
+# -- Weyl enumeration guard ----------------------------------------------------
+
+def test_datum_gl9_reports_weyl_order_without_enumerating(capsys):
+    code, out, _ = _run(["datum", "--family", "GL", "--rank", "9"], capsys)
+    assert code == 0
+    assert json.loads(out)["weyl_order"] == 362880
+
+
+def test_double_coset_gl9_refused_before_enumeration(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(["poly", "--family", "GL", "--rank", "9",
+                           "--mu", "1,0,0,0,0,0,0,0,0", "--twist", "classical",
+                           "--basis", "double-coset"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == "resource"
+    assert "Weyl group enumeration" in obj["error"]["message"]
+    assert "100000" in obj["error"]["message"]
+
+
+# -- byte-identity pins: stdout digests of the integer-id engine ---------------
+
+PINNED_STDOUT = [
+    (["datum", "--family", "GL", "--rank", "6"],
+     "c3d504b5c5ec8fd536c81941c6792b28a7ff78926036cedcbf0ebdf8d11b27e7"),
+    (["poly", "--family", "GL", "--rank", "3", "--mu", "1,1,0",
+      "--twist", "classical", "--basis", "double-coset"],
+     "4c4b538d1359136eacccecf76430aa3de97c94de9d0e0afea3455c2c79e37f47"),
+    (["poly", "--family", "PGL", "--rank", "3", "--mu", "1,0",
+      "--twist", "classical", "--basis", "double-coset"],
+     "76ab368b255fa77de755beecaef461a46b03c9525915cf220675c1e2958ef779"),
+    (["poly", "--family", "GL", "--rank", "4", "--mu", "1,0,0,0",
+      "--twist", "classical", "--basis", "double-coset"],
+     "e20a7500e443ee45bef94b64ab6783309ece0ec24761e24304a4be70a44e5b66"),
+    (["verify", "satake", "--family", "Sp", "--rank", "4", "--max-norm", "2"],
+     "b88872f35c7cdad5105760b13bfafc32a54365c247c5b80eaf5399c754c2effb"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=["datum-GL6", "coset-GL3-110", "coset-PGL3-10",
+                              "coset-GL4-1000", "satake-Sp4"])
+def test_stdout_bytes_pinned(argv, digest, capsys):
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

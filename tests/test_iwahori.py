@@ -360,3 +360,52 @@ def test_element_json_term_order():
     assert H2.theta((0, 1)).to_json(GL2) == [
         {"translation": [0, 1], "finite_word": [], "coeff": "1*v^-1"},
         {"translation": [1, 0], "finite_word": [0], "coeff": "1*v^-1+-1*v^1"}]
+
+
+# -- generator action (oracle: the group law mul_aff) -------------------------
+
+ORACLE_ALGEBRAS = [H3, HSP, AffineHeckeAlgebra(build_standard("PGL", 3)),
+                   AffineHeckeAlgebra(build_standard("GL", 4))]
+ORACLE_IDS = ["GL3", "Sp4", "PGL3", "GL4"]
+
+
+def _sample_keys(algebra, rng, count):
+    datum = algebra.datum
+    return [(tuple(rng.randint(-2, 2) for _ in range(datum.rank)),
+             rng.randrange(datum.weyl_order)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("algebra", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_left_generator_action_matches_group_law(algebra):
+    rng = random.Random(89)
+    for z in _sample_keys(algebra, rng, 40):
+        for idx in algebra.generator_indices:
+            sz = algebra.mul_aff(algebra.generator(idx), z)
+            if algebra.length(sz) > algebra.length(z):
+                expected = {sz: ONE}
+            else:
+                expected = {z: Q - ONE, sz: Q}
+            assert algebra._left_mul_gen(idx, {z: ONE}) == expected, (idx, z)
+
+
+@pytest.mark.parametrize("algebra", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_reduced_word_and_length_zero_relabel(algebra):
+    rng = random.Random(97)
+    relabels = 0
+    for x in _sample_keys(algebra, rng, 20):
+        pi, word = algebra.reduced_word(x)
+        relabels += pi != algebra.identity_key()
+        assert algebra.length(pi) == 0 and len(word) == algebra.length(x)
+        prod = pi
+        for idx in word:
+            prod = algebra.mul_aff(prod, algebra.generator(idx))
+        assert prod == x
+        # T_x = T_pi T_{s_1} ... T_{s_m}: T_pi relabels by the group law
+        z = _sample_keys(algebra, rng, 1)[0]
+        cur = {z: ONE}
+        for idx in reversed(word):
+            cur = algebra._left_mul_gen(idx, cur)
+        expected = {algebra.mul_aff(pi, key): c for key, c in cur.items()}
+        assert algebra._left_mul_basis(x, {z: ONE}) == expected
+    if algebra.datum.family != "Sp":  # Sp's coweights are all in Q^vee
+        assert relabels > 0

@@ -1,12 +1,14 @@
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckepoly.errors import ValidationError
-from heckepoly.laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
-                               validate_sqrt)
+from heckepoly.laurent import (PRIME_TEST_BOUND, LaurentHalf, PrimeFieldWithV,
+                               RationalWithV, is_prime, validate_sqrt)
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-50, 50),
                            max_size=6).map(LaurentHalf)
@@ -124,3 +126,32 @@ def test_scalar_string_roundtrip():
     assert F11.parse_scalar(F11.scalar_str(9)) == 9
     x = Fraction(-7, 3)
     assert RAT.parse_scalar(RAT.scalar_str(x)) == x
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
+    assert all(is_prime(n) == trial(n) for n in range(-3, 5000))
+
+
+def test_mersenne_61_field_builds_fast():
+    ell = 2**61 - 1
+    start = time.perf_counter()
+    field = PrimeFieldWithV(ell, 3)
+    assert time.perf_counter() - start < 0.5
+    assert field.ell == 2305843009213693951 and field.q_residue == 9
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 2**61 + 1])
+def test_carmichael_and_strong_pseudoprimes_rejected(n):
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(n)
+    with pytest.raises(ValidationError, match="not prime"):
+        PrimeFieldWithV(n, 2)
+
+
+def test_ell_at_or_above_prime_test_bound_rejected():
+    # the bound is itself a strong pseudoprime to all 13 bases
+    for ell in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2):
+        with pytest.raises(ValidationError, match="too large"):
+            PrimeFieldWithV(ell, 2)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from heckepoly.errors import ValidationError
-from heckepoly.root_data import (BasedRootDatum, build_standard,
-                                 _mat_mul, _identity)
+from heckepoly.errors import ResourceLimitError, ValidationError
+from heckepoly.root_data import (MAX_WEYL_ORDER, BasedRootDatum,
+                                 build_standard, _mat_mul, _identity)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -177,8 +177,43 @@ def test_gram_is_weyl_invariant():
 
 # -- index tables (oracle: lattice matrices) -----------------------------------
 
-TABLE_DATA = [GL3, SL3, PGL3, SP4, GL4]
-TABLE_IDS = ["GL3", "SL3", "PGL3", "Sp4", "GL4"]
+# G2 on its coroot lattice: coroots are the standard basis, roots the
+# Cartan rows; loaded the way a custom datum arrives
+G2 = BasedRootDatum.from_json({"family": "G2", "rank": 2,
+                               "simple_roots": [[2, -1], [-3, 2]],
+                               "simple_coroots": [[1, 0], [0, 1]]})
+GL5 = build_standard("GL", 5)
+
+TABLE_DATA = [GL3, SL3, PGL3, SP4, GL4, GL5, G2]
+TABLE_IDS = ["GL3", "SL3", "PGL3", "Sp4", "GL4", "GL5", "G2"]
+
+
+def _mat_vec(m, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+
+def _matrix_bfs(datum):
+    """Weyl group as (word, lattice matrix) pairs, by BFS on matrices.
+
+    The enumeration the library used before it moved to orbit points:
+    right-multiply each matrix by every simple reflection, keep the
+    first word that reaches a new matrix, sort by (length, word).
+    """
+    ident = _identity(datum.rank)
+    reflections = [datum.reflection_matrix(i) for i in range(datum.num_simple)]
+    seen = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i, s_i in enumerate(reflections):
+                p = _mat_mul(m, s_i)
+                if p not in seen:
+                    seen[p] = seen[m] + (i,)
+                    nxt.append(p)
+        frontier = nxt
+    return sorted(((word, m) for m, word in seen.items()),
+                  key=lambda item: (len(item[0]), item[0]))
 
 
 def _reflection_by_columns(datum, alpha):
@@ -193,28 +228,70 @@ def _reflection_by_columns(datum, alpha):
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
+def test_weyl_elements_match_matrix_bfs(datum):
+    oracle = _matrix_bfs(datum)
+    elts = datum.weyl_elements
+    assert [w.word for w in elts] == [word for word, _ in oracle]
+    assert [w.matrix for w in elts] == [m for _, m in oracle]
+    assert datum.weyl_order == len(elts) == len(oracle)
+
+
+def test_weyl_order_from_root_heights():
+    for family, n, order in [("GL", 1, 1), ("GL", 6, 720), ("GL", 9, 362880),
+                             ("SL", 4, 24), ("PGL", 5, 120), ("Sp", 6, 48),
+                             ("Sp", 8, 384)]:
+        assert build_standard(family, n).weyl_order == order
+    assert G2.weyl_order == 12
+
+
+def test_weyl_enumeration_guard_fires_before_bfs():
+    gl9 = build_standard("GL", 9)
+    assert gl9.weyl_order > MAX_WEYL_ORDER
+    with pytest.raises(ResourceLimitError, match="100000"):
+        gl9.weyl_elements
+    assert "weyl_index" not in vars(gl9)  # nothing was enumerated
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
 def test_weyl_mul_matches_matrix_product(datum):
     elts = datum.weyl_elements
     assert elts[0].matrix == _identity(datum.rank)
+    mats = [w.matrix for w in elts]
     for a in range(datum.weyl_order):
         for b in range(datum.weyl_order):
-            assert elts[datum.weyl_mul(a, b)].matrix == _mat_mul(
-                elts[a].matrix, elts[b].matrix)
+            assert mats[datum.weyl_mul(a, b)] == _mat_mul(mats[a], mats[b])
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
 def test_weyl_index_tables(datum):
     elts = datum.weyl_elements
+    x0 = datum.two_rho_hat
+    assert len(datum.weyl_index) == datum.weyl_order
+    for point, k in datum.weyl_index.items():
+        # point is w_k^{-1} x0
+        assert _mat_vec(elts[k].matrix, point) == x0
     for k, w in enumerate(elts):
-        assert datum.weyl_index[w.matrix] == k
         inv = datum.weyl_inverse[k]
         assert datum.weyl_mul(k, inv) == 0 and datum.weyl_mul(inv, k) == 0
         assert len(datum.weyl_inversions[k]) == w.length
         for i in range(datum.num_simple):
-            assert elts[datum.weyl_right[k][i]].matrix == _mat_mul(
-                w.matrix, datum.reflection_matrix(i))
+            s_i = datum.reflection_matrix(i)
+            assert elts[datum.weyl_right[k][i]].matrix == _mat_mul(w.matrix, s_i)
+            assert elts[datum.weyl_left[k][i]].matrix == _mat_mul(s_i, w.matrix)
         lam = tuple(range(1, datum.rank + 1))
-        assert datum.act(k, lam) == datum.act(w, lam)
+        assert datum.act(k, lam) == datum.act(w, lam) == _mat_vec(w.matrix, lam)
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
+def test_weyl_inversions_against_matrices(datum):
+    # w^{-1} alpha is the dual vector alpha^T m for w's matrix m
+    for k, w in enumerate(datum.weyl_elements):
+        m = w.matrix
+        expected = {alpha for alpha in datum.positive_roots
+                    if not datum.is_positive_root(tuple(
+                        sum(alpha[r] * m[r][c] for r in range(datum.rank))
+                        for c in range(datum.rank)))}
+        assert datum.weyl_inversions[k] == expected
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
@@ -225,6 +302,10 @@ def test_reflection_index(datum):
     for i, alpha in enumerate(datum.simple_roots):
         assert datum.reflection_index(alpha) == datum.weyl_right[0][i]
         assert datum.weyl_inversions[datum.weyl_right[0][i]] == {alpha}
+    for alpha in datum.positive_roots:
+        k = datum.reflection_index(alpha)
+        assert datum.weyl_elements[k].matrix == _reflection_by_columns(datum,
+                                                                       alpha)
 
 
 def test_json_roundtrip_and_validation():
