@@ -4,8 +4,10 @@ Coweights of G are weights of the dual torus, so a virtual character of
 the dual group is a finitely supported map coweight -> Laurent
 coefficient (a WeightMultiset).  A SymmetricFunction is a Weyl-invariant
 WeightMultiset; these are the Satake coordinates of spherical Hecke
-elements.
+elements.  The FormalTorusDomain makes weight multisets a scalar domain.
 
+The i-th exterior-power character of weights lam_1..lam_d is e_i of
+the e^{lam_j}: ``elementary_symmetric`` in the formal domain, O(d^2).
 Irreducible characters are computed by Freudenthal's multiplicity
 recursion, run over exact integers using the averaged Weyl-invariant
 form on the lattice.  Minuscule highest weights short-circuit to the
@@ -14,11 +16,11 @@ orbit sum (every weight has multiplicity one).
 
 from __future__ import annotations
 
-import itertools
+import json
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .laurent import LaurentHalf, ONE
+from .laurent import LaurentHalf, ONE, ScalarDomain, elementary_symmetric
 from .root_data import BasedRootDatum, Coweight
 
 _DECOMPOSE_CAP = 10_000
@@ -140,6 +142,61 @@ class WeightMultiset:
         return cls(terms)
 
 
+class FormalTorusDomain(ScalarDomain):
+    """Symbolic scalars: Laurent-coefficient functions on the torus.
+
+    A scalar is a WeightMultiset over Z^rank; the coordinate monomial
+    e^{e_j} plays the role of the j-th symbolic entry.
+    """
+
+    kind = "formal-laurent"
+
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise ValidationError("rank must be positive")
+        self.rank = rank
+
+    def reduce(self, x: LaurentHalf) -> WeightMultiset:
+        if x.is_zero():
+            return WeightMultiset.zero()
+        return WeightMultiset({(0,) * self.rank: x})
+
+    def coordinate(self, j: int) -> WeightMultiset:
+        w = tuple(1 if k == j else 0 for k in range(self.rank))
+        return WeightMultiset.monomial(w)
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a.inverse()
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero()
+
+    def random_unit(self, rng) -> WeightMultiset:
+        w = tuple(rng.randint(-1, 1) for _ in range(self.rank))
+        return WeightMultiset.monomial(w, LaurentHalf.v_power(rng.randint(-2, 2)))
+
+    def scalar_str(self, a) -> str:
+        return json.dumps(a.to_json(), sort_keys=True)
+
+    def parse_scalar(self, text: str) -> WeightMultiset:
+        return WeightMultiset.from_json(json.loads(text))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "rank": self.rank}
+
+    def __repr__(self):
+        return f"FormalTorusDomain(rank={self.rank})"
+
+
 class SymmetricFunction:
     """Weyl-invariant WeightMultiset attached to a root datum."""
 
@@ -235,15 +292,13 @@ def minuscule_weights(datum: BasedRootDatum, mu: Coweight) -> tuple[Coweight, ..
 
 def ext_power_character(datum: BasedRootDatum, weights: tuple[Coweight, ...],
                         i: int) -> SymmetricFunction:
-    """Character of the i-th exterior power: sum over i-subsets of weights."""
+    """Character of the i-th exterior power: e_i of the e^{lam_j}."""
     d = len(weights)
     if not 0 <= i <= d:
         raise ValidationError(f"exterior power index {i} outside 0..{d}")
-    terms: dict[Coweight, LaurentHalf] = {}
-    for subset in itertools.combinations(range(d), i):
-        w = tuple(sum(weights[j][k] for j in subset) for k in range(datum.rank))
-        terms[w] = terms.get(w, LaurentHalf.zero()) + ONE
-    return SymmetricFunction(datum, WeightMultiset(terms))
+    e = elementary_symmetric(FormalTorusDomain(datum.rank),
+                             [WeightMultiset.monomial(w) for w in weights])
+    return SymmetricFunction(datum, e[i])
 
 
 def _freudenthal_multiplicities(datum: BasedRootDatum,

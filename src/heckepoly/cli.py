@@ -11,7 +11,8 @@ Commands:
 
 All output is canonical JSON (sorted keys); with a fixed seed the bytes
 are reproducible.  Exit codes: 0 pass, 1 verification failure,
-2 validation error, 3 resource guard.
+2 validation error, 3 resource guard, 4 internal consistency failure.
+Exits 2-4 print one JSON error line to stderr.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitError, ValidationError
-from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
+                      ScalarDomain, elementary_symmetric)
 from .root_data import BasedRootDatum, build_standard
-from .characters import (ext_power_character, minuscule_weights,
-                         orbit_character)
-from .satake import (FormalTorusDomain, SatakeParameter, evaluate,
-                     frobenius_matrix)
+from .characters import FormalTorusDomain, orbit_character
+from .satake import SatakeParameter, evaluate, frobenius_matrix
 from .hecke import (cayley_hamilton_check, evaluate_coefficients,
                     excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
@@ -37,8 +37,10 @@ from .iwahori import DEFAULT_MAX_SUPPORT, AffineHeckeAlgebra
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_VALIDATION = 2
-EXIT_RESOURCE = 3
+# error type -> (kind in error.schema.json, exit code)
+_ERROR_EXITS = ((ValidationError, "validation", 2),
+                (ResourceLimitError, "resource", 3),
+                (ConsistencyError, "consistency", 4))
 
 _TRIAL_STRIDE = 1_000_003
 
@@ -243,14 +245,17 @@ def cmd_eval(cfg: RunConfig) -> tuple[list[str], int]:
     datum = cfg.datum()
     mu = cfg.require_mu()
     dom = cfg.domain(datum.rank)
-    if cfg.entries is not None:
+    if isinstance(dom, FormalTorusDomain):
+        if cfg.entries is not None:
+            raise ValidationError("--entries does not apply to --field formal:"
+                                  " it evaluates at the generic parameter")
+        s = SatakeParameter.generic(datum.rank)
+    elif cfg.entries is not None:
         try:
             entries = tuple(dom.parse_scalar(t) for t in cfg.entries.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad --entries {cfg.entries!r}") from exc
         s = SatakeParameter(dom, entries)
-    elif isinstance(dom, FormalTorusDomain):
-        s = SatakeParameter.generic(datum.rank)
     else:
         s = SatakeParameter.random(dom, datum.rank, _trial_rng(cfg.seed, 0))
     h = hecke_polynomial(datum, mu, cfg.twist, cfg.e_over_f)
@@ -369,10 +374,11 @@ def verify_newton(cfg: RunConfig):
     datum = cfg.datum()
     mu = cfg.require_mu()
     dom = cfg.domain(datum.rank)
-    weights = minuscule_weights(datum, mu)
-    d = len(weights)
-    characters = [ext_power_character(datum, weights, i)
-                  for i in range(d + 1)]
+    # e_0..e_d at the generic parameter are the exterior-power characters
+    generic = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
+                               twist_exponent=0)
+    weights, d = generic.weights, generic.size
+    characters = elementary_symmetric(generic.domain, generic.diagonal)
     reports = []
     for k in range(cfg.trials):
         rng = _trial_rng(cfg.seed, k)
@@ -496,14 +502,12 @@ def main(argv=None) -> int:
             lines, code = _VERIFY[args.check](cfg)
         else:  # pragma: no cover
             raise ValidationError(f"unknown command {args.command!r}")
-    except ValidationError as exc:
-        print(_dump({"error": {"kind": "validation", "message": str(exc)}}),
+    except (ValidationError, ResourceLimitError, ConsistencyError) as exc:
+        kind, code = next((kind, code) for error, kind, code in _ERROR_EXITS
+                          if isinstance(exc, error))
+        print(_dump({"error": {"kind": kind, "message": str(exc)}}),
               file=sys.stderr)
-        return EXIT_VALIDATION
-    except ResourceLimitError as exc:
-        print(_dump({"error": {"kind": "resource", "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_RESOURCE
+        return code
     text = "\n".join(lines) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:

@@ -1,14 +1,15 @@
 """The Hecke polynomial of a minuscule coweight and its matrix checks.
 
 For a minuscule mu with weight list lam_1..lam_d, the attached monic
-degree-d polynomial has Satake-coordinate coefficients
+degree-d polynomial is det(X - M) for the Frobenius matrix M at the
+generic parameter, diag(v^t e^{lam_j}) with t the twist exponent.  Its
+Satake-coordinate coefficients are e_i of the negated diagonal:
 
     coefficient of X^{d-i}  =  (-1)^i * v^{i*t} * tr wedge^i
 
-where t is the twist exponent and tr wedge^i is the exterior-power
-character of the weight list.  Evaluating the coefficients at a Satake
-parameter s gives exactly det(X - M) for the diagonal Frobenius matrix
-M at s, which is how every identity here is tested.
+where tr wedge^i is the exterior-power character of the weight list.
+Evaluating the coefficients at a Satake parameter s gives exactly
+det(X - M) for M at s, which is how every identity here is tested.
 
 The verification operations are exact matrix identities:
 
@@ -18,8 +19,8 @@ The verification operations are exact matrix identities:
   passes any monic polynomial vanishing on the distinct eigenvalues of
   M, so both are required.  On a FrobeniusMatrix the check uses the
   diagonal: the residual is diag(p(a_j)) by Horner, the characteristic
-  polynomial comes from the elementary symmetric functions of the
-  a_j, and M is singular iff some a_j is zero.  A plain matrix gets the
+  polynomial is e_k of the -a_j, as for the polynomial itself, and M
+  is singular iff some a_j is zero.  A plain matrix gets the
   dense Horner residual and Berkowitz's characteristic polynomial;
 * ``inertia_relation_check``: the degenerate binomial relation
   sum_i (-1)^i C(d,i) M^i = (I - M)^d, with (M - I)^d = 0 reported for
@@ -42,11 +43,12 @@ from math import comb
 from typing import Any
 
 from .errors import ValidationError
-from .laurent import LaurentHalf, RationalWithV, ScalarDomain, PrimeFieldWithV
-from .characters import SymmetricFunction, ext_power_character, minuscule_weights
+from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
+                      ScalarDomain, elementary_symmetric)
+from .characters import SymmetricFunction, WeightMultiset, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
-from .satake import (FrobeniusMatrix, SatakeParameter, elementary_symmetric,
-                     evaluate, frobenius_matrix, resolve_twist)
+from .satake import (FrobeniusMatrix, SatakeParameter, evaluate,
+                     frobenius_matrix, resolve_twist)
 
 
 # -- small exact matrix kit --------------------------------------------------
@@ -169,23 +171,21 @@ def hecke_polynomial(datum: BasedRootDatum, mu: Coweight, twist="paper",
                      e_over_f: int = 1) -> HeckePolynomial:
     """Build the polynomial attached to a minuscule coweight.
 
-    Rejects non-minuscule mu.  For every parameter s, evaluating the
-    coefficients at s yields det(X - M) with M the Frobenius matrix,
-    via det(X - M) = sum_i (-1)^i tr(wedge^i M) X^{d-i}.
+    Rejects non-minuscule mu.  The coefficients are those of det(X - M)
+    with M the Frobenius matrix at the generic parameter: e_i of the
+    negated diagonal, each checked for Weyl invariance.
     """
     mu = tuple(mu)
-    weights = minuscule_weights(datum, mu)
-    d = len(weights)
     t = resolve_twist(datum, mu, twist, e_over_f)
-    coeffs = []
-    for i in range(d + 1):
-        c = ext_power_character(datum, weights, i)
-        sign = 1 if i % 2 == 0 else -1
-        coeffs.append(c.scale(LaurentHalf.v_power(i * t, sign)))
+    m = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
+                         twist_exponent=t)
+    dom = m.domain
+    coeffs = [SymmetricFunction(datum, c) for c in
+              elementary_symmetric(dom, [dom.neg(a) for a in m.diagonal])]
     return HeckePolynomial(
-        datum=datum, mu=mu, degree=d, coefficients=coeffs, twist_exponent=t,
-        twist_preset=twist if isinstance(twist, str) else None,
-        e_over_f=e_over_f)
+        datum=datum, mu=mu, degree=m.size, coefficients=coeffs,
+        twist_exponent=t, e_over_f=e_over_f,
+        twist_preset=twist if isinstance(twist, str) else None)
 
 
 def evaluate_coefficients(h: HeckePolynomial, s: SatakeParameter) -> list:
@@ -230,8 +230,9 @@ def excursion_values(datum: BasedRootDatum, mu: Coweight,
 class RelationReport:
     """Outcome of one exact matrix identity check.
 
-    ``passed`` is True exactly when the residual matrix is zero.  No
-    timing is kept, so reports with a fixed seed are byte-identical.
+    ``passed`` is the check's verdict: a zero residual matrix, and for
+    ``cayley-hamilton`` also ``charpoly_match``.  No timing is kept, so
+    reports with a fixed seed are byte-identical.
     """
 
     check: str
@@ -301,7 +302,7 @@ def cayley_hamilton_check(h: HeckePolynomial, m, coeff_values: list,
 
 def _diagonal_residual(h: HeckePolynomial, m: FrobeniusMatrix,
                        coeff_values: list, domain: ScalarDomain):
-    """diag(p(a_j)) by Horner, and det(X - M) from e_k of the a_j."""
+    """diag(p(a_j)) by Horner, and det(X - M) from e_k of the -a_j."""
     d = h.degree
     if m.size != d:
         raise ValidationError(f"matrix must be {d}x{d}")
@@ -313,8 +314,8 @@ def _diagonal_residual(h: HeckePolynomial, m: FrobeniusMatrix,
         for c in coeff_values[1:]:
             acc = domain.add(domain.mul(acc, a), c)
         residual[j][j] = acc
-    charpoly = [domain.neg(e) if i % 2 else e for i, e in
-                enumerate(elementary_symmetric(domain, m.diagonal))]
+    charpoly = elementary_symmetric(domain,
+                                    [domain.neg(a) for a in m.diagonal])
     return residual, charpoly
 
 
@@ -389,7 +390,6 @@ def reduce_mod_ell(h: HeckePolynomial, dom: PrimeFieldWithV) -> HeckePolynomial:
     for c in h.coefficients:
         terms = {w: LaurentHalf.from_int(dom.reduce(coeff))
                  for w, coeff in c.weights.terms.items()}
-        from .characters import WeightMultiset
         reduced.append(SymmetricFunction(h.datum, WeightMultiset(terms),
                                          check=False))
     return HeckePolynomial(

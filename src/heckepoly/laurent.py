@@ -14,9 +14,10 @@ Scalar domains fix a numeric meaning for v:
 * ``PrimeFieldWithV`` -- v maps to a chosen square root of q modulo a
   prime ell, values are residues in range(ell).
 
-The generic (symbolic) torus domain lives in ``heckepoly.satake``
+The generic (symbolic) torus domain lives in ``heckepoly.characters``
 because its scalars are lattice group-algebra elements rather than
-plain numbers.
+plain numbers.  ``elementary_symmetric`` is the one e_k recurrence of
+the package; it runs in any domain.
 
 The canonical string form of a LaurentHalf is ``"c*v^e"`` terms joined
 by ``"+"``, exponents ascending, e.g. ``"-1*v^-2+3*v^0+1*v^2"``; the
@@ -291,11 +292,16 @@ class ScalarDomain:
         raise NotImplementedError
 
     def pow(self, a, k: int):
+        """a**k by square-and-multiply; negative k inverts a first."""
         if k < 0:
-            return self.pow(self.inv(a), -k)
+            a, k = self.inv(a), -k
         result = self.one()
-        for _ in range(k):
-            result = self.mul(result, a)
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
         return result
 
     def is_zero(self, a) -> bool:
@@ -321,6 +327,16 @@ class ScalarDomain:
 
     def __hash__(self):
         return hash(tuple(sorted(self.to_json().items())))
+
+
+def elementary_symmetric(dom: ScalarDomain, values) -> list:
+    """e_0..e_d of the values by the triangular recurrence, O(d^2)."""
+    d = len(values)
+    e = [dom.one()] + [dom.zero()] * d
+    for a in values:
+        for k in range(d, 0, -1):
+            e[k] = dom.add(e[k], dom.mul(a, e[k - 1]))
+    return e
 
 
 class RationalWithV(ScalarDomain):

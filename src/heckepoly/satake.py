@@ -7,9 +7,9 @@ the dual torus: one invertible scalar per lattice basis vector, in a
 chosen scalar domain.  Evaluation sends sum c_lam e^lam to
 sum c_lam s^lam with s^lam = prod s_j^{lam_j}.
 
-The generic (symbolic) parameter lives in the FormalTorusDomain, whose
-scalars are lattice group-algebra elements: the j-th generic entry is
-the monomial e^{e_j}.  Evaluating at the generic parameter returns the
+The generic (symbolic) parameter lives in the FormalTorusDomain (defined
+in ``characters``), whose scalars are lattice group-algebra elements:
+the j-th generic entry is the monomial e^{e_j}.  Evaluating at the generic parameter returns the
 function itself, and all matrix identities can be checked symbolically.
 
 A FrobeniusMatrix is the diagonal matrix of a minuscule representation
@@ -30,80 +30,12 @@ from functools import reduce
 
 from .errors import ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
-                      ScalarDomain)
-from .characters import (SymmetricFunction, WeightMultiset,
+                      ScalarDomain, elementary_symmetric)
+from .characters import (FormalTorusDomain, SymmetricFunction,
                          minuscule_weights)
 from .root_data import BasedRootDatum, Coweight
 
 TWIST_PRESETS = ("paper", "classical")
-
-
-class FormalTorusDomain(ScalarDomain):
-    """Symbolic scalars: Laurent-coefficient functions on the torus.
-
-    A scalar is a WeightMultiset over Z^rank; the coordinate monomial
-    e^{e_j} plays the role of the j-th symbolic entry.
-    """
-
-    kind = "formal-laurent"
-
-    def __init__(self, rank: int):
-        if rank < 1:
-            raise ValidationError("rank must be positive")
-        self.rank = rank
-
-    def _zero_weight(self) -> Coweight:
-        return tuple(0 for _ in range(self.rank))
-
-    def reduce(self, x: LaurentHalf) -> WeightMultiset:
-        if x.is_zero():
-            return WeightMultiset.zero()
-        return WeightMultiset({self._zero_weight(): x})
-
-    def coordinate(self, j: int) -> WeightMultiset:
-        w = tuple(1 if k == j else 0 for k in range(self.rank))
-        return WeightMultiset.monomial(w)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
-
-    def pow(self, a, k: int):
-        if k < 0:
-            return self.pow(a.inverse(), -k)
-        result = self.reduce(LaurentHalf.from_int(1))
-        for _ in range(k):
-            result = result * a
-        return result
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def random_unit(self, rng) -> WeightMultiset:
-        w = tuple(rng.randint(-1, 1) for _ in range(self.rank))
-        return WeightMultiset.monomial(w, LaurentHalf.v_power(rng.randint(-2, 2)))
-
-    def scalar_str(self, a) -> str:
-        import json
-        return json.dumps(a.to_json(), sort_keys=True)
-
-    def parse_scalar(self, text: str) -> WeightMultiset:
-        import json
-        return WeightMultiset.from_json(json.loads(text))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "rank": self.rank}
-
-    def __repr__(self):
-        return f"FormalTorusDomain(rank={self.rank})"
 
 
 def domain_from_json(obj: dict) -> ScalarDomain:
@@ -235,16 +167,6 @@ def frobenius_matrix(datum: BasedRootDatum, mu: Coweight, s: SatakeParameter,
     scale = dom.reduce(LaurentHalf.v_power(twist_exponent))
     diag = tuple(dom.mul(scale, s.power(w)) for w in weights)
     return FrobeniusMatrix(weights, diag, dom, twist_exponent)
-
-
-def elementary_symmetric(dom: ScalarDomain, values) -> list:
-    """e_0..e_d of the values by the triangular recurrence, O(d^2)."""
-    d = len(values)
-    e = [dom.one()] + [dom.zero()] * d
-    for a in values:
-        for k in range(d, 0, -1):
-            e[k] = dom.add(e[k], dom.mul(a, e[k - 1]))
-    return e
 
 
 def trace_of(m: FrobeniusMatrix, i: int):

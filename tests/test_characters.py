@@ -6,11 +6,13 @@ import pytest
 
 from heckepoly.errors import ValidationError
 from heckepoly.laurent import LaurentHalf
-from heckepoly.characters import (SymmetricFunction, WeightMultiset,
-                                  decompose, dimension, ext_power_character,
-                                  minuscule_weights, orbit_character,
-                                  weyl_character)
+from heckepoly.characters import (FormalTorusDomain, SymmetricFunction,
+                                  WeightMultiset, decompose, dimension,
+                                  ext_power_character, minuscule_weights,
+                                  orbit_character, weyl_character)
+from heckepoly.hecke import hecke_polynomial
 from heckepoly.root_data import build_standard
+from heckepoly.satake import resolve_twist
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -187,6 +189,67 @@ def test_ext_power_invariance():
         w = minuscule_weights(datum, mu)
         for i in range(len(w) + 1):
             ext_power_character(datum, w, i)
+
+
+# -- the e_k recurrence against the 2^d subset walk ----------------------------
+
+def _ext_power_via_subsets(datum, weights, i):
+    """Oracle: wedge^i character as the sum of e^{w} over i-subsets."""
+    terms = {}
+    for subset in itertools.combinations(range(len(weights)), i):
+        w = tuple(sum(weights[j][k] for j in subset)
+                  for k in range(datum.rank))
+        terms[w] = terms.get(w, 0) + 1
+    return WeightMultiset(terms)
+
+
+# every small minuscule coweight of each datum; for the simply connected
+# SL3, Sp4 and Sp6 that is the zero coweight alone
+RECURRENCE_GROUPS = {f"{f}{n}": build_standard(f, n) for f, n in
+                     [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("SL", 3),
+                      ("PGL", 4), ("Sp", 4), ("Sp", 6)]}
+RECURRENCE_CASES = [pytest.param(datum, mu,
+                                  id=f"{name}-{''.join(map(str, mu))}")
+                    for name, datum in RECURRENCE_GROUPS.items()
+                    for mu in datum.small_minuscule_dominants()]
+
+
+@pytest.mark.parametrize("datum,mu", RECURRENCE_CASES)
+def test_ext_power_matches_subset_oracle(datum, mu):
+    weights = minuscule_weights(datum, mu)
+    for i in range(len(weights) + 1):
+        assert ext_power_character(datum, weights, i).weights == \
+            _ext_power_via_subsets(datum, weights, i)
+
+
+@pytest.mark.parametrize("datum,mu", RECURRENCE_CASES)
+def test_polynomial_coefficients_match_subset_oracle(datum, mu):
+    weights = minuscule_weights(datum, mu)
+    d = len(weights)
+    for twist, e_over_f in (("paper", 1), ("paper", 2), ("classical", 1),
+                            (3, 1)):
+        h = hecke_polynomial(datum, mu, twist, e_over_f)
+        t = resolve_twist(datum, mu, twist, e_over_f)
+        assert h.degree == d and h.twist_exponent == t
+        assert len(h.coefficients) == d + 1
+        for i, c in enumerate(h.coefficients):
+            expected = _ext_power_via_subsets(datum, weights, i).scale(
+                LaurentHalf.v_power(i * t, (-1) ** i))
+            assert c.weights == expected, (twist, e_over_f, i)
+
+
+def test_formal_pow_matches_repeated_products():
+    dom = FormalTorusDomain(2)
+    unit = WeightMultiset.monomial((1, -1), LaurentHalf.v_power(3, -1))
+    non_unit = WeightMultiset({(1, 0): 2, (0, 1): LaurentHalf({-1: 1, 1: 1})})
+    for a in (unit, non_unit):
+        for k in range(-4 if a is unit else 0, 10):
+            expected = dom.one()
+            for _ in range(abs(k)):
+                expected = dom.mul(expected, a if k > 0 else dom.inv(a))
+            assert dom.pow(a, k) == expected, (a, k)
+    with pytest.raises(ValidationError):
+        dom.pow(non_unit, -1)
 
 
 # -- decomposition ---------------------------------------------------------------

@@ -7,8 +7,12 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from heckepoly.cli import main
+from heckepoly.errors import ConsistencyError
+from heckepoly.iwahori import AffineHeckeAlgebra
 
 
 def _schema(name):
@@ -210,8 +214,10 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
      "--field", "ell=abc,v=3"],
     ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0",
      "--field", "rat:v=x"],
+    ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0",
+     "--field", "formal", "--entries", "2,1"],
 ], ids=["mu-too-short", "field-v-without-value", "field-ell-not-int",
-        "field-rat-not-rational"])
+        "field-rat-not-rational", "entries-with-formal-field"])
 def test_malformed_input_exits_2(argv, capsys):
     code, out, err = _run(argv, capsys)
     assert code == 2 and out == ""
@@ -241,7 +247,7 @@ def test_double_coset_gl9_refused_before_enumeration(capsys):
     assert "100000" in obj["error"]["message"]
 
 
-# -- byte-identity pins: stdout digests of the integer-id engine ---------------
+# -- byte-identity pins: stdout digests recorded before each refactor ---------
 
 PINNED_STDOUT = [
     (["datum", "--family", "GL", "--rank", "6"],
@@ -257,13 +263,93 @@ PINNED_STDOUT = [
      "e20a7500e443ee45bef94b64ab6783309ece0ec24761e24304a4be70a44e5b66"),
     (["verify", "satake", "--family", "Sp", "--rank", "4", "--max-norm", "2"],
      "b88872f35c7cdad5105760b13bfafc32a54365c247c5b80eaf5399c754c2effb"),
+    (["poly", "--family", "GL", "--rank", "6", "--mu", "1,1,0,0,0,0"],
+     "832abe08e5d099d2db0fc4d15406edb17239873f1ed281c22c06c7ec92026cbc"),
+    (["eval", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
+      "--field", "formal"],
+     "22ffaefe647b2fa239b553dbc6292ea369b8ba2d62d852a6b4c76f4bebfd0d65"),
+    (["verify", "newton", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
+      "--field", "formal", "--seed", "3"],
+     "ed64343584cfe8de15779adc61e836214ae27fd4f5ed6c1e088e065fb2501a75"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=["datum-GL6", "coset-GL3-110", "coset-PGL3-10",
-                              "coset-GL4-1000", "satake-Sp4"])
+                              "coset-GL4-1000", "satake-Sp4", "poly-GL6-110000",
+                              "eval-formal-GL4-1100", "newton-formal-GL4-1100"])
 def test_stdout_bytes_pinned(argv, digest, capsys):
     code, out, _ = _run(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- error contract: internal failures and fuzzed command lines ----------------
+
+def test_consistency_error_exits_4(capsys, monkeypatch):
+    def broken(self, f):
+        raise ConsistencyError("non-constant coefficients on a double coset")
+
+    monkeypatch.setattr(AffineHeckeAlgebra, "satake_inverse", broken)
+    code, out, err = _run(["poly", "--family", "GL", "--rank", "2",
+                           "--mu", "1,0", "--basis", "double-coset"], capsys)
+    assert code == 4 and out == ""
+    assert "Traceback" not in err
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == "consistency"
+
+
+def _free(*examples):
+    """A plausible value or arbitrary text."""
+    return st.one_of(st.sampled_from(examples), st.text(max_size=10))
+
+
+# (subcommand words, flags it takes beyond --family and --rank)
+_COMMANDS = [
+    (["datum"], []),
+    (["poly"], ["--mu", "--twist", "--field", "--trials"]),
+    (["eval"], ["--mu", "--twist", "--field", "--trials", "--entries"]),
+    (["verify", "ch"], ["--mu", "--twist", "--field", "--trials"]),
+    (["verify", "newton"], ["--mu", "--twist", "--field", "--trials"]),
+    (["verify", "modell"], ["--mu", "--twist", "--field", "--trials"]),
+    (["verify", "inertia"], ["--twist", "--field", "--trials", "--d"]),
+    (["verify", "satake"], ["--twist", "--field", "--trials", "--max-norm"]),
+]
+_VALUES = {
+    "--family": _free("GL", "SL", "PGL", "Sp"),
+    "--rank": st.integers(-1, 3),
+    "--mu": _free("1,0", "1,1,0", "1,0,0", "0,1", "2,0", "1"),
+    "--twist": _free("paper", "classical", "exp=3", "exp=-1", "exp=x"),
+    "--field": _free("formal", "rat:v=3", "rat:v=1/0", "ell=11,v=4",
+                     "ell=7,v=3", "ell=12,v=5", "ell=11,v"),
+    "--entries": _free("2,7", "2,7,3", "0,1", "[]", "1/2,3"),
+    "--trials": st.integers(-1, 2),
+    "--d": st.integers(-1, 4),
+    "--max-norm": st.integers(-1, 1),
+}
+
+
+@st.composite
+def _argv(draw):
+    words, flags = draw(st.sampled_from(_COMMANDS))
+    argv = list(words)
+    for flag in ["--family", "--rank"] + flags:
+        if draw(st.booleans()):
+            # --flag=value, so a value that starts with "-" stays a value
+            argv.append(f"{flag}={draw(_VALUES[flag])}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv=["eval", "--mu=1,0", "--field=formal", "--entries=2,1"])
+def test_fuzzed_argv_keeps_the_error_contract(argv, capsys):
+    code, _, err = _run(argv, capsys)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code >= 2:
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        jsonschema.validate(json.loads(lines[0]), _schema("error"))
