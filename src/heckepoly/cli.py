@@ -11,13 +11,15 @@ Commands:
 
 All output is canonical JSON (sorted keys); with a fixed seed the bytes
 are reproducible.  Exit codes: 0 pass, 1 verification failure,
-2 validation error, 3 resource guard, 4 internal consistency failure.
-Exits 2-4 print one JSON error line to stderr.
+2 validation error (usage errors included), 3 resource guard,
+4 internal consistency failure.  Exits 2-4 print one JSON error line
+to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -37,10 +39,6 @@ from .iwahori import DEFAULT_MAX_SUPPORT, AffineHeckeAlgebra
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-# error type -> (kind in error.schema.json, exit code)
-_ERROR_EXITS = ((ValidationError, "validation", 2),
-                (ResourceLimitError, "resource", 3),
-                (ConsistencyError, "consistency", 4))
 
 _TRIAL_STRIDE = 1_000_003
 
@@ -342,11 +340,10 @@ def verify_satake(cfg: RunConfig):
             "check": "satake-minuscule", "mu": list(mu),
             "passed": image == expected,
             "image": image.to_json(), "expected": expected.to_json()})
-    window = sorted(
-        {lam for lam in _dominant_window(datum, cfg.max_norm)})
     closure = set()
-    for lam in window:
-        closure.update(datum.dominants_below(lam))
+    for lam in itertools.product(range(cfg.max_norm + 1), repeat=datum.rank):
+        if datum.is_dominant(lam):
+            closure.update(datum.dominants_below(lam))
     labels, b = algebra.satake_transform_matrix(sorted(closure))
     diag_ok = all(
         b[i][i] == LaurentHalf.v_power(datum.rho_pairing_exponent(labels[i]))
@@ -359,15 +356,6 @@ def verify_satake(cfg: RunConfig):
         "passed": diag_ok and tri_ok,
         "diagonal": [b[i][i].serialize() for i in range(len(labels))]})
     return _verify_lines(reports)
-
-
-def _dominant_window(datum: BasedRootDatum, max_norm: int):
-    import itertools
-    out = []
-    for cand in itertools.product(range(0, max_norm + 1), repeat=datum.rank):
-        if datum.is_dominant(cand):
-            out.append(tuple(cand))
-    return out
 
 
 def verify_newton(cfg: RunConfig):
@@ -455,8 +443,15 @@ def _add_common_flags(p):
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors follow the JSON error contract, in subparsers too."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heckepoly",
         description="Exact Hecke polynomials and their matrix relations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -488,9 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(kind: str, code: int, exc: Exception) -> int:
+    print(_dump({"error": {"kind": kind, "message": str(exc)}}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "datum":
             lines, code = cmd_datum(cfg)
@@ -498,16 +499,14 @@ def main(argv=None) -> int:
             lines, code = cmd_poly(cfg)
         elif args.command == "eval":
             lines, code = cmd_eval(cfg)
-        elif args.command == "verify":
+        else:
             lines, code = _VERIFY[args.check](cfg)
-        else:  # pragma: no cover
-            raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, ResourceLimitError, ConsistencyError) as exc:
-        kind, code = next((kind, code) for error, kind, code in _ERROR_EXITS
-                          if isinstance(exc, error))
-        print(_dump({"error": {"kind": kind, "message": str(exc)}}),
-              file=sys.stderr)
-        return code
+    except ValidationError as exc:
+        return _fail("validation", 2, exc)
+    except ResourceLimitError as exc:
+        return _fail("resource", 3, exc)
+    except ConsistencyError as exc:
+        return _fail("consistency", 4, exc)
     text = "\n".join(lines) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:

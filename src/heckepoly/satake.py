@@ -9,8 +9,9 @@ sum c_lam s^lam with s^lam = prod s_j^{lam_j}.
 
 The generic (symbolic) parameter lives in the FormalTorusDomain (defined
 in ``characters``), whose scalars are lattice group-algebra elements:
-the j-th generic entry is the monomial e^{e_j}.  Evaluating at the generic parameter returns the
-function itself, and all matrix identities can be checked symbolically.
+the j-th generic entry is the monomial e^{e_j}.  Evaluating at the
+generic parameter returns the function itself, and all matrix
+identities can be checked symbolically.
 
 A FrobeniusMatrix is the diagonal matrix of a minuscule representation
 at a parameter, with entries v^twist * s^{lam_j} over the canonical

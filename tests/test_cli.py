@@ -184,7 +184,11 @@ def test_bad_flags_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "heckepoly", "datum", "--rank", "x"],
         capture_output=True, text=True)
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    obj = json.loads(proc.stderr)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == "validation"
+    assert "--rank" in obj["error"]["message"]
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -216,8 +220,14 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
      "--field", "rat:v=x"],
     ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0",
      "--field", "formal", "--entries", "2,1"],
+    ["poly", "--rank=abc", "--mu=1,0"],
+    ["poly", "--mu=1,0", "--trials=x"],
+    ["datum", "--mu=1,0"],
+    ["verify"],
 ], ids=["mu-too-short", "field-v-without-value", "field-ell-not-int",
-        "field-rat-not-rational", "entries-with-formal-field"])
+        "field-rat-not-rational", "entries-with-formal-field",
+        "rank-not-int", "trials-not-int", "flag-of-another-command",
+        "missing-subcommand"])
 def test_malformed_input_exits_2(argv, capsys):
     code, out, err = _run(argv, capsys)
     assert code == 2 and out == ""
@@ -305,8 +315,24 @@ def _free(*examples):
     return st.one_of(st.sampled_from(examples), st.text(max_size=10))
 
 
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _small_int(lo, hi):
+    """A small int, or text that int() rejects (a numeric string could ask
+    for GL_1000)."""
+    return st.one_of(st.integers(lo, hi), st.text(max_size=6).filter(_not_int))
+
+
 # (subcommand words, flags it takes beyond --family and --rank)
 _COMMANDS = [
+    ([], []),
+    (["verify"], []),
     (["datum"], []),
     (["poly"], ["--mu", "--twist", "--field", "--trials"]),
     (["eval"], ["--mu", "--twist", "--field", "--trials", "--entries"]),
@@ -318,23 +344,28 @@ _COMMANDS = [
 ]
 _VALUES = {
     "--family": _free("GL", "SL", "PGL", "Sp"),
-    "--rank": st.integers(-1, 3),
+    "--rank": _small_int(-1, 3),
     "--mu": _free("1,0", "1,1,0", "1,0,0", "0,1", "2,0", "1"),
     "--twist": _free("paper", "classical", "exp=3", "exp=-1", "exp=x"),
     "--field": _free("formal", "rat:v=3", "rat:v=1/0", "ell=11,v=4",
                      "ell=7,v=3", "ell=12,v=5", "ell=11,v"),
     "--entries": _free("2,7", "2,7,3", "0,1", "[]", "1/2,3"),
-    "--trials": st.integers(-1, 2),
-    "--d": st.integers(-1, 4),
-    "--max-norm": st.integers(-1, 1),
+    "--trials": _small_int(-1, 2),
+    "--d": _small_int(-1, 4),
+    "--max-norm": _small_int(-1, 1),
+    "--basis": _free("satake", "double-coset"),
+    "--bogus": st.text(max_size=4),
 }
+# flags some command does not take, so argparse itself must reject them
+_STRAY = ["--entries", "--d", "--max-norm", "--basis", "--twist", "--bogus"]
 
 
 @st.composite
 def _argv(draw):
     words, flags = draw(st.sampled_from(_COMMANDS))
     argv = list(words)
-    for flag in ["--family", "--rank"] + flags:
+    extra = draw(st.lists(st.sampled_from(_STRAY), max_size=1))
+    for flag in ["--family", "--rank"] + flags + extra:
         if draw(st.booleans()):
             # --flag=value, so a value that starts with "-" stays a value
             argv.append(f"{flag}={draw(_VALUES[flag])}")
