@@ -168,6 +168,16 @@ class FormalTorusDomain(ScalarDomain):
     def add(self, a, b):
         return a + b
 
+    def sum(self, items):
+        """One dict accumulates every term; a fold of ``add`` would copy
+        the growing WeightMultiset once per item."""
+        out: dict[Coweight, LaurentHalf] = {}
+        for a in items:
+            for w, c in a.terms.items():
+                prev = out.get(w)
+                out[w] = c if prev is None else prev + c
+        return WeightMultiset(out)
+
     def neg(self, a):
         return -a
 

@@ -7,8 +7,9 @@ class ValidationError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation exceeded its configured support bound.  Maps to
-    CLI exit code 3."""
+    """A computation would exceed one of its bounds (support, Weyl
+    order, size of a rational); the message names the stage and the
+    bound.  Maps to CLI exit code 3."""
 
 
 class ConsistencyError(RuntimeError):

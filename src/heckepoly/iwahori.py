@@ -33,11 +33,18 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   to meas(I) = 1, so the averaging idempotent is
   e_K = (sum_w T_w) / P_W(q) with P_W(q) = sum_w q^{ell(w)};
 * public spherical coordinates are renormalized so that the unit
-  function 1_K has coordinate 1 at lam = 0.
+  function 1_K has coordinate 1 at lam = 0;
+* the product z E with E = sum_w T_w is read off right W-cosets, with
+  no T-basis product: T_s E = q E for every finite simple s, and
+  T_{x'} E = sum_v T_{x'v} when x' is minimal in x'W, because lengths
+  add.  The right coset of (lam, w) is {(lam, v) : v in W}, so z E
+  has one coefficient a_lam on all of it,
+  a_lam = sum_w c_(lam, w) q^{ell(lam, w) - ell_min(lam)}.
 
-Supports on intermediate elements grow quickly with |lam|; every
-product is guarded by a configurable bound and raises
-ResourceLimitError instead of thrashing.
+Supports on intermediate elements grow quickly with |lam|; theta, the
+central element and every T-basis product are guarded by a
+configurable bound and raise ResourceLimitError, naming the stage,
+instead of thrashing.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .characters import SymmetricFunction, WeightMultiset, orbit_character
 from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
 DEFAULT_MAX_SUPPORT = 20_000
+PRODUCT = "T-basis product"
 
 AffKey = tuple[Coweight, int]
 
@@ -270,10 +278,11 @@ class AffineHeckeAlgebra:
     def gen_t(self, idx: int) -> AffineHeckeElement:
         return self.t_basis(self._gens[idx])
 
-    def _guard(self, terms: dict):
+    def _guard(self, terms: dict, stage: str):
         if len(terms) > self.max_support:
             raise ResourceLimitError(
-                f"support {len(terms)} exceeds max_support={self.max_support}")
+                f"{stage}: support {len(terms)} exceeds "
+                f"max_support={self.max_support}")
 
     @staticmethod
     def _acc(out: dict, key: AffKey, c: LaurentHalf):
@@ -284,7 +293,8 @@ class AffineHeckeAlgebra:
         else:
             out[key] = c
 
-    def _left_mul_gen(self, idx: int, terms: dict) -> dict:
+    def _left_mul_gen(self, idx: int, terms: dict,
+                      stage: str = PRODUCT) -> dict:
         q_minus_1 = Q - ONE
         mu, alpha, alpha_v, row = self._gen_actions[idx]
         out: dict[AffKey, LaurentHalf] = {}
@@ -298,26 +308,27 @@ class AffineHeckeAlgebra:
             else:
                 self._acc(out, z, c * q_minus_1)
                 self._acc(out, sz, c * Q)
-        self._guard(out)
+        self._guard(out, stage)
         return out
 
-    def _left_mul_gen_inv(self, idx: int, terms: dict) -> dict:
+    def _left_mul_gen_inv(self, idx: int, terms: dict, stage: str) -> dict:
         # T_s^{-1} E = q^{-1} (T_s E) - (1 - q^{-1}) E
         q_inv = LaurentHalf.v_power(-2)
         correction = q_inv - ONE
         out: dict[AffKey, LaurentHalf] = {}
-        for z, c in self._left_mul_gen(idx, terms).items():
+        for z, c in self._left_mul_gen(idx, terms, stage).items():
             self._acc(out, z, c * q_inv)
         for z, c in terms.items():
             self._acc(out, z, c * correction)
-        self._guard(out)
+        self._guard(out, stage)
         return out
 
-    def _left_mul_basis(self, x: AffKey, terms: dict) -> dict:
+    def _left_mul_basis(self, x: AffKey, terms: dict,
+                        stage: str = PRODUCT) -> dict:
         pi, word = self.reduced_word(x)
         cur = terms
         for idx in reversed(word):
-            cur = self._left_mul_gen(idx, cur)
+            cur = self._left_mul_gen(idx, cur, stage)
         if pi != self.identity_key():
             mu, w_pi = pi
             m, row = self._finite_left(w_pi)
@@ -355,7 +366,7 @@ class AffineHeckeAlgebra:
         for x, cx in a.terms.items():
             for z, c in self._left_mul_basis(x, b.terms).items():
                 self._acc(out, z, cx * c)
-            self._guard(out)
+            self._guard(out, PRODUCT)
         return AffineHeckeElement(out, a.denom * b.denom)
 
     # -- Bernstein elements ------------------------------------------------
@@ -368,7 +379,7 @@ class AffineHeckeAlgebra:
         pi, word = self.reduced_word(self.translation_key(lam))
         cur = {self.inv_aff(pi): ONE}
         for idx in word:
-            cur = self._left_mul_gen_inv(idx, cur)
+            cur = self._left_mul_gen_inv(idx, cur, "theta")
         return AffineHeckeElement(cur)
 
     @cached_property
@@ -430,8 +441,8 @@ class AffineHeckeAlgebra:
             elt = self.t_basis(self.translation_key(lam1))
         else:
             inv = self.translation_inverse(lam2)
-            elt = AffineHeckeElement(
-                self._left_mul_basis(self.translation_key(lam1), inv.terms))
+            elt = AffineHeckeElement(self._left_mul_basis(
+                self.translation_key(lam1), inv.terms, "theta"))
         result = elt.scale(LaurentHalf.v_power(e2 - e1))
         self._theta_memo[lam] = result
         return result
@@ -444,7 +455,7 @@ class AffineHeckeAlgebra:
         for w, c in f.weights.terms.items():
             for key, coeff in self.theta(w).terms.items():
                 self._acc(total, key, c * coeff)
-            self._guard(total)
+            self._guard(total, "central element")
         return AffineHeckeElement(total)
 
     # -- spherical side ------------------------------------------------------
@@ -465,28 +476,48 @@ class AffineHeckeAlgebra:
         elt = self.finite_sum()
         return AffineHeckeElement(elt.terms, self.poincare())
 
+    def _min_coset_length(self, x: AffKey) -> int:
+        """ell of the minimal element of the right coset x W: descend by
+        finite simple reflections, one weyl_right lookup each, while the
+        length drops."""
+        right = self.datum.weyl_right
+        lam, w = x
+        length = self.length(x)
+        while True:
+            for i in range(self.datum.num_simple):
+                shorter = self.length((lam, right[w][i]))
+                if shorter < length:
+                    w, length = right[w][i], shorter
+                    break
+            else:
+                return length
+
     def satake_inverse(self, f: SymmetricFunction) -> SphericalCosetVector:
         """Double-coset coordinates of z_f * e_K.
 
-        The T-coefficients of the product must be constant on each
-        double coset W t_lam W; the constants are the public
-        coordinates (normalized so that f = 1 maps to 1_K).
+        z_f E, with E = sum_w T_w, is read off right W-cosets: T_s E = q E
+        for every finite simple s, and T_{x'} E = sum_v T_{x'v} when x'
+        is minimal in x'W.  So z_f E has the coefficient
+        a_lam = sum_w c_(lam, w) q^{ell(lam, w) - ell_min(lam)} on every
+        (lam, v).  The a_lam must be constant on each double coset
+        W t_lam W; the constants are the public coordinates (normalized
+        so that f = 1 maps to 1_K).
         """
         z = self.central_element(f)
-        product = self.multiply(z, self.finite_sum())
-        if product.denom != ONE:
-            raise ConsistencyError("unexpected denominator in Satake product")
-        by_coset: dict[Coweight, dict[AffKey, LaurentHalf]] = {}
-        for (lam, w), c in product.terms.items():
-            dom = self.datum.dominant_representative(lam)
-            by_coset.setdefault(dom, {})[(lam, w)] = c
+        if z.denom != ONE:
+            raise ConsistencyError("central element has a denominator")
+        coeffs: dict[Coweight, LaurentHalf] = {}
+        coset_min: dict[Coweight, int] = {}
+        for x, c in z.terms.items():
+            lam = x[0]
+            low = coset_min.get(lam)
+            if low is None:
+                low = coset_min[lam] = self._min_coset_length(x)
+            self._acc(coeffs, lam, c.shift(2 * (self.length(x) - low)))
         coords: dict[Coweight, LaurentHalf] = {}
-        for dom, present in by_coset.items():
-            orbit = self.datum.weyl_orbit(dom)
-            values = set()
-            for lam in orbit:
-                for w in range(self.datum.weyl_order):
-                    values.add(present.get((lam, w), LaurentHalf.zero()))
+        for dom in {self.datum.dominant_representative(lam) for lam in coeffs}:
+            values = {coeffs.get(lam, LaurentHalf.zero())
+                      for lam in self.datum.weyl_orbit(dom)}
             if len(values) != 1:
                 raise ConsistencyError(
                     f"coset W t_{dom} W has non-constant coefficients")

@@ -26,10 +26,11 @@ zero polynomial prints as ``"0"``.  ``LaurentHalf.parse`` inverts it.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Any
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 
 class LaurentHalf:
@@ -282,6 +283,14 @@ class ScalarDomain:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def sum(self, items):
+        """Sum of an iterable of scalars; a domain whose add copies its
+        operands overrides this with one accumulator."""
+        total = self.zero()
+        for a in items:
+            total = self.add(total, a)
+        return total
+
     def neg(self, a):
         raise NotImplementedError
 
@@ -339,18 +348,52 @@ def elementary_symmetric(dom: ScalarDomain, values) -> list:
     return e
 
 
+# Fraction expands a decimal exponent in full ("1e99999999" is a
+# hundred-million-digit integer), so a rational literal is bounded in
+# length and exponent before it is parsed.
+MAX_LITERAL_LENGTH = 100
+MAX_LITERAL_EXPONENT = 100
+# Largest power v^e, in bits, that RationalWithV.reduce builds.
+MAX_POWER_BITS = 1 << 16
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text) for a literal of bounded length and exponent."""
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ValidationError(f"rational literal of {len(text)} characters "
+                              f"exceeds the bound {MAX_LITERAL_LENGTH}")
+    _, sep, exponent = text.lower().partition("e")
+    try:
+        if not sep or abs(int(exponent)) <= MAX_LITERAL_EXPONENT:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational literal {text!r}: expected "
+                              "<num>[/den] or a decimal") from exc
+    raise ValidationError(f"rational literal {text!r}: exponent exceeds "
+                          f"the bound {MAX_LITERAL_EXPONENT}")
+
+
 class RationalWithV(ScalarDomain):
     """Exact rationals with a fixed nonzero rational value of v."""
 
     kind = "rational-with-v"
 
     def __init__(self, v_value):
-        v_value = Fraction(v_value)
+        v_value = (_parse_fraction(v_value) if isinstance(v_value, str)
+                   else Fraction(v_value))
         if v_value == 0:
             raise ValidationError("v must be nonzero")
         self.v_value = v_value
 
     def reduce(self, x: LaurentHalf) -> Fraction:
+        if x.terms:
+            v = self.v_value
+            bits = max(map(abs, x.terms)) * max(v.numerator.bit_length(),
+                                                 v.denominator.bit_length())
+            if bits > MAX_POWER_BITS:
+                raise ResourceLimitError(
+                    f"rational evaluation: a power of v needs up to {bits} "
+                    f"bits, beyond max_bits={MAX_POWER_BITS}")
         return x.eval_fraction(self.v_value)
 
     def add(self, a, b):
@@ -381,10 +424,20 @@ class RationalWithV(ScalarDomain):
         return Fraction(num, den)
 
     def scalar_str(self, a) -> str:
-        return str(Fraction(a))
+        """Every digit, or ResourceLimitError past the interpreter's limit
+        on integer-to-string conversion (4,300 digits by default)."""
+        a = Fraction(a)
+        limit = sys.get_int_max_str_digits()
+        big = max(abs(a.numerator), a.denominator)
+        # fewer than 3 * limit bits means fewer than limit digits
+        if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise ResourceLimitError(
+                f"rendering: a rational value has more than max_digits="
+                f"{limit} decimal digits (sys.set_int_max_str_digits)")
+        return str(a)
 
     def parse_scalar(self, text: str) -> Fraction:
-        return Fraction(text)
+        return _parse_fraction(text)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "v_value": str(self.v_value)}

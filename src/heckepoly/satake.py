@@ -106,10 +106,8 @@ def evaluate(f, s: SatakeParameter):
     """Evaluate a spherical element (or bare WeightMultiset) at s."""
     weights = f.weights if isinstance(f, SymmetricFunction) else f
     dom = s.domain
-    total = dom.zero()
-    for w, c in weights.terms.items():
-        total = dom.add(total, dom.mul(dom.reduce(c), s.power(w)))
-    return total
+    return dom.sum(dom.mul(dom.reduce(c), s.power(w))
+                   for w, c in weights.terms.items())
 
 
 def resolve_twist(datum: BasedRootDatum, mu: Coweight, twist,

@@ -86,6 +86,32 @@ def test_poly_resource_guard_exits_3(capsys):
     jsonschema.validate(json.loads(err), _schema("error"))
 
 
+def test_resource_guard_names_its_stage(capsys):
+    code, out, err = _run(["poly", "--family", "GL", "--rank", "3",
+                           "--mu", "1,1,0", "--twist", "classical",
+                           "--basis", "double-coset", "--max-support", "5"],
+                          capsys)
+    assert code == 3 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    message = obj["error"]["message"]
+    assert "max_support=5" in message
+    assert message.split(":")[0] in ("theta", "central element",
+                                     "T-basis product")
+
+
+def test_double_coset_paths_never_form_a_t_basis_product(capsys, monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("satake_inverse formed a T-basis product")
+
+    monkeypatch.setattr(AffineHeckeAlgebra, "multiply", refuse)
+    for argv in (["poly", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
+                  "--twist", "classical", "--basis", "double-coset"],
+                 ["verify", "satake", "--family", "PGL", "--rank", "3"]):
+        code, _, _ = _run(argv, capsys)
+        assert code == 0, argv
+
+
 def test_eval_command(capsys):
     code, out, _ = _run(["eval", "--family", "GL", "--rank", "2",
                          "--mu", "1,0", "--field", "ell=11,v=4",
@@ -235,6 +261,37 @@ def test_malformed_input_exits_2(argv, capsys):
     assert json.loads(err)["error"]["kind"] == "validation"
 
 
+# -- numeric extremes: a size guard or a rejection, never a hang or a crash ----
+
+_GL2_EVAL = ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0"]
+
+
+@pytest.mark.parametrize("flags,code,fragment", [
+    (["--field", "rat:v=1e99999999"], 2, "exponent exceeds the bound 100"),
+    (["--field", "rat:v=2", "--entries", "1e99999999,2"], 2, "--entries"),
+    (["--field", "rat:v=" + "7" * 200], 2, "exceeds the bound 100"),
+    (["--field", "rat:v=2", "--twist", "exp=8000"], 3,
+     f"rendering: a rational value has more than "
+     f"max_digits={sys.get_int_max_str_digits()}"),
+    (["--field", "rat:v=2", "--twist", "exp=1000000"], 3,
+     "rational evaluation"),
+    (["--field", "rat:v=2", "--twist", "exp=-1000000000000"], 3,
+     "rational evaluation"),
+], ids=["v-exponent", "entry-exponent", "v-length", "render-digits",
+        "power-bits", "power-bits-negative"])
+def test_numeric_extremes_exit_fast_with_a_json_error(flags, code, fragment,
+                                                      capsys):
+    start = time.perf_counter()
+    got, out, err = _run(_GL2_EVAL + flags, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert got == code and out == ""
+    assert "Traceback" not in err
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == ("validation" if code == 2 else "resource")
+    assert fragment in obj["error"]["message"]
+
+
 # -- Weyl enumeration guard ----------------------------------------------------
 
 def test_datum_gl9_reports_weyl_order_without_enumerating(capsys):
@@ -281,13 +338,28 @@ PINNED_STDOUT = [
     (["verify", "newton", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
       "--field", "formal", "--seed", "3"],
      "ed64343584cfe8de15779adc61e836214ae27fd4f5ed6c1e088e065fb2501a75"),
+    (["poly", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
+      "--twist", "classical", "--basis", "double-coset"],
+     "d5c0bd0c01993728c31a9bba12bde0ed814425b7515fe992040e726ede5e42e1"),
+    (["poly", "--family", "PGL", "--rank", "4", "--mu", "0,1,0",
+      "--twist", "classical", "--basis", "double-coset"],
+     "cfd968e177992c439a56463dc024b9661ae785b00eb5bf2faa2caa962d628c97"),
+    (["poly", "--family", "GL", "--rank", "5", "--mu", "1,0,0,0,0",
+      "--twist", "classical", "--basis", "double-coset"],
+     "26a90f8f6fe37940af5b0e2581b14d06ca8832e8000c5feeeb67c225260f14cd"),
+    (["verify", "satake", "--family", "GL", "--rank", "3", "--max-norm", "2"],
+     "abb1a775690dc76b770ab99d2567606c915fd63a097a727ed9914cc3243b1799"),
+    (["verify", "satake", "--family", "PGL", "--rank", "3", "--max-norm", "2"],
+     "d7befc706ad1e3f6a8330c33f189c6759d259c235992c944fb45298253c41818"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=["datum-GL6", "coset-GL3-110", "coset-PGL3-10",
                               "coset-GL4-1000", "satake-Sp4", "poly-GL6-110000",
-                              "eval-formal-GL4-1100", "newton-formal-GL4-1100"])
+                              "eval-formal-GL4-1100", "newton-formal-GL4-1100",
+                              "coset-GL4-1100", "coset-PGL4-010",
+                              "coset-GL5-10000", "satake-GL3", "satake-PGL3"])
 def test_stdout_bytes_pinned(argv, digest, capsys):
     code, out, _ = _run(argv, capsys)
     assert code == 0
@@ -346,9 +418,14 @@ _VALUES = {
     "--family": _free("GL", "SL", "PGL", "Sp"),
     "--rank": _small_int(-1, 3),
     "--mu": _free("1,0", "1,1,0", "1,0,0", "0,1", "2,0", "1"),
-    "--twist": _free("paper", "classical", "exp=3", "exp=-1", "exp=x"),
+    "--twist": _free("paper", "classical", "exp=3", "exp=-1", "exp=x",
+                     "exp=8000", "exp=1000000", "exp=-10000000000000000000"),
     "--field": _free("formal", "rat:v=3", "rat:v=1/0", "ell=11,v=4",
-                     "ell=7,v=3", "ell=12,v=5", "ell=11,v"),
+                     "ell=7,v=3", "ell=12,v=5", "ell=11,v",
+                     "rat:v=1e99999999", "rat:v=1e-100", "rat:v=-1/9",
+                     "rat:v=" + "9" * 120,
+                     "ell=2305843009213693951,v=3",
+                     "ell=3317044064679887385961981,v=2"),
     "--entries": _free("2,7", "2,7,3", "0,1", "[]", "1/2,3"),
     "--trials": _small_int(-1, 2),
     "--d": _small_int(-1, 4),

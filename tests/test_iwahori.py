@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from heckepoly.errors import ResourceLimitError, ValidationError
+from heckepoly.errors import (ConsistencyError, ResourceLimitError,
+                              ValidationError)
 from heckepoly.laurent import LaurentHalf, ONE, Q
 from heckepoly.characters import SymmetricFunction, orbit_character
 from heckepoly.root_data import build_standard
@@ -15,6 +17,9 @@ SP4 = build_standard("Sp", 4)
 H2 = AffineHeckeAlgebra(GL2)
 H3 = AffineHeckeAlgebra(GL3)
 HSP = AffineHeckeAlgebra(SP4)
+H4 = AffineHeckeAlgebra(build_standard("GL", 4))
+HPGL3 = AffineHeckeAlgebra(build_standard("PGL", 3))
+HPGL4 = AffineHeckeAlgebra(build_standard("PGL", 4))
 
 V = LaurentHalf.v_power
 
@@ -338,8 +343,65 @@ def test_round_trip_other_families():
 
 def test_resource_guard():
     tiny = AffineHeckeAlgebra(GL3, max_support=5)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="max_support=5"):
         tiny.satake_inverse(orbit_character(GL3, (2, 1, 0)))
+
+
+def _satake_inverse_by_product(algebra, f):
+    """The T-basis reading of z_f E: form the product with E = sum_w T_w,
+    then require one coefficient on every (lam, w) of each double coset."""
+    datum = algebra.datum
+    product = algebra.multiply(algebra.central_element(f),
+                               algebra.finite_sum())
+    assert product.denom == ONE
+    by_coset = {}
+    for (lam, w), c in product.terms.items():
+        by_coset.setdefault(datum.dominant_representative(lam), {})[
+            (lam, w)] = c
+    coords = {}
+    for dom, present in by_coset.items():
+        values = {present.get((lam, w), LaurentHalf.zero())
+                  for lam in datum.weyl_orbit(dom)
+                  for w in range(datum.weyl_order)}
+        assert len(values) == 1, dom
+        coords[dom] = values.pop()
+    return SphericalCosetVector(coords)
+
+
+# PGL4's coordinates are the pairings with the simple roots, so its
+# max-norm 2 window reaches 2 rho^vee; the product oracle needs about
+# 100 s there, and max-norm 1 keeps it near 2 s.
+SATAKE_ORACLE = [(H2, 2), (H3, 2), (H4, 2), (HPGL3, 2), (HPGL4, 1),
+                 (HSP, 2)]
+
+
+@pytest.mark.parametrize("algebra,max_norm", SATAKE_ORACLE,
+                         ids=["GL2", "GL3", "GL4", "PGL3", "PGL4", "Sp4"])
+def test_satake_inverse_matches_the_t_basis_product(algebra, max_norm):
+    datum = algebra.datum
+    characters = [orbit_character(datum, lam) for lam in
+                  itertools.product(range(max_norm + 1), repeat=datum.rank)
+                  if datum.is_dominant(lam)]
+    rng = random.Random(101)
+    combinations = []
+    for _ in range(3):
+        f = SymmetricFunction.constant(datum, 0)
+        for chi in rng.sample(characters, min(3, len(characters))):
+            f = f + chi.scale(LaurentHalf({rng.randint(-2, 2):
+                                           rng.choice([-2, -1, 1, 2])}))
+        combinations.append(f)
+    for f in characters + combinations:
+        assert algebra.satake_inverse(f) == \
+            _satake_inverse_by_product(algebra, f)
+
+
+def test_satake_inverse_rejects_a_non_central_element(monkeypatch):
+    # T_{t_(1,0)} E has coefficient 1 on t_(1,0) W and 0 on t_(0,1) W
+    monkeypatch.setattr(
+        AffineHeckeAlgebra, "central_element",
+        lambda self, f: self.t_basis(self.translation_key((1, 0))))
+    with pytest.raises(ConsistencyError, match="non-constant"):
+        H2.satake_inverse(orbit_character(GL2, (1, 0)))
 
 
 def test_element_json():
@@ -364,8 +426,7 @@ def test_element_json_term_order():
 
 # -- generator action (oracle: the group law mul_aff) -------------------------
 
-ORACLE_ALGEBRAS = [H3, HSP, AffineHeckeAlgebra(build_standard("PGL", 3)),
-                   AffineHeckeAlgebra(build_standard("GL", 4))]
+ORACLE_ALGEBRAS = [H3, HSP, HPGL3, H4]
 ORACLE_IDS = ["GL3", "Sp4", "PGL3", "GL4"]
 
 
