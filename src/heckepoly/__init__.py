@@ -1,8 +1,9 @@
 """Exact Hecke polynomials for split reductive groups.
 
 Builds the degree-d polynomial attached to a minuscule coweight with
-spherical Hecke coefficients (in Satake coordinates or double-coset
-coordinates via the affine Hecke algebra) and verifies the
+spherical Hecke coefficients (in Satake coordinates, or in double-coset
+coordinates by Kato's formula in ``heckepoly.kato``, which the affine
+Hecke algebra engine checks independently) and verifies the
 Cayley-Hamilton style relations it satisfies on parameter points, over
 the formal ring Z[v, v^-1], the rationals with a fixed v, or a prime
 field with a chosen square root of q.

@@ -4,10 +4,11 @@ Commands:
 
 * ``datum``  -- describe a root datum (Weyl order, small minuscule coweights);
 * ``poly``   -- the polynomial of a minuscule coweight, Satake basis or
-  double-coset basis;
+  double-coset basis (by Kato's formula);
 * ``eval``   -- evaluate the polynomial data at one Satake parameter;
 * ``verify`` -- seeded verification suites (ch, inertia, satake, newton,
-  modell), one JSON report per line.
+  modell), one JSON report per line; ``satake`` checks the affine
+  T-basis engine.
 
 All output is canonical JSON (sorted keys); with a fixed seed the bytes
 are reproducible.  Exit codes: 0 pass, 1 verification failure,
@@ -224,8 +225,11 @@ def cmd_poly(cfg: RunConfig) -> tuple[list[str], int]:
     payload = {"command": "poly", "basis": cfg.basis,
                "polynomial": h.to_json()}
     if cfg.basis == "double-coset":
-        algebra = AffineHeckeAlgebra(datum, max_support=cfg.max_support)
-        coset = [algebra.satake_inverse(c) for c in h.coefficients]
+        # only this path needs Kato's formula; importing it here keeps
+        # every other command from loading the module
+        from .kato import coset_coordinates
+        coset = [coset_coordinates(datum, c, cfg.max_support)
+                 for c in h.coefficients]
         payload["coset_coefficients"] = [vec.to_json() for vec in coset]
         payload["rendering"] = _render_coset_poly(h.degree, coset)
     elif cfg.basis != "satake":

@@ -45,6 +45,10 @@ Supports on intermediate elements grow quickly with |lam|; theta, the
 central element and every T-basis product are guarded by a
 configurable bound and raise ResourceLimitError, naming the stage,
 instead of thrashing.
+
+The CLI's ``poly`` reads double-coset coordinates off Kato's formula
+(``kato.coset_coordinates``); ``satake_inverse`` here is its independent
+check, run by ``verify satake`` and the tests.
 """
 
 from __future__ import annotations

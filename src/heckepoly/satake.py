@@ -103,11 +103,19 @@ class SatakeParameter:
 
 
 def evaluate(f, s: SatakeParameter):
-    """Evaluate a spherical element (or bare WeightMultiset) at s."""
+    """Evaluate a spherical element (or bare WeightMultiset) at s.
+
+    Terms are grouped by coefficient, so each distinct coefficient is
+    reduced once and multiplied into the sum of s^w over its weights: a
+    twisted coefficient v^t * n costs one power of v, not one per weight.
+    """
     weights = f.weights if isinstance(f, SymmetricFunction) else f
     dom = s.domain
-    return dom.sum(dom.mul(dom.reduce(c), s.power(w))
-                   for w, c in weights.terms.items())
+    by_coeff: dict[LaurentHalf, list[Coweight]] = {}
+    for w, c in weights.terms.items():
+        by_coeff.setdefault(c, []).append(w)
+    return dom.sum(dom.mul(dom.reduce(c), dom.sum(s.power(w) for w in ws))
+                   for c, ws in by_coeff.items())
 
 
 def resolve_twist(datum: BasedRootDatum, mu: Coweight, twist,

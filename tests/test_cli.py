@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from heckepoly import cli, kato
+from heckepoly.characters import SymmetricFunction, WeightMultiset
 from heckepoly.cli import main
 from heckepoly.errors import ConsistencyError
 from heckepoly.iwahori import AffineHeckeAlgebra
@@ -97,19 +100,38 @@ def test_resource_guard_names_its_stage(capsys):
     message = obj["error"]["message"]
     assert "max_support=5" in message
     assert message.split(":")[0] in ("theta", "central element",
-                                     "T-basis product")
+                                     "T-basis product", "Kato coordinates")
 
 
 def test_double_coset_paths_never_form_a_t_basis_product(capsys, monkeypatch):
-    def refuse(self, a, b):
-        raise AssertionError("satake_inverse formed a T-basis product")
+    def refuse(name):
+        def refused(self, *args):
+            raise AssertionError(f"the double-coset path called {name}")
+        return refused
 
-    monkeypatch.setattr(AffineHeckeAlgebra, "multiply", refuse)
-    for argv in (["poly", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
-                  "--twist", "classical", "--basis", "double-coset"],
-                 ["verify", "satake", "--family", "PGL", "--rank", "3"]):
-        code, _, _ = _run(argv, capsys)
-        assert code == 0, argv
+    monkeypatch.setattr(AffineHeckeAlgebra, "multiply", refuse("multiply"))
+    # poly reads its coordinates off Kato's formula: no affine element
+    for name in ("theta", "central_element", "satake_inverse"):
+        monkeypatch.setattr(AffineHeckeAlgebra, name, refuse(name))
+    code, _, _ = _run(["poly", "--family", "GL", "--rank", "4",
+                       "--mu", "1,1,0,0", "--twist", "classical",
+                       "--basis", "double-coset"], capsys)
+    assert code == 0
+    # verify satake still checks the engine itself, without a T-basis
+    # product
+    monkeypatch.undo()
+    monkeypatch.setattr(AffineHeckeAlgebra, "multiply", refuse("multiply"))
+    engine = AffineHeckeAlgebra.satake_inverse
+    calls = []
+
+    def counted(self, f):
+        calls.append(f)
+        return engine(self, f)
+
+    monkeypatch.setattr(AffineHeckeAlgebra, "satake_inverse", counted)
+    code, _, _ = _run(["verify", "satake", "--family", "PGL", "--rank", "3"],
+                      capsys)
+    assert code == 0 and calls
 
 
 def test_eval_command(capsys):
@@ -351,6 +373,9 @@ PINNED_STDOUT = [
      "abb1a775690dc76b770ab99d2567606c915fd63a097a727ed9914cc3243b1799"),
     (["verify", "satake", "--family", "PGL", "--rank", "3", "--max-norm", "2"],
      "d7befc706ad1e3f6a8330c33f189c6759d259c235992c944fb45298253c41818"),
+    (["poly", "--family", "GL", "--rank", "5", "--mu", "1,1,0,0,0",
+      "--twist", "classical", "--basis", "double-coset"],
+     "5da1ea5e4d308e13f7dd68112942162b7ca0c03f3dee78dff8a2bb1ccbddac49"),
 ]
 
 
@@ -359,7 +384,8 @@ PINNED_STDOUT = [
                               "coset-GL4-1000", "satake-Sp4", "poly-GL6-110000",
                               "eval-formal-GL4-1100", "newton-formal-GL4-1100",
                               "coset-GL4-1100", "coset-PGL4-010",
-                              "coset-GL5-10000", "satake-GL3", "satake-PGL3"])
+                              "coset-GL5-10000", "satake-GL3", "satake-PGL3",
+                              "coset-GL5-11000"])
 def test_stdout_bytes_pinned(argv, digest, capsys):
     code, out, _ = _run(argv, capsys)
     assert code == 0
@@ -369,14 +395,34 @@ def test_stdout_bytes_pinned(argv, digest, capsys):
 # -- error contract: internal failures and fuzzed command lines ----------------
 
 def test_consistency_error_exits_4(capsys, monkeypatch):
-    def broken(self, f):
+    def broken(datum, f, max_support):
         raise ConsistencyError("non-constant coefficients on a double coset")
 
-    monkeypatch.setattr(AffineHeckeAlgebra, "satake_inverse", broken)
+    monkeypatch.setattr(kato, "coset_coordinates", broken)
     code, out, err = _run(["poly", "--family", "GL", "--rank", "2",
                            "--mu", "1,0", "--basis", "double-coset"], capsys)
     assert code == 4 and out == ""
     assert "Traceback" not in err
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == "consistency"
+
+
+def test_non_invariant_coefficient_exits_4(capsys, monkeypatch):
+    # a coefficient that is not W-invariant cannot be split into
+    # irreducible characters, so Kato's formula refuses it
+    build = cli.hecke_polynomial
+
+    def lopsided(*args):
+        h = build(*args)
+        h.coefficients[1] = SymmetricFunction(
+            h.datum, WeightMultiset({(1, 0): 1, (0, 1): 2}), check=False)
+        return h
+
+    monkeypatch.setattr(cli, "hecke_polynomial", lopsided)
+    code, out, err = _run(["poly", "--family", "GL", "--rank", "2",
+                           "--mu", "1,0", "--basis", "double-coset"], capsys)
+    assert code == 4 and out == ""
     obj = json.loads(err)
     jsonschema.validate(obj, _schema("error"))
     assert obj["error"]["kind"] == "consistency"
@@ -449,12 +495,27 @@ def _argv(draw):
     return argv
 
 
+# Wall-clock limit of one fuzzed example: a hang fails the example
+# instead of stalling the suite.  The slowest example takes well under 1 s.
+EXAMPLE_SECONDS = 10.0
+
+
+def _example_ran_too_long(signum, frame):
+    raise TimeoutError(f"fuzzed example ran past {EXAMPLE_SECONDS} s")
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
 @example(argv=["eval", "--mu=1,0", "--field=formal", "--entries=2,1"])
 def test_fuzzed_argv_keeps_the_error_contract(argv, capsys):
-    code, _, err = _run(argv, capsys)
+    previous = signal.signal(signal.SIGALRM, _example_ran_too_long)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    try:
+        code, _, err = _run(argv, capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err
     if code >= 2:

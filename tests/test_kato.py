@@ -1,0 +1,116 @@
+"""Kato's formula for double-coset coordinates, checked against the
+affine T-basis engine and against character theory."""
+
+import itertools
+import random
+
+import pytest
+
+from heckepoly.errors import (ConsistencyError, ResourceLimitError,
+                              ValidationError)
+from heckepoly.laurent import LaurentHalf, ONE
+from heckepoly.characters import (SymmetricFunction, WeightMultiset,
+                                  _freudenthal_multiplicities,
+                                  orbit_character)
+from heckepoly.root_data import build_standard
+from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
+from heckepoly.kato import _Kato, coset_coordinates
+
+GL2 = build_standard("GL", 2)
+GL3 = build_standard("GL", 3)
+
+# (family, rank, max-norm of the window of dominant coweights)
+WINDOWS = [("GL", 2, 2), ("GL", 3, 2), ("SL", 3, 2), ("PGL", 3, 2),
+           ("Sp", 4, 2), ("GL", 4, 2), ("PGL", 4, 2)]
+WINDOW_IDS = [f"{f}{n}" for f, n, _ in WINDOWS]
+# The engine needs about 60 s for all of PGL4's max-norm 2 window, which
+# reaches 2 rho^vee; up to <2 rho, lam> = 12 it needs about 5 s.
+ENGINE_MAX_EXPONENT = 12
+
+
+def _window(datum, max_norm):
+    return [lam for lam in
+            itertools.product(range(max_norm + 1), repeat=datum.rank)
+            if datum.is_dominant(lam)]
+
+
+@pytest.mark.parametrize("family,rank,max_norm", WINDOWS, ids=WINDOW_IDS)
+def test_coset_coordinates_match_the_engine(family, rank, max_norm):
+    datum = build_standard(family, rank)
+    algebra = AffineHeckeAlgebra(datum)
+    characters = [orbit_character(datum, lam)
+                  for lam in _window(datum, max_norm)
+                  if datum.rho_pairing_exponent(lam) <= ENGINE_MAX_EXPONENT]
+    rng = random.Random(103)
+    combinations = []
+    for _ in range(3):
+        f = SymmetricFunction.constant(datum, rng.randint(-2, 2))
+        for chi in rng.sample(characters, min(3, len(characters))):
+            f = f + chi.scale(LaurentHalf({rng.randint(-2, 2):
+                                           rng.choice([-2, -1, 1, 2])}))
+        combinations.append(f)
+    for f in characters + combinations:
+        assert coset_coordinates(datum, f) == algebra.satake_inverse(f)
+
+
+@pytest.mark.parametrize("family,rank,max_norm", WINDOWS, ids=WINDOW_IDS)
+def test_kostka_foulkes_at_one_are_weight_multiplicities(family, rank,
+                                                         max_norm):
+    # K_{lam mu}(1) is the multiplicity of mu in chi_lam, and the walk
+    # between dominant coweights finds every dominant mu <= lam
+    datum = build_standard(family, rank)
+    kato = _Kato(datum, 10 ** 6)
+    for lam in _window(datum, max_norm):
+        kf = kato.kostka_foulkes(lam)
+        assert sorted(kf) == sorted(datum.dominants_below(lam))
+        mult = _freudenthal_multiplicities(datum, lam)
+        assert {mu: sum(k) for mu, k in kf.items() if sum(k)} == mult
+        assert kf[lam] == [1]
+
+
+def test_kostka_foulkes_gl3_examples():
+    # K_{(2,1,0),(1,1,1)} = t + t^2, K_{(3,0,0),(1,1,1)} = t^3,
+    # K_{(2,0,0),(1,1,0)} = t (Macdonald, III.6)
+    kato = _Kato(GL3, 10 ** 6)
+    assert kato.kostka_foulkes((2, 1, 0))[(1, 1, 1)] == [0, 1, 1]
+    assert kato.kostka_foulkes((3, 0, 0))[(1, 1, 1)] == [0, 0, 0, 1]
+    assert kato.kostka_foulkes((2, 0, 0))[(1, 1, 0)] == [0, 1]
+
+
+def test_coset_coordinates_gl2_examples():
+    # chi_(2,0) = q^{-1} 1_(2,0) + q^{-1} 1_(1,1), from
+    # S(1_{K(2,0)K}) = q m_(2,0) + (q-1) m_(1,1)
+    chi = orbit_character(GL2, (2, 0)) + orbit_character(GL2, (1, 1))
+    assert coset_coordinates(GL2, chi) == SphericalCosetVector(
+        {(2, 0): LaurentHalf.v_power(-2), (1, 1): LaurentHalf.v_power(-2)})
+    assert coset_coordinates(GL2, SymmetricFunction.constant(GL2, 1)) == \
+        SphericalCosetVector({(0, 0): ONE})
+    assert coset_coordinates(GL2, SymmetricFunction.constant(GL2, 0)) == \
+        SphericalCosetVector({})
+
+
+def test_non_invariant_input_is_a_consistency_error():
+    lopsided = SymmetricFunction(
+        GL2, WeightMultiset({(1, 0): 1, (0, 1): 2}), check=False)
+    with pytest.raises(ConsistencyError):
+        coset_coordinates(GL2, lopsided)
+    with pytest.raises(ValidationError):
+        coset_coordinates(GL2, WeightMultiset({(1, 0): 1, (0, 1): 1}))
+
+
+def test_guard_counts_orbit_points_and_memo_entries():
+    f = orbit_character(GL3, (1, 0, 0))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^Kato coordinates: working set 6 exceeds "
+                             r"max_support=5$"):
+        coset_coordinates(GL3, f, max_support=5)
+    assert coset_coordinates(GL3, f, max_support=6) == \
+        SphericalCosetVector({(1, 0, 0): LaurentHalf.v_power(-2)})
+    # m_(2,1,0) = chi_(2,1,0) - 2 chi_(1,1,1): the first character leaves
+    # two memo entries of P_t, so the second orbit (6 points) makes 8
+    m = orbit_character(GL3, (2, 1, 0))
+    with pytest.raises(ResourceLimitError,
+                       match=r"working set 8 exceeds max_support=7$"):
+        coset_coordinates(GL3, m, max_support=7)
+    assert coset_coordinates(GL3, m, max_support=8) == \
+        AffineHeckeAlgebra(GL3).satake_inverse(m)

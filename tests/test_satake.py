@@ -163,3 +163,33 @@ def test_parameter_json_roundtrip():
 def test_domain_json_roundtrip():
     for dom in (F11, RationalWithV(Fraction(5, 2)), FormalTorusDomain(4)):
         assert domain_from_json(dom.to_json()) == dom
+
+
+def test_evaluate_reduces_each_distinct_coefficient_once():
+    # coefficient i of the Hecke polynomial is (-v^t)^i times a multiplicity,
+    # so its terms share few coefficients; each is reduced once, however
+    # many weights carry it and however large the twist is
+    from heckepoly.hecke import hecke_polynomial
+
+    class CountingRationals(RationalWithV):
+        calls = 0
+
+        def reduce(self, x):
+            CountingRationals.calls += 1
+            return super().reduce(x)
+
+        def from_int(self, n):  # zero and one, without a reduce
+            return Fraction(n)
+
+    datum = build_standard("GL", 4)
+    dom = CountingRationals(Fraction(2, 3))
+    s = SatakeParameter.random(dom, 4, random.Random(5))
+    for twist in (0, 1600):
+        h = hecke_polynomial(datum, (1, 1, 0, 0), twist)
+        for c in h.coefficients:
+            distinct = set(c.weights.terms.values())
+            CountingRationals.calls = 0
+            value = evaluate(c, s)
+            assert CountingRationals.calls == len(distinct)
+            assert value == sum(dom.reduce(coeff) * s.power(w)
+                                for w, coeff in c.weights.terms.items())
