@@ -10,8 +10,10 @@ The i-th exterior-power character of weights lam_1..lam_d is e_i of
 the e^{lam_j}: ``elementary_symmetric`` in the formal domain, O(d^2).
 Irreducible characters are computed by Freudenthal's multiplicity
 recursion, run over exact integers using the averaged Weyl-invariant
-form on the lattice.  Minuscule highest weights short-circuit to the
-orbit sum (every weight has multiplicity one).
+form on the lattice, over the datum's ``dominant_walk``.  Minuscule
+highest weights short-circuit to the orbit sum (every weight has
+multiplicity one).  ``decompose`` strips highest weights on dominant
+terms alone and expands no orbit.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from fractions import Fraction
 from .errors import ConsistencyError, ValidationError
 from .laurent import LaurentHalf, ONE, ScalarDomain, elementary_symmetric
 from .root_data import BasedRootDatum, Coweight
-
-_DECOMPOSE_CAP = 10_000
 
 
 class WeightMultiset:
@@ -207,6 +207,15 @@ class FormalTorusDomain(ScalarDomain):
         return f"FormalTorusDomain(rank={self.rank})"
 
 
+def _moving_reflection(datum: BasedRootDatum,
+                       terms: dict[Coweight, LaurentHalf]) -> int | None:
+    """The first simple reflection that moves terms, or None."""
+    for i in range(datum.num_simple):
+        if {datum.reflect(i, w): c for w, c in terms.items()} != terms:
+            return i
+    return None
+
+
 class SymmetricFunction:
     """Weyl-invariant WeightMultiset attached to a root datum."""
 
@@ -220,12 +229,10 @@ class SymmetricFunction:
             self._check_invariance()
 
     def _check_invariance(self):
-        for i in range(self.datum.num_simple):
-            moved = {self.datum.reflect(i, w): c
-                     for w, c in self.weights.terms.items()}
-            if moved != self.weights.terms:
-                raise ValidationError(
-                    f"weight multiset is not invariant under s_{i}")
+        moved = _moving_reflection(self.datum, self.weights.terms)
+        if moved is not None:
+            raise ValidationError(
+                f"weight multiset is not invariant under s_{moved}")
 
     @classmethod
     def constant(cls, datum: BasedRootDatum, c) -> "SymmetricFunction":
@@ -325,25 +332,10 @@ def _freudenthal_multiplicities(datum: BasedRootDatum,
     b = datum.gram_pairing
 
     lam_norm = b(lam, lam)
-    # candidate weights: walk down simple coroots, prune by the norm bound
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        mu = frontier.pop()
-        for av in datum.simple_coroots:
-            nu = tuple(x - y for x, y in zip(mu, av))
-            if nu not in seen and b(nu, nu) <= lam_norm:
-                seen.add(nu)
-                frontier.append(nu)
-
-    def height(mu: Coweight) -> int:
-        # <2rho, lam - mu> drops by a positive even step per coroot
-        return datum.rho_pairing_exponent(tuple(l - m for l, m in zip(lam, mu)))
-
-    dominants = sorted((mu for mu in seen if datum.is_dominant(mu)),
-                       key=height)
+    # every dominant mu <= lam is a weight; the ones above mu come first
+    walk = datum.dominant_walk(lam)
     mult: dict[Coweight, int] = {lam: 1}
-    for mu in dominants:
+    for mu in sorted(walk, key=lambda mu: sum(walk[mu])):
         if mu == lam:
             continue
         numerator = 0
@@ -400,25 +392,25 @@ def decompose(datum: BasedRootDatum,
               f: SymmetricFunction) -> dict[Coweight, LaurentHalf]:
     """Coefficients c_lam with f = sum c_lam chi_lam.
 
-    Repeated highest-weight stripping along dominance order; exact, and
-    guarded against non-termination on corrupted input.
+    A W-invariant f is fixed by its dominant terms, so the highest one
+    lam by <2 rho, .> strips c_lam times the dominant multiplicities of
+    chi_lam.  Each step removes the highest term and adds lower ones.
     """
-    work = f.weights
+    moved = _moving_reflection(datum, f.weights.terms)
+    if moved is not None:
+        raise ConsistencyError(
+            f"cannot decompose: input is not invariant under s_{moved}")
+    work = {w: c for w, c in f.weights.terms.items() if datum.is_dominant(w)}
     out: dict[Coweight, LaurentHalf] = {}
-    chi_cache: dict[Coweight, WeightMultiset] = {}
-    for _ in range(_DECOMPOSE_CAP):
-        if work.is_zero():
-            return out
-        doms = [w for w in work.terms if datum.is_dominant(w)]
-        if not doms:
-            raise ConsistencyError(
-                "no dominant weight in support; input was not W-invariant")
-        lam = max(doms, key=lambda w: (datum.rho_pairing_exponent(w), w))
-        c = work.coeff(lam)
-        if lam not in chi_cache:
-            chi_cache[lam] = weyl_character(datum, lam).weights
-        work = work - chi_cache[lam].scale(c)
-        out[lam] = out.get(lam, LaurentHalf.zero()) + c
-        if not work.coeff(lam).is_zero():
-            raise ConsistencyError("highest-weight stripping failed to cancel")
-    raise ConsistencyError("decomposition did not terminate")
+    while work:
+        lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
+        c = out[lam] = work[lam]
+        mult = ({lam: 1} if datum.is_minuscule(lam)
+                else _freudenthal_multiplicities(datum, lam))
+        for mu, m in mult.items():
+            rest = work.get(mu, LaurentHalf.zero()) - c * m
+            if rest.is_zero():
+                work.pop(mu, None)
+            else:
+                work[mu] = rest
+    return out

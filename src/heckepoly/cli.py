@@ -143,6 +143,10 @@ def _config_from_args(args) -> RunConfig:
         cfg.command = f"verify-{args.check}"
     if cfg.trials < 1:
         raise ValidationError("--trials must be >= 1")
+    if cfg.max_support < 1:
+        raise ValidationError("--max-support must be >= 1")
+    if cfg.max_norm < 0:
+        raise ValidationError("--max-norm must be >= 0")
     return cfg
 
 
@@ -328,6 +332,12 @@ def verify_inertia(cfg: RunConfig):
 
 def verify_satake(cfg: RunConfig):
     datum = cfg.datum()
+    # refuse the triangularity window before any work; the power may be
+    # too long to print
+    if (cfg.max_norm + 1) ** datum.rank > cfg.max_support:
+        raise ResourceLimitError(
+            f"satake window: (max_norm+1)^rank = {cfg.max_norm + 1}"
+            f"^{datum.rank} exceeds max_support={cfg.max_support}")
     algebra = AffineHeckeAlgebra(datum, max_support=cfg.max_support)
     reports = []
     for mu in datum.small_minuscule_dominants():

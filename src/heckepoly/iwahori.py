@@ -82,9 +82,6 @@ class AffineHeckeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support_size(self) -> int:
-        return len(self.terms)
-
     def scale(self, c: LaurentHalf) -> "AffineHeckeElement":
         return AffineHeckeElement({k: v * c for k, v in self.terms.items()},
                                   self.denom)
@@ -531,11 +528,12 @@ class AffineHeckeAlgebra:
     def _ordered_labels(self, lam_list) -> list[Coweight]:
         labels = sorted({tuple(l) for l in lam_list},
                         key=lambda l: (self.datum.rho_pairing_exponent(l), l))
+        label_set = set(labels)
         for lam in labels:
             if not self.datum.is_dominant(lam):
                 raise ValidationError(f"{lam} is not dominant")
             missing = [mu for mu in self.datum.dominants_below(lam)
-                       if mu not in set(labels)]
+                       if mu not in label_set]
             if missing:
                 raise ValidationError(
                     f"list is not downward-closed: missing {missing}")

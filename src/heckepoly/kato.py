@@ -23,9 +23,9 @@ the positive coroots iff all its coordinates are >= 0, and P_t recurses
 on those coordinates.  The orbit of lam + rho^vee is walked along the
 datum's left-multiplication table (w = s_i u with u shorter), tracking
 the coordinates of lam + rho^vee - w(lam + rho^vee) and the pairings
-<alpha_j, w(lam + rho^vee)>, one reflection per element.  The dominant
-mu <= lam are found by steps down by positive coroots between dominant
-coweights (Stembridge 1998, Adv. Math. 136, Cor. 2.7).
+<alpha_j, w(lam + rho^vee)>, one reflection per element.  The positive
+coroots and the dominant mu <= lam, with the coordinates of lam - mu,
+come from the datum (``coroot_steps``, ``dominant_walk``).
 
 This path never builds an affine Hecke algebra element;
 ``AffineHeckeAlgebra.satake_inverse`` computes the same coordinates
@@ -77,39 +77,18 @@ class _Kato:
     def __init__(self, datum: BasedRootDatum, max_support: int):
         self.datum = datum
         self.max_support = max_support
-        r = datum.num_simple
         # w_k = s_i u with u = s_i w_k one step shorter; touching the
         # tables also refuses a Weyl group too large to enumerate
         left = datum.weyl_left
         self._steps = [(left[k][w.word[0]], w.word[0])
                        for k, w in enumerate(datum.weyl_elements) if k]
         self._columns = [tuple(row[i] for row in datum.cartan)
-                         for i in range(r)]
-        self._unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        self._positive = self._positive_coroots()
+                         for i in range(datum.num_simple)]
         # P_t over the simple coroots alone is t^(sum of coordinates), so
         # the recursion runs over the compound ones only
-        self._compound = [c for _, c in self._positive if sum(c) > 1]
+        self._compound = [c for _, c in datum.coroot_steps if sum(c) > 1]
         self._memo: dict[tuple, list[int]] = {}
         self._orbit_size = 0
-
-    def _positive_coroots(self) -> list[tuple[Coweight, Coweight]]:
-        """(pairings with the simple roots, simple-coroot coordinates) of
-        each positive coroot, found by reflecting the simple coroots."""
-        seen = {}
-        frontier = [(self._columns[i], self._unit[i])
-                    for i in range(self.datum.num_simple)]
-        while frontier:
-            p, c = frontier.pop()
-            if c in seen:
-                continue
-            seen[c] = p
-            for j, k in enumerate(p):
-                frontier.append((tuple(x - k * y for x, y in
-                                       zip(p, self._columns[j])),
-                                 tuple(x - k * (i == j)
-                                       for i, x in enumerate(c))))
-        return sorted((p, c) for c, p in seen.items() if min(c) >= 0)
 
     def _guard(self, extra: int):
         size = self._orbit_size + len(self._memo) + extra
@@ -118,15 +97,12 @@ class _Kato:
                 f"{STAGE}: working set {size} exceeds "
                 f"max_support={self.max_support}")
 
-    def _pairings(self, lam: Coweight) -> Coweight:
-        return tuple(self.datum.pairing(a, lam)
-                     for a in self.datum.simple_roots)
-
     def _orbit(self, lam: Coweight) -> list[tuple[Coweight, int]]:
         """(coordinates of x - w x, eps(w)) over W, for x = lam + rho^vee."""
         self._guard(self.datum.weyl_order)
         self._orbit_size = self.datum.weyl_order
-        pairings = [tuple(k + 1 for k in self._pairings(lam))]
+        pairings = [tuple(self.datum.pairing(a, lam) + 1
+                          for a in self.datum.simple_roots)]
         out = [(tuple(0 for _ in pairings[0]), 1)]
         for u, i in self._steps:
             p, (d, sign) = pairings[u], out[u]
@@ -136,27 +112,6 @@ class _Kato:
             out.append((tuple(x + k * (j == i) for j, x in enumerate(d)),
                         -sign))
         return out
-
-    def _dominants_below(self, lam: Coweight) -> dict[Coweight, Coweight]:
-        """Dominant mu <= lam, each mapped to the simple-coroot
-        coordinates of lam - mu."""
-        zero = tuple(0 for _ in self._unit)
-        found = {zero: self._pairings(lam)}
-        frontier = [zero]
-        while frontier:
-            e = frontier.pop()
-            p = found[e]
-            for bp, bc in self._positive:
-                q = tuple(x - y for x, y in zip(p, bp))
-                if min(q, default=0) >= 0:
-                    e2 = tuple(x + y for x, y in zip(e, bc))
-                    if e2 not in found:
-                        found[e2] = q
-                        frontier.append(e2)
-        coroots = self.datum.simple_coroots
-        return {tuple(x - sum(k * av[j] for k, av in zip(e, coroots))
-                      for j, x in enumerate(lam)): e
-                for e in found}
 
     def _partitions(self, c: Coweight, j: int = 0) -> list[int]:
         """P_t(c) over the compound coroots from the j-th on and all the
@@ -179,7 +134,7 @@ class _Kato:
 
     def kostka_foulkes(self, lam: Coweight) -> dict[Coweight, list[int]]:
         """K_{lam mu}(t) for every dominant mu <= lam."""
-        below = self._dominants_below(lam)
+        below = self.datum.dominant_walk(lam)
         top = tuple(max(col) for col in zip(*below.values()))
         points = [(d, s) for d, s in self._orbit(lam)
                   if all(x <= y for x, y in zip(d, top))]

@@ -182,9 +182,6 @@ class LaurentHalf:
         (c,) = self._terms.values()
         return c in (1, -1)
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def monomial_inverse(self) -> "LaurentHalf":
         if not self.is_unit():
             raise ValidationError(f"{self} is not invertible in Z[v,v^-1]")

@@ -19,6 +19,11 @@ and the enumeration refuses groups larger than MAX_WEYL_ORDER before it
 starts.  Lattice matrices are never stored: ``WeylElement.matrix``
 builds one from the word when asked (tests, the Gram form).
 
+The reflection walk that finds the roots also carries the integer
+simple coordinates of each root and coroot.  ``dominant_walk`` steps
+down by positive coroots (``coroot_steps``) between dominant coweights;
+``dominants_below``, Freudenthal's recursion and Kato's formula read it.
+
 Builders cover GL_n (lattice Z^n, roots e_i - e_j), SL_n (lattice =
 coroot lattice, coroots the standard basis), PGL_n (lattice = coweight
 lattice, roots the standard dual basis) and Sp_n for even n (type
@@ -347,22 +352,27 @@ class BasedRootDatum:
     # -- roots ------------------------------------------------------------
 
     @cached_property
-    def _root_table(self) -> dict[Coweight, Coweight]:
-        """All roots (dual side) mapped to their coroots (lattice side)."""
-        table: dict[Coweight, Coweight] = {}
-        frontier = list(zip(self.simple_roots, self.simple_coroots))
+    def _root_table(self) -> dict[Coweight, tuple[Coweight, Coweight, Coweight]]:
+        """Each root (dual side) mapped to its coroot (lattice side) and the
+        simple coordinates of both; s_i changes coordinate i of each."""
+        r = self.num_simple
+        unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        table = {}
+        frontier = list(zip(self.simple_roots, self.simple_coroots, unit, unit))
         while frontier:
-            alpha, alpha_v = frontier.pop()
+            alpha, alpha_v, c, c_v = frontier.pop()
             if alpha in table:
                 continue
-            table[alpha] = alpha_v
-            for i in range(self.num_simple):
+            table[alpha] = (alpha_v, c, c_v)
+            for i in range(r):
                 beta = self.dual_reflect(i, alpha)
                 if beta not in table:
-                    c = _dot(self.simple_roots[i], alpha_v)
-                    av = self.simple_coroots[i]
-                    beta_v = tuple(x - c * y for x, y in zip(alpha_v, av))
-                    frontier.append((beta, beta_v))
+                    k = _dot(alpha, self.simple_coroots[i])
+                    k_v = _dot(self.simple_roots[i], alpha_v)
+                    frontier.append((
+                        beta, self.reflect(i, alpha_v),
+                        tuple(x - k * (j == i) for j, x in enumerate(c)),
+                        tuple(x - k_v * (j == i) for j, x in enumerate(c_v))))
         return table
 
     @cached_property
@@ -370,18 +380,21 @@ class BasedRootDatum:
         return tuple(sorted(self._root_table))
 
     def coroot_of(self, root: Coweight) -> Coweight:
-        return self._root_table[root]
+        return self._root_table[root][0]
 
     @cached_property
-    def _root_expansions(self) -> dict[Coweight, tuple[Fraction, ...]]:
-        cols = list(self.simple_roots)
-        out = {}
-        for alpha in self.roots:
-            coeffs = solve_integer_combination(cols, alpha)
-            if coeffs is None:
-                raise ValidationError("root outside the span of simple roots")
-            out[alpha] = coeffs
-        return out
+    def _root_expansions(self) -> dict[Coweight, Coweight]:
+        """Each root mapped to its integer simple-root coordinates."""
+        return {alpha: self._root_table[alpha][1] for alpha in self.roots}
+
+    @cached_property
+    def coroot_steps(self) -> tuple[tuple[Coweight, Coweight], ...]:
+        """(pairings with the simple roots, simple-coroot coordinates) of
+        each positive coroot, sorted."""
+        return tuple(sorted(
+            (tuple(_dot(a, alpha_v) for a in self.simple_roots), c_v)
+            for alpha_v, _, c_v in self._root_table.values()
+            if min(c_v) >= 0))
 
     @cached_property
     def positive_roots(self) -> tuple[Coweight, ...]:
@@ -405,7 +418,7 @@ class BasedRootDatum:
 
     @cached_property
     def positive_coroots(self) -> tuple[Coweight, ...]:
-        return tuple(sorted(self._root_table[a] for a in self.positive_roots))
+        return tuple(sorted(self.coroot_of(a) for a in self.positive_roots))
 
     @cached_property
     def two_rho_hat(self) -> Coweight:
@@ -499,21 +512,39 @@ class BasedRootDatum:
         """<2 rho, lam>, so q**<rho,lam> = v**<2rho,lam>."""
         return _dot(self.two_rho, lam)
 
-    def dominants_below(self, lam: Coweight) -> tuple[Coweight, ...]:
-        """All dominant mu <= lam, found by walking down simple coroots."""
+    def dominant_walk(self, lam: Coweight) -> dict[Coweight, Coweight]:
+        """Each dominant mu <= lam, mapped to the simple-coroot coordinates
+        of lam - mu.
+
+        Steps down by positive coroots between dominant coweights reach
+        every dominant mu <= lam (Stembridge 1998, Adv. Math. 136,
+        Cor. 2.7); the pairings with the simple roots show which steps
+        stay dominant.
+        """
+        lam = tuple(lam)
         if not self.is_dominant(lam):
             raise ValidationError("dominants_below expects a dominant coweight")
-        seen = {tuple(lam)}
-        frontier = [tuple(lam)]
+        zero = (0,) * self.num_simple
+        found = {zero: tuple(_dot(a, lam) for a in self.simple_roots)}
+        frontier = [zero]
         while frontier:
-            mu = frontier.pop()
-            for av in self.simple_coroots:
-                nu = tuple(x - y for x, y in zip(mu, av))
-                if nu not in seen and self.rho_pairing_exponent(nu) >= 0:
-                    seen.add(nu)
-                    frontier.append(nu)
-        doms = [mu for mu in seen if self.is_dominant(mu) and self.dominance_leq(mu, lam)]
-        return tuple(sorted(doms, reverse=True))
+            e = frontier.pop()
+            p = found[e]
+            for bp, bc in self.coroot_steps:
+                q = tuple(x - y for x, y in zip(p, bp))
+                if min(q, default=0) >= 0:
+                    e2 = tuple(x + y for x, y in zip(e, bc))
+                    if e2 not in found:
+                        found[e2] = q
+                        frontier.append(e2)
+        coroots = self.simple_coroots
+        return {tuple(x - sum(k * av[j] for k, av in zip(e, coroots))
+                      for j, x in enumerate(lam)): e
+                for e in found}
+
+    def dominants_below(self, lam: Coweight) -> tuple[Coweight, ...]:
+        """All dominant mu <= lam, in descending order."""
+        return tuple(sorted(self.dominant_walk(lam), reverse=True))
 
     def small_minuscule_dominants(self) -> tuple[Coweight, ...]:
         """Representative minuscule dominant coweights with small entries.

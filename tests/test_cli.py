@@ -29,6 +29,20 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _run_within(seconds, argv, capsys):
+    """_run under a wall-clock alarm: a hang fails the test instead of
+    stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return _run(argv, capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_datum_gl2(capsys):
     code, out, _ = _run(["datum", "--family", "GL", "--rank", "2"], capsys)
     assert code == 0
@@ -160,6 +174,29 @@ def test_verify_ch_stream(capsys):
         assert obj["passed"] is True
         if i < 100:
             assert obj["trial"] == i and obj["seed"] == 42
+
+
+@pytest.mark.parametrize("flag", ["--max-support=0", "--max-support=-1",
+                                  "--max-norm=-1"])
+def test_out_of_range_bounds_exit_2(flag, capsys):
+    code, out, err = _run(["verify", "satake", "--family", "GL", "--rank",
+                           "2", flag], capsys)
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert flag.split("=")[0] in obj["error"]["message"]
+
+
+def test_satake_window_is_refused_before_enumeration(capsys):
+    # 51^6 candidates: without the guard this runs for minutes
+    code, out, err = _run_within(1.0, ["verify", "satake", "--family", "GL",
+                                       "--rank", "6", "--max-norm", "50"],
+                                 capsys)
+    assert code == 3 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["message"] == (
+        "satake window: (max_norm+1)^rank = 51^6 exceeds max_support=20000")
 
 
 def test_verify_satake(capsys):
@@ -452,13 +489,20 @@ _COMMANDS = [
     ([], []),
     (["verify"], []),
     (["datum"], []),
-    (["poly"], ["--mu", "--twist", "--field", "--trials"]),
-    (["eval"], ["--mu", "--twist", "--field", "--trials", "--entries"]),
-    (["verify", "ch"], ["--mu", "--twist", "--field", "--trials"]),
-    (["verify", "newton"], ["--mu", "--twist", "--field", "--trials"]),
-    (["verify", "modell"], ["--mu", "--twist", "--field", "--trials"]),
-    (["verify", "inertia"], ["--twist", "--field", "--trials", "--d"]),
-    (["verify", "satake"], ["--twist", "--field", "--trials", "--max-norm"]),
+    (["poly"], ["--mu", "--twist", "--field", "--trials", "--basis",
+                 "--max-support"]),
+    (["eval"], ["--mu", "--twist", "--field", "--trials", "--entries",
+                "--max-support"]),
+    (["verify", "ch"], ["--mu", "--twist", "--field", "--trials",
+                        "--max-support"]),
+    (["verify", "newton"], ["--mu", "--twist", "--field", "--trials",
+                            "--max-support"]),
+    (["verify", "modell"], ["--mu", "--twist", "--field", "--trials",
+                            "--max-support"]),
+    (["verify", "inertia"], ["--twist", "--field", "--trials", "--d",
+                             "--max-support"]),
+    (["verify", "satake"], ["--twist", "--field", "--trials", "--max-norm",
+                            "--max-support"]),
 ]
 _VALUES = {
     "--family": _free("GL", "SL", "PGL", "Sp"),
@@ -475,7 +519,9 @@ _VALUES = {
     "--entries": _free("2,7", "2,7,3", "0,1", "[]", "1/2,3"),
     "--trials": _small_int(-1, 2),
     "--d": _small_int(-1, 4),
-    "--max-norm": _small_int(-1, 1),
+    "--max-norm": st.one_of(st.sampled_from([-1, 0, 10 ** 6]),
+                            _small_int(-1, 1)),
+    "--max-support": st.sampled_from([-1, 0, 1, 5]),
     "--basis": _free("satake", "double-coset"),
     "--bogus": st.text(max_size=4),
 }
@@ -495,27 +541,21 @@ def _argv(draw):
     return argv
 
 
-# Wall-clock limit of one fuzzed example: a hang fails the example
-# instead of stalling the suite.  The slowest example takes well under 1 s.
+# Wall-clock limit of one fuzzed example.  The slowest example takes
+# well under 1 s.
 EXAMPLE_SECONDS = 10.0
-
-
-def _example_ran_too_long(signum, frame):
-    raise TimeoutError(f"fuzzed example ran past {EXAMPLE_SECONDS} s")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
 @example(argv=["eval", "--mu=1,0", "--field=formal", "--entries=2,1"])
+@example(argv=["verify", "satake", "--rank=3", "--max-norm=1000000"])
+@example(argv=["verify", "satake", "--max-norm=-1", "--max-support=5"])
+@example(argv=["poly", "--rank=3", "--mu=1,1,0", "--basis=double-coset",
+               "--max-support=5"])
 def test_fuzzed_argv_keeps_the_error_contract(argv, capsys):
-    previous = signal.signal(signal.SIGALRM, _example_ran_too_long)
-    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
-    try:
-        code, _, err = _run(argv, capsys)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    code, _, err = _run_within(EXAMPLE_SECONDS, argv, capsys)
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err
     if code >= 2:

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
+from heckepoly import characters
 from heckepoly.errors import (ConsistencyError, ResourceLimitError,
                               ValidationError)
 from heckepoly.laurent import LaurentHalf, ONE
 from heckepoly.characters import (SymmetricFunction, WeightMultiset,
-                                  _freudenthal_multiplicities,
-                                  orbit_character)
-from heckepoly.root_data import build_standard
+                                  _freudenthal_multiplicities, decompose,
+                                  orbit_character, weyl_character)
+from heckepoly.root_data import BasedRootDatum, build_standard
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
 from heckepoly.kato import _Kato, coset_coordinates
 
@@ -32,6 +33,45 @@ def _window(datum, max_norm):
     return [lam for lam in
             itertools.product(range(max_norm + 1), repeat=datum.rank)
             if datum.is_dominant(lam)]
+
+
+def _dominants_below_by_bfs(datum, lam):
+    """Oracle for the dominant walk: walk down the simple coroots while
+    <2 rho, .> stays nonnegative, then keep the dominant mu <= lam by the
+    rational solve of ``dominance_leq``."""
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        mu = frontier.pop()
+        for av in datum.simple_coroots:
+            nu = tuple(x - y for x, y in zip(mu, av))
+            if nu not in seen and datum.rho_pairing_exponent(nu) >= 0:
+                seen.add(nu)
+                frontier.append(nu)
+    return tuple(sorted((mu for mu in seen if datum.is_dominant(mu)
+                         and datum.dominance_leq(mu, lam)), reverse=True))
+
+
+# SL2 x PGL2: reducible, with one factor of each lattice type
+A1_A1 = BasedRootDatum("A1xA1", 2, [(2, 0), (0, 1)], [(1, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("datum,max_norm", [
+    *((build_standard(f, n), m) for f, n, m in WINDOWS),
+    (build_standard("Sp", 6), 2), (A1_A1, 3)],
+    ids=WINDOW_IDS + ["Sp6", "A1xA1"])
+def test_dominant_walk_matches_the_bfs_oracle(datum, max_norm):
+    for lam in _window(datum, max_norm):
+        walk = datum.dominant_walk(lam)
+        assert datum.dominants_below(lam) == _dominants_below_by_bfs(datum,
+                                                                     lam)
+        for mu, e in walk.items():
+            assert all(k >= 0 for k in e)
+            assert tuple(m + sum(k * av[j] for k, av in
+                                 zip(e, datum.simple_coroots))
+                         for j, m in enumerate(mu)) == lam
+    with pytest.raises(ValidationError):
+        datum.dominant_walk(tuple(-x for x in datum.two_rho_hat))
 
 
 @pytest.mark.parametrize("family,rank,max_norm", WINDOWS, ids=WINDOW_IDS)
@@ -62,7 +102,8 @@ def test_kostka_foulkes_at_one_are_weight_multiplicities(family, rank,
     kato = _Kato(datum, 10 ** 6)
     for lam in _window(datum, max_norm):
         kf = kato.kostka_foulkes(lam)
-        assert sorted(kf) == sorted(datum.dominants_below(lam))
+        assert sorted(kf, reverse=True) == list(
+            _dominants_below_by_bfs(datum, lam))
         mult = _freudenthal_multiplicities(datum, lam)
         assert {mu: sum(k) for mu, k in kf.items() if sum(k)} == mult
         assert kf[lam] == [1]
@@ -114,3 +155,26 @@ def test_guard_counts_orbit_points_and_memo_entries():
         coset_coordinates(GL3, m, max_support=7)
     assert coset_coordinates(GL3, m, max_support=8) == \
         AffineHeckeAlgebra(GL3).satake_inverse(m)
+
+
+@pytest.mark.parametrize("family,rank", [("GL", 3), ("Sp", 4), ("PGL", 3)])
+def test_decompose_and_coordinates_expand_no_orbit(family, rank,
+                                                   monkeypatch):
+    # stripping runs on dominant terms with Freudenthal's dominant
+    # multiplicities, so neither path may ask for a full character or orbit
+    datum = build_standard(family, rank)
+    rng = random.Random(29)
+    coeffs = {lam: LaurentHalf({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])})
+              for lam in _window(datum, 2)
+              if datum.rho_pairing_exponent(lam) <= ENGINE_MAX_EXPONENT}
+    f = SymmetricFunction.constant(datum, 0)
+    for lam, c in coeffs.items():
+        f = f + weyl_character(datum, lam).scale(c)
+    expected = AffineHeckeAlgebra(datum).satake_inverse(f)
+
+    def refuse(*args):
+        raise AssertionError("a full orbit was expanded")
+    monkeypatch.setattr(characters, "weyl_character", refuse)
+    monkeypatch.setattr(BasedRootDatum, "weyl_orbit", refuse)
+    assert decompose(datum, f) == coeffs
+    assert coset_coordinates(datum, f) == expected

@@ -4,7 +4,8 @@ import pytest
 
 from heckepoly.errors import ResourceLimitError, ValidationError
 from heckepoly.root_data import (MAX_WEYL_ORDER, BasedRootDatum,
-                                 build_standard, _mat_mul, _identity)
+                                 build_standard, _mat_mul, _identity,
+                                 solve_integer_combination)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -332,6 +333,26 @@ def test_dominants_below():
     assert GL2.dominants_below((2, 0)) == ((2, 0), (1, 1))
     assert GL2.dominants_below((1, 0)) == ((1, 0),)
     assert GL3.dominants_below((2, 0, 0)) == ((2, 0, 0), (1, 1, 0))
+
+
+@pytest.mark.parametrize("family,n", [
+    ("GL", 1), ("GL", 2), ("GL", 5), ("SL", 2), ("SL", 5),
+    ("PGL", 2), ("PGL", 5), ("Sp", 2), ("Sp", 4), ("Sp", 8)])
+def test_root_coordinates_match_the_rational_solve(family, n):
+    # the reflection walk's integer coordinates against Gaussian elimination
+    datum = build_standard(family, n)
+    steps = set()
+    for alpha in datum.roots:
+        c = datum._root_expansions[alpha]
+        assert all(isinstance(x, int) for x in c)
+        assert c == solve_integer_combination(list(datum.simple_roots), alpha)
+        alpha_v, _, c_v = datum._root_table[alpha]
+        assert c_v == solve_integer_combination(list(datum.simple_coroots),
+                                                alpha_v)
+        if datum.is_positive_root(alpha):
+            steps.add((tuple(datum.pairing(a, alpha_v)
+                             for a in datum.simple_roots), c_v))
+    assert datum.coroot_steps == tuple(sorted(steps))
 
 
 def test_small_minuscule_dominants():
