@@ -8,22 +8,44 @@ elements.  The FormalTorusDomain makes weight multisets a scalar domain.
 
 The i-th exterior-power character of weights lam_1..lam_d is e_i of
 the e^{lam_j}: ``elementary_symmetric`` in the formal domain, O(d^2).
-Irreducible characters are computed by Freudenthal's multiplicity
-recursion, run over exact integers using the averaged Weyl-invariant
-form on the lattice, over the datum's ``dominant_walk``.  Minuscule
-highest weights short-circuit to the orbit sum (every weight has
-multiplicity one).  ``decompose`` strips highest weights on dominant
-terms alone and expands no orbit.
+
+Weight multiplicities have one source, the ``KostkaFoulkesTable`` of a
+datum: K_{lam mu}(t) by Lusztig's q-analogue of Kostant's multiplicity
+formula (Lusztig 1983, Asterisque 101-102),
+
+    K_{lam mu}(t) = sum over w in W of
+                    eps(w) P_t(w(lam + rho^vee) - (mu + rho^vee)),
+
+where P_t(gamma) sums t^(number of parts) over the ways to write gamma
+as a sum of positive coroots.  K_{lam mu}(1) is the multiplicity of mu
+in chi_lam, so ``weyl_character`` and ``decompose`` read it, and Kato's
+formula (``kato``) reads the whole polynomial from the same table.
+
+Every vector in the table is a difference below lam + rho^vee, so it is
+kept in simple-coroot coordinates, which are integral: gamma lies in the
+cone of the positive coroots iff all its coordinates are >= 0, and P_t
+recurses on those coordinates.  The orbit of lam + rho^vee is walked
+along the datum's left-multiplication table (w = s_i u with u shorter),
+tracking the coordinates of lam + rho^vee - w(lam + rho^vee) and the
+pairings <alpha_j, w(lam + rho^vee)>, one reflection per element.  The
+positive coroots and the dominant mu <= lam, with the coordinates of
+lam - mu, come from the datum (``coroot_steps``, ``dominant_walk``).
+The working set (the signed orbit points plus the P_t memo) is bounded
+by ``max_support`` and checked before each expansion.  ``decompose``
+strips highest weights on dominant terms alone and expands no orbit.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE, ScalarDomain, elementary_symmetric
 from .root_data import BasedRootDatum, Coweight
+
+# Default bound on the working set of a guarded stage: the Kostka-Foulkes
+# table here, the T-basis engine in iwahori.
+DEFAULT_MAX_SUPPORT = 20_000
 
 
 class WeightMultiset:
@@ -318,66 +340,21 @@ def ext_power_character(datum: BasedRootDatum, weights: tuple[Coweight, ...],
     return SymmetricFunction(datum, e[i])
 
 
-def _freudenthal_multiplicities(datum: BasedRootDatum,
-                                lam: Coweight) -> dict[Coweight, int]:
-    """Dominant weight multiplicities of the irreducible with h.w. lam.
-
-    Freudenthal's recursion, on the dual side: the roles of roots are
-    played by the coroots of the datum, and the invariant form is the
-    W-averaged Gram form on the lattice.  All arithmetic is integral
-    except one exact division per weight.
-    """
-    pos = datum.positive_coroots
-    two_rho_hat = datum.two_rho_hat
-    b = datum.gram_pairing
-
-    lam_norm = b(lam, lam)
-    # every dominant mu <= lam is a weight; the ones above mu come first
-    walk = datum.dominant_walk(lam)
-    mult: dict[Coweight, int] = {lam: 1}
-    for mu in sorted(walk, key=lambda mu: sum(walk[mu])):
-        if mu == lam:
-            continue
-        numerator = 0
-        for av in pos:
-            av_norm = b(av, av)
-            vertex = Fraction(-b(mu, av), av_norm)
-            k = 1
-            while True:
-                nu = tuple(x + k * y for x, y in zip(mu, av))
-                nu_norm = b(nu, nu)
-                if nu_norm > lam_norm and k > vertex:
-                    break
-                m_nu = mult.get(datum.dominant_representative(nu), 0)
-                if m_nu:
-                    numerator += 2 * m_nu * b(nu, av)
-                k += 1
-        denominator = b(tuple(l - m for l, m in zip(lam, mu)),
-                        tuple(l + m + t for l, m, t in
-                              zip(lam, mu, two_rho_hat)))
-        if denominator <= 0:
-            raise ConsistencyError("Freudenthal denominator must be positive")
-        m_mu = Fraction(numerator, denominator)
-        if m_mu.denominator != 1 or m_mu < 0:
-            raise ConsistencyError(f"non-integral multiplicity at {mu}")
-        if m_mu:
-            mult[mu] = int(m_mu)
-    return mult
-
-
 def weyl_character(datum: BasedRootDatum, lam: Coweight) -> SymmetricFunction:
-    """Character of the irreducible dual-group representation chi_lam."""
+    """Character of the irreducible dual-group representation chi_lam.
+
+    The dominant multiplicities are K_{lam mu}(1) from a
+    ``KostkaFoulkesTable`` at DEFAULT_MAX_SUPPORT, so this may raise
+    ResourceLimitError.
+    """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise ValidationError(f"{lam} is not dominant")
-    if datum.is_minuscule(lam):
-        return orbit_character(datum, lam)
-    mult = _freudenthal_multiplicities(datum, lam)
-    total = WeightMultiset()
-    for mu, m in mult.items():
-        orbit = {w: LaurentHalf.from_int(m) for w in datum.weyl_orbit(mu)}
-        total = total + WeightMultiset(orbit)
-    return SymmetricFunction(datum, total)
+    terms: dict[Coweight, LaurentHalf] = {}
+    for mu, k in KostkaFoulkesTable(datum).kostka_foulkes(lam).items():
+        m = LaurentHalf.from_int(sum(k))
+        terms.update((w, m) for w in datum.weyl_orbit(mu))
+    return SymmetricFunction(datum, WeightMultiset(terms), check=False)
 
 
 def dimension(datum: BasedRootDatum, f: SymmetricFunction) -> LaurentHalf:
@@ -390,27 +367,134 @@ def dimension(datum: BasedRootDatum, f: SymmetricFunction) -> LaurentHalf:
 
 def decompose(datum: BasedRootDatum,
               f: SymmetricFunction) -> dict[Coweight, LaurentHalf]:
-    """Coefficients c_lam with f = sum c_lam chi_lam.
+    """Coefficients c_lam with f = sum c_lam chi_lam, by
+    ``KostkaFoulkesTable.decompose`` at DEFAULT_MAX_SUPPORT, so this may
+    raise ResourceLimitError."""
+    return KostkaFoulkesTable(datum).decompose(f)
 
-    A W-invariant f is fixed by its dominant terms, so the highest one
-    lam by <2 rho, .> strips c_lam times the dominant multiplicities of
-    chi_lam.  Each step removes the highest term and adds lower ones.
-    """
-    moved = _moving_reflection(datum, f.weights.terms)
-    if moved is not None:
-        raise ConsistencyError(
-            f"cannot decompose: input is not invariant under s_{moved}")
-    work = {w: c for w, c in f.weights.terms.items() if datum.is_dominant(w)}
-    out: dict[Coweight, LaurentHalf] = {}
-    while work:
-        lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
-        c = out[lam] = work[lam]
-        mult = ({lam: 1} if datum.is_minuscule(lam)
-                else _freudenthal_multiplicities(datum, lam))
-        for mu, m in mult.items():
-            rest = work.get(mu, LaurentHalf.zero()) - c * m
-            if rest.is_zero():
-                work.pop(mu, None)
-            else:
-                work[mu] = rest
-    return out
+
+def _add_shifted(acc: list[int], poly: list[int], k: int, sign: int = 1):
+    """acc += sign * t^k * poly, in place; polynomials are coefficient
+    lists in increasing degree."""
+    if len(acc) < len(poly) + k:
+        acc.extend([0] * (len(poly) + k - len(acc)))
+    for j, x in enumerate(poly, k):
+        acc[j] += sign * x
+
+
+class KostkaFoulkesTable:
+    """K_{lam mu}(t) of one datum, by Lusztig's q-analogue of Kostant's
+    multiplicity formula, with the Weyl and coroot tables and the memo of
+    the t-partition function P_t."""
+
+    def __init__(self, datum: BasedRootDatum,
+                 max_support: int = DEFAULT_MAX_SUPPORT):
+        self.datum = datum
+        self.max_support = max_support
+        # w_k = s_i u with u = s_i w_k one step shorter; touching the
+        # tables also refuses a Weyl group too large to enumerate
+        left = datum.weyl_left
+        self._steps = [(left[k][w.word[0]], w.word[0])
+                       for k, w in enumerate(datum.weyl_elements) if k]
+        self._columns = [tuple(row[i] for row in datum.cartan)
+                         for i in range(datum.num_simple)]
+        # P_t over the simple coroots alone is t^(sum of coordinates), so
+        # the recursion runs over the compound ones only
+        self._compound = [c for _, c in datum.coroot_steps if sum(c) > 1]
+        self._memo: dict[tuple, list[int]] = {}
+        self._orbit_size = 0
+        # the kept K_{lam .} are outside the guarded working set
+        self._tables: dict[Coweight, dict[Coweight, list[int]]] = {}
+
+    def _guard(self, extra: int):
+        size = self._orbit_size + len(self._memo) + extra
+        if size > self.max_support:
+            # the stage is named for Kato's formula, the table's main reader
+            raise ResourceLimitError(
+                f"Kato coordinates: working set {size} exceeds "
+                f"max_support={self.max_support}")
+
+    def _orbit(self, lam: Coweight) -> list[tuple[Coweight, int]]:
+        """(coordinates of x - w x, eps(w)) over W, for x = lam + rho^vee."""
+        self._guard(self.datum.weyl_order)
+        self._orbit_size = self.datum.weyl_order
+        pairings = [tuple(self.datum.pairing(a, lam) + 1
+                          for a in self.datum.simple_roots)]
+        out = [(tuple(0 for _ in pairings[0]), 1)]
+        for u, i in self._steps:
+            p, (d, sign) = pairings[u], out[u]
+            k = p[i]
+            pairings.append(tuple(x - k * y
+                                  for x, y in zip(p, self._columns[i])))
+            out.append((tuple(x + k * (j == i) for j, x in enumerate(d)),
+                        -sign))
+        return out
+
+    def _partitions(self, c: Coweight, j: int = 0) -> list[int]:
+        """P_t(c) over the compound coroots from the j-th on and all the
+        simple ones; c has no negative coordinate."""
+        if j == len(self._compound):
+            return [0] * sum(c) + [1]
+        key = (c, j)
+        got = self._memo.get(key)
+        if got is None:
+            self._guard(1)
+            beta = self._compound[j]
+            got = []
+            k = 0
+            while min(c) >= 0:
+                _add_shifted(got, self._partitions(c, j + 1), k)
+                c = tuple(x - y for x, y in zip(c, beta))
+                k += 1
+            self._memo[key] = got
+        return got
+
+    def kostka_foulkes(self, lam: Coweight) -> dict[Coweight, list[int]]:
+        """K_{lam mu}(t) for every dominant mu <= lam, computed once per
+        lam and kept."""
+        got = self._tables.get(lam)
+        if got is not None:
+            return got
+        below = self.datum.dominant_walk(lam)
+        top = tuple(max(col) for col in zip(*below.values()))
+        points = [(d, s) for d, s in self._orbit(lam)
+                  if all(x <= y for x, y in zip(d, top))]
+        self._orbit_size = len(points)
+        out = {}
+        for mu, e in below.items():
+            k: list[int] = []
+            for d, sign in points:
+                gamma = tuple(x - y for x, y in zip(e, d))
+                if min(gamma, default=0) >= 0:
+                    _add_shifted(k, self._partitions(gamma), 0, sign)
+            out[mu] = k
+        self._orbit_size = 0
+        self._tables[lam] = out
+        return out
+
+    def decompose(self, f: SymmetricFunction) -> dict[Coweight, LaurentHalf]:
+        """Coefficients c_lam with f = sum c_lam chi_lam.
+
+        A W-invariant f is fixed by its dominant terms, so the highest one
+        lam by <2 rho, .> strips c_lam times the dominant multiplicities
+        K_{lam mu}(1) of chi_lam.  Each step removes the highest term and
+        adds lower ones.
+        """
+        datum = self.datum
+        moved = _moving_reflection(datum, f.weights.terms)
+        if moved is not None:
+            raise ConsistencyError(
+                f"cannot decompose: input is not invariant under s_{moved}")
+        work = {w: c for w, c in f.weights.terms.items()
+                if datum.is_dominant(w)}
+        out: dict[Coweight, LaurentHalf] = {}
+        while work:
+            lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
+            c = out[lam] = work[lam]
+            for mu, k in self.kostka_foulkes(lam).items():
+                rest = work.get(mu, LaurentHalf.zero()) - c * sum(k)
+                if rest.is_zero():
+                    work.pop(mu, None)
+                else:
+                    work[mu] = rest
+        return out

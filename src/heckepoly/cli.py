@@ -30,12 +30,13 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
                       ScalarDomain, elementary_symmetric)
 from .root_data import BasedRootDatum, build_standard
-from .characters import FormalTorusDomain, orbit_character
+from .characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
+                         orbit_character)
 from .satake import SatakeParameter, evaluate, frobenius_matrix
 from .hecke import (cayley_hamilton_check, evaluate_coefficients,
                     excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
-from .iwahori import DEFAULT_MAX_SUPPORT, AffineHeckeAlgebra
+from .iwahori import AffineHeckeAlgebra
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -117,14 +118,14 @@ class RunConfig:
     def domain(self, rank: int) -> ScalarDomain:
         return parse_field(self.field, rank)
 
-    def require_mu(self) -> tuple[int, ...]:
+    def require_mu(self, datum: BasedRootDatum) -> tuple[int, ...]:
+        """--mu, checked against the lattice of the command's datum."""
         if self.mu is None:
             raise ValidationError("--mu is required")
-        lattice_rank = self.datum().rank
-        if len(self.mu) != lattice_rank:
+        if len(self.mu) != datum.rank:
             raise ValidationError(
                 f"--mu has {len(self.mu)} entries, but the lattice of "
-                f"{self.family}{self.rank} has rank {lattice_rank}")
+                f"{self.family}{self.rank} has rank {datum.rank}")
         return self.mu
 
 
@@ -224,7 +225,7 @@ def _render_coset_poly(degree: int, coset_coeffs) -> str:
 
 def cmd_poly(cfg: RunConfig) -> tuple[list[str], int]:
     datum = cfg.datum()
-    mu = cfg.require_mu()
+    mu = cfg.require_mu(datum)
     h = hecke_polynomial(datum, mu, cfg.twist, cfg.e_over_f)
     payload = {"command": "poly", "basis": cfg.basis,
                "polynomial": h.to_json()}
@@ -243,7 +244,7 @@ def cmd_poly(cfg: RunConfig) -> tuple[list[str], int]:
 
 def cmd_eval(cfg: RunConfig) -> tuple[list[str], int]:
     datum = cfg.datum()
-    mu = cfg.require_mu()
+    mu = cfg.require_mu(datum)
     dom = cfg.domain(datum.rank)
     if isinstance(dom, FormalTorusDomain):
         if cfg.entries is not None:
@@ -297,7 +298,7 @@ def _verify_lines(reports) -> tuple[list[str], int]:
 
 def verify_ch(cfg: RunConfig):
     datum = cfg.datum()
-    mu = cfg.require_mu()
+    mu = cfg.require_mu(datum)
     dom = cfg.domain(datum.rank)
     h = hecke_polynomial(datum, mu, cfg.twist, cfg.e_over_f)
     reports = []
@@ -368,7 +369,7 @@ def verify_satake(cfg: RunConfig):
 
 def verify_newton(cfg: RunConfig):
     datum = cfg.datum()
-    mu = cfg.require_mu()
+    mu = cfg.require_mu(datum)
     dom = cfg.domain(datum.rank)
     # e_0..e_d at the generic parameter are the exterior-power characters
     generic = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
@@ -405,7 +406,7 @@ def verify_newton(cfg: RunConfig):
 
 def verify_modell(cfg: RunConfig):
     datum = cfg.datum()
-    mu = cfg.require_mu()
+    mu = cfg.require_mu(datum)
     dom = cfg.domain(datum.rank)
     if not isinstance(dom, PrimeFieldWithV):
         raise ValidationError("verify modell needs a prime-field domain")

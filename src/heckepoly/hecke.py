@@ -173,14 +173,15 @@ def hecke_polynomial(datum: BasedRootDatum, mu: Coweight, twist="paper",
 
     Rejects non-minuscule mu.  The coefficients are those of det(X - M)
     with M the Frobenius matrix at the generic parameter: e_i of the
-    negated diagonal, each checked for Weyl invariance.
+    negated diagonal.  The diagonal is a Weyl orbit, so each e_i is
+    invariant by construction and is not checked again.
     """
     mu = tuple(mu)
     t = resolve_twist(datum, mu, twist, e_over_f)
     m = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
                          twist_exponent=t)
     dom = m.domain
-    coeffs = [SymmetricFunction(datum, c) for c in
+    coeffs = [SymmetricFunction(datum, c, check=False) for c in
               elementary_symmetric(dom, [dom.neg(a) for a in m.diagonal])]
     return HeckePolynomial(
         datum=datum, mu=mu, degree=m.size, coefficients=coeffs,

@@ -58,10 +58,10 @@ from functools import cached_property
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE, Q
-from .characters import SymmetricFunction, WeightMultiset, orbit_character
+from .characters import (DEFAULT_MAX_SUPPORT, SymmetricFunction,
+                         WeightMultiset, orbit_character)
 from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
-DEFAULT_MAX_SUPPORT = 20_000
 PRODUCT = "T-basis product"
 
 AffKey = tuple[Coweight, int]

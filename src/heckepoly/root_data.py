@@ -17,12 +17,14 @@ on first use from orbit points and reduced words.  |W| itself comes from
 the heights of the positive roots, so ``weyl_order`` enumerates nothing,
 and the enumeration refuses groups larger than MAX_WEYL_ORDER before it
 starts.  Lattice matrices are never stored: ``WeylElement.matrix``
-builds one from the word when asked (tests, the Gram form).
+builds one from the word when asked (the length-zero relabeling in
+``iwahori``, tests).
 
 The reflection walk that finds the roots also carries the integer
 simple coordinates of each root and coroot.  ``dominant_walk`` steps
 down by positive coroots (``coroot_steps``) between dominant coweights;
-``dominants_below``, Freudenthal's recursion and Kato's formula read it.
+``dominants_below`` and the Kostka-Foulkes table of ``characters`` read
+it.
 
 Builders cover GL_n (lattice Z^n, roots e_i - e_j), SL_n (lattice =
 coroot lattice, coroots the standard basis), PGL_n (lattice = coweight
@@ -150,8 +152,7 @@ class BasedRootDatum:
     """Lattice Z^rank with simple roots/coroots and their Weyl group."""
 
     def __init__(self, family: str, rank: int,
-                 simple_roots: list[Coweight], simple_coroots: list[Coweight],
-                 validate: bool = True):
+                 simple_roots: list[Coweight], simple_coroots: list[Coweight]):
         self.family = family
         self.rank = int(rank)
         self.simple_roots = tuple(tuple(int(x) for x in a) for a in simple_roots)
@@ -161,8 +162,7 @@ class BasedRootDatum:
         for vec in self.simple_roots + self.simple_coroots:
             if len(vec) != self.rank:
                 raise ValidationError("root/coroot length must equal the rank")
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- setup and validation ------------------------------------------
 
@@ -450,23 +450,6 @@ class BasedRootDatum:
                     seen.add(j)
                     frontier.append(j)
         return len(seen) == r
-
-    @cached_property
-    def gram(self) -> Matrix:
-        """Weyl-invariant positive form on the lattice, averaged over W."""
-        n = self.rank
-        total = [[0] * n for _ in range(n)]
-        for w in self.weyl_elements:
-            m = w.matrix  # built from the word and dropped after use
-            for i in range(n):
-                for j in range(n):
-                    total[i][j] += sum(m[k][i] * m[k][j] for k in range(n))
-        return tuple(tuple(row) for row in total)
-
-    def gram_pairing(self, x: Coweight, y: Coweight) -> int:
-        g = self.gram
-        return sum(x[i] * g[i][j] * y[j]
-                   for i in range(self.rank) for j in range(self.rank))
 
     # -- orbits, dominance, minuscule ----------------------------------
 

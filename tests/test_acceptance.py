@@ -210,9 +210,9 @@ def test_criterion_09_character_sanity():
         two_rho_hat = datum.two_rho_hat
         doubled = tuple(2 * x + r for x, r in zip(lam, two_rho_hat))
         dim = Fraction(1)
-        for av in datum.positive_coroots:
-            dim *= Fraction(datum.gram_pairing(av, doubled),
-                            datum.gram_pairing(av, two_rho_hat))
+        for a in datum.positive_roots:
+            dim *= Fraction(datum.pairing(a, doubled),
+                            datum.pairing(a, two_rho_hat))
         return int(dim)
 
     checked = 0

@@ -67,13 +67,13 @@ def weyl_character_oracle(datum, lam):
 
 
 def weyl_dimension_oracle(datum, lam):
-    """Product formula over positive coroots with the invariant form."""
+    """Product formula over the positive roots."""
     dim = Fraction(1)
     two_rho_hat = datum.two_rho_hat
     doubled = tuple(2 * x + r for x, r in zip(lam, two_rho_hat))
-    for av in datum.positive_coroots:
-        dim *= Fraction(datum.gram_pairing(av, doubled),
-                        datum.gram_pairing(av, two_rho_hat))
+    for a in datum.positive_roots:
+        dim *= Fraction(datum.pairing(a, doubled),
+                        datum.pairing(a, two_rho_hat))
     assert dim.denominator == 1
     return int(dim)
 

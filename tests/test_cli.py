@@ -265,6 +265,19 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 2
 
 
+def test_cli_import_leaves_kato_unloaded():
+    # Kato's formula is imported inside the double-coset branch of poly,
+    # so a fresh import of the CLI does not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, heckepoly.cli; "
+         "print(json.dumps([heckepoly.cli.__file__, sorted(sys.modules)]))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    path, modules = json.loads(proc.stdout)
+    assert path == cli.__file__
+    assert "heckepoly.cli" in modules and "heckepoly.kato" not in modules
+
+
 def test_bad_flags_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "heckepoly", "datum", "--rank", "x"],

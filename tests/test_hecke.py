@@ -5,7 +5,8 @@ import pytest
 
 from heckepoly.errors import ValidationError
 from heckepoly.laurent import LaurentHalf, PrimeFieldWithV, RationalWithV
-from heckepoly.characters import WeightMultiset, minuscule_weights
+from heckepoly.characters import (SymmetricFunction, WeightMultiset,
+                                  minuscule_weights)
 from heckepoly.root_data import build_standard
 from heckepoly.satake import (FormalTorusDomain, FrobeniusMatrix,
                               SatakeParameter, frobenius_matrix, trace_of)
@@ -162,6 +163,21 @@ def test_monic_and_rejects_non_minuscule():
         assert h.coefficients[0].weights == WeightMultiset({zero: 1})
     with pytest.raises(ValidationError):
         hecke_polynomial(GL2, (2, 0))
+
+
+INVARIANCE_GROUPS = {f"{f}{n}": build_standard(f, n) for f, n in
+                     [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("GL", 6),
+                      ("SL", 3), ("PGL", 3), ("PGL", 4), ("Sp", 4)]}
+
+
+@pytest.mark.parametrize("datum", INVARIANCE_GROUPS.values(),
+                         ids=INVARIANCE_GROUPS.keys())
+def test_coefficients_are_weyl_invariant(datum):
+    # hecke_polynomial skips the invariance check: e_i of a Weyl orbit is
+    # invariant by construction; the checking constructor confirms it
+    for mu in datum.small_minuscule_dominants():
+        for c in hecke_polynomial(datum, mu).coefficients:
+            SymmetricFunction(datum, c.weights)
 
 
 def test_constant_term_is_single_determinant_weight():

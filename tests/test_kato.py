@@ -3,6 +3,7 @@ affine T-basis engine and against character theory."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,12 +11,12 @@ from heckepoly import characters
 from heckepoly.errors import (ConsistencyError, ResourceLimitError,
                               ValidationError)
 from heckepoly.laurent import LaurentHalf, ONE
-from heckepoly.characters import (SymmetricFunction, WeightMultiset,
-                                  _freudenthal_multiplicities, decompose,
-                                  orbit_character, weyl_character)
-from heckepoly.root_data import BasedRootDatum, build_standard
+from heckepoly.characters import (KostkaFoulkesTable, SymmetricFunction,
+                                  WeightMultiset, decompose, orbit_character,
+                                  weyl_character)
+from heckepoly.root_data import BasedRootDatum, Coweight, build_standard
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
-from heckepoly.kato import _Kato, coset_coordinates
+from heckepoly.kato import coset_coordinates
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -50,6 +51,80 @@ def _dominants_below_by_bfs(datum, lam):
                 frontier.append(nu)
     return tuple(sorted((mu for mu in seen if datum.is_dominant(mu)
                          and datum.dominance_leq(mu, lam)), reverse=True))
+
+
+def _root_form(datum):
+    """The W-invariant form sum over alpha > 0 of <alpha, x><alpha, y>;
+    it is positive definite on the span of the coroots."""
+    pos = datum.positive_roots
+
+    def b(x, y):
+        return sum(datum.pairing(a, x) * datum.pairing(a, y) for a in pos)
+    return b
+
+
+def _freudenthal_multiplicities(datum: BasedRootDatum,
+                                lam: Coweight) -> dict[Coweight, int]:
+    """Dominant weight multiplicities of the irreducible with h.w. lam.
+
+    Freudenthal's recursion, on the dual side: the roles of roots are
+    played by the coroots of the datum, and the invariant form is
+    ``_root_form``.  All arithmetic is integral except one exact division
+    per weight.
+    """
+    pos = datum.positive_coroots
+    two_rho_hat = datum.two_rho_hat
+    b = _root_form(datum)
+
+    lam_norm = b(lam, lam)
+    # every dominant mu <= lam is a weight; the ones above mu come first
+    walk = datum.dominant_walk(lam)
+    mult: dict[Coweight, int] = {lam: 1}
+    for mu in sorted(walk, key=lambda mu: sum(walk[mu])):
+        if mu == lam:
+            continue
+        numerator = 0
+        for av in pos:
+            av_norm = b(av, av)
+            vertex = Fraction(-b(mu, av), av_norm)
+            k = 1
+            while True:
+                nu = tuple(x + k * y for x, y in zip(mu, av))
+                nu_norm = b(nu, nu)
+                if nu_norm > lam_norm and k > vertex:
+                    break
+                m_nu = mult.get(datum.dominant_representative(nu), 0)
+                if m_nu:
+                    numerator += 2 * m_nu * b(nu, av)
+                k += 1
+        denominator = b(tuple(l - m for l, m in zip(lam, mu)),
+                        tuple(l + m + t for l, m, t in
+                              zip(lam, mu, two_rho_hat)))
+        if denominator <= 0:
+            raise ConsistencyError("Freudenthal denominator must be positive")
+        m_mu = Fraction(numerator, denominator)
+        if m_mu.denominator != 1 or m_mu < 0:
+            raise ConsistencyError(f"non-integral multiplicity at {mu}")
+        if m_mu:
+            mult[mu] = int(m_mu)
+    return mult
+
+
+def _decompose_by_freudenthal(datum, f):
+    """Oracle for ``decompose``: strip the highest dominant term by
+    Freudenthal's multiplicities."""
+    work = {w: c for w, c in f.weights.terms.items() if datum.is_dominant(w)}
+    out = {}
+    while work:
+        lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
+        c = out[lam] = work[lam]
+        for mu, m in _freudenthal_multiplicities(datum, lam).items():
+            rest = work.get(mu, LaurentHalf.zero()) - c * m
+            if rest.is_zero():
+                work.pop(mu, None)
+            else:
+                work[mu] = rest
+    return out
 
 
 # SL2 x PGL2: reducible, with one factor of each lattice type
@@ -99,9 +174,9 @@ def test_kostka_foulkes_at_one_are_weight_multiplicities(family, rank,
     # K_{lam mu}(1) is the multiplicity of mu in chi_lam, and the walk
     # between dominant coweights finds every dominant mu <= lam
     datum = build_standard(family, rank)
-    kato = _Kato(datum, 10 ** 6)
+    table = KostkaFoulkesTable(datum, 10 ** 6)
     for lam in _window(datum, max_norm):
-        kf = kato.kostka_foulkes(lam)
+        kf = table.kostka_foulkes(lam)
         assert sorted(kf, reverse=True) == list(
             _dominants_below_by_bfs(datum, lam))
         mult = _freudenthal_multiplicities(datum, lam)
@@ -112,10 +187,10 @@ def test_kostka_foulkes_at_one_are_weight_multiplicities(family, rank,
 def test_kostka_foulkes_gl3_examples():
     # K_{(2,1,0),(1,1,1)} = t + t^2, K_{(3,0,0),(1,1,1)} = t^3,
     # K_{(2,0,0),(1,1,0)} = t (Macdonald, III.6)
-    kato = _Kato(GL3, 10 ** 6)
-    assert kato.kostka_foulkes((2, 1, 0))[(1, 1, 1)] == [0, 1, 1]
-    assert kato.kostka_foulkes((3, 0, 0))[(1, 1, 1)] == [0, 0, 0, 1]
-    assert kato.kostka_foulkes((2, 0, 0))[(1, 1, 0)] == [0, 1]
+    table = KostkaFoulkesTable(GL3, 10 ** 6)
+    assert table.kostka_foulkes((2, 1, 0))[(1, 1, 1)] == [0, 1, 1]
+    assert table.kostka_foulkes((3, 0, 0))[(1, 1, 1)] == [0, 0, 0, 1]
+    assert table.kostka_foulkes((2, 0, 0))[(1, 1, 0)] == [0, 1]
 
 
 def test_coset_coordinates_gl2_examples():
@@ -160,8 +235,8 @@ def test_guard_counts_orbit_points_and_memo_entries():
 @pytest.mark.parametrize("family,rank", [("GL", 3), ("Sp", 4), ("PGL", 3)])
 def test_decompose_and_coordinates_expand_no_orbit(family, rank,
                                                    monkeypatch):
-    # stripping runs on dominant terms with Freudenthal's dominant
-    # multiplicities, so neither path may ask for a full character or orbit
+    # stripping runs on dominant terms with the dominant multiplicities
+    # K_{lam mu}(1), so neither path may ask for a full character or orbit
     datum = build_standard(family, rank)
     rng = random.Random(29)
     coeffs = {lam: LaurentHalf({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])})
@@ -178,3 +253,33 @@ def test_decompose_and_coordinates_expand_no_orbit(family, rank,
     monkeypatch.setattr(BasedRootDatum, "weyl_orbit", refuse)
     assert decompose(datum, f) == coeffs
     assert coset_coordinates(datum, f) == expected
+
+
+@pytest.mark.parametrize("family,rank", [("GL", 4), ("Sp", 4)])
+def test_one_table_walks_one_orbit_per_character(family, rank, monkeypatch):
+    # decompose strips with K_{lam mu}(1), as Freudenthal's strip does, and
+    # coset_coordinates reads each K_{lam .} it already computed for the
+    # split, so it walks the orbit of lam + rho^vee once per lam, in order
+    datum = build_standard(family, rank)
+    window = [orbit_character(datum, lam) for lam in _window(datum, 2)]
+    rng = random.Random(41)
+    combinations = []
+    for _ in range(3):
+        f = SymmetricFunction.constant(datum, rng.randint(-2, 2))
+        for m in rng.sample(window, 4):
+            f = f + m.scale(LaurentHalf({rng.randint(-2, 2):
+                                         rng.choice([-2, -1, 1, 2])}))
+        combinations.append(f)
+    walked = []
+    orbit = KostkaFoulkesTable._orbit
+
+    def counted(self, lam):
+        walked.append(lam)
+        return orbit(self, lam)
+    monkeypatch.setattr(KostkaFoulkesTable, "_orbit", counted)
+    for f in window + combinations:
+        split = decompose(datum, f)
+        assert split == _decompose_by_freudenthal(datum, f)
+        walked.clear()
+        coset_coordinates(datum, f)
+        assert walked == list(split)

@@ -165,17 +165,6 @@ def test_sp4_structure():
     assert SP4.is_minuscule((1, 0)) is False
 
 
-def test_gram_is_weyl_invariant():
-    for datum in ALL:
-        for w in datum.weyl_elements:
-            for i in range(datum.rank):
-                x = tuple(1 if k == i else 0 for k in range(datum.rank))
-                for j in range(datum.rank):
-                    y = tuple(1 if k == j else 0 for k in range(datum.rank))
-                    assert datum.gram_pairing(x, y) == datum.gram_pairing(
-                        datum.act(w, x), datum.act(w, y))
-
-
 # -- index tables (oracle: lattice matrices) -----------------------------------
 
 # G2 on its coroot lattice: coroots are the standard basis, roots the
