@@ -315,6 +315,11 @@ def verify_ch(cfg: RunConfig):
 
 def verify_inertia(cfg: RunConfig):
     d = cfg.d
+    # refuse the d x d matrices before any is built; d < 1 is left to the
+    # check, which rejects it
+    if d > 0 and d * d > cfg.max_support:
+        raise ResourceLimitError(f"inertia matrix: d^2 = {d * d} exceeds "
+                                 f"max_support={cfg.max_support}")
     reports = []
     for k in range(cfg.trials):
         rng = _trial_rng(cfg.seed, k)

@@ -38,7 +38,6 @@ zero matrix, never "small".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Any
 
@@ -348,13 +347,13 @@ def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
     (M - I)^d, so pass means M is unipotent of the right depth.  The
     left side sums the explicit powers M^i and the right side is a
     square-and-multiply power, so the identity compares two independent
-    computations; (M - I)^d is (-1)^d (I - M)^d.
+    computations; (M - I)^d is (-1)^d (I - M)^d.  With no domain the
+    check runs over the rationals, where an integer matrix stays on ints.
     """
     if d < 1:
         raise ValidationError("d must be >= 1")
     if domain is None:
         domain = RationalWithV(1)
-        m = [[Fraction(x) for x in row] for row in m]
     matrix = [list(row) for row in m]
     if len(matrix) != d or any(len(row) != d for row in matrix):
         raise ValidationError(f"matrix must be {d}x{d}")

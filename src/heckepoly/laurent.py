@@ -10,14 +10,18 @@ point anywhere in this package.
 
 Scalar domains fix a numeric meaning for v:
 
-* ``RationalWithV``   -- v maps to a nonzero rational, values are Fractions;
+* ``RationalWithV``   -- v maps to a nonzero rational, values are ints
+  or Fractions (an integral value is an int, so integer input stays on
+  Python ints);
 * ``PrimeFieldWithV`` -- v maps to a chosen square root of q modulo a
   prime ell, values are residues in range(ell).
 
 The generic (symbolic) torus domain lives in ``heckepoly.characters``
 because its scalars are lattice group-algebra elements rather than
 plain numbers.  ``elementary_symmetric`` is the one e_k recurrence of
-the package; it runs in any domain.
+the package; it runs in any domain.  ``ScalarDomain.monomial`` is the
+one product-of-powers kernel, prod s_j^{w_j}: evaluation, Frobenius
+matrices and power sums all go through it.
 
 The canonical string form of a LaurentHalf is ``"c*v^e"`` terms joined
 by ``"+"``, exponents ascending, e.g. ``"-1*v^-2+3*v^0+1*v^2"``; the
@@ -310,6 +314,14 @@ class ScalarDomain:
                 a = self.mul(a, a)
         return result
 
+    def monomial(self, entries, w):
+        """prod_j entries[j]**w[j]: one(), then one mul per nonzero w[j]."""
+        result = self.one()
+        for a, k in zip(entries, w):
+            if k:
+                result = self.mul(result, self.pow(a, k))
+        return result
+
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -382,7 +394,8 @@ class RationalWithV(ScalarDomain):
             raise ValidationError("v must be nonzero")
         self.v_value = v_value
 
-    def reduce(self, x: LaurentHalf) -> Fraction:
+    def reduce(self, x: LaurentHalf) -> int | Fraction:
+        """x at v = v_value; an int when the value is integral."""
         if x.terms:
             v = self.v_value
             bits = max(map(abs, x.terms)) * max(v.numerator.bit_length(),
@@ -391,7 +404,11 @@ class RationalWithV(ScalarDomain):
                 raise ResourceLimitError(
                     f"rational evaluation: a power of v needs up to {bits} "
                     f"bits, beyond max_bits={MAX_POWER_BITS}")
-        return x.eval_fraction(self.v_value)
+        value = x.eval_fraction(self.v_value)
+        return value.numerator if value.denominator == 1 else value
+
+    def from_int(self, n: int) -> int:
+        return n
 
     def add(self, a, b):
         return a + b
@@ -410,7 +427,7 @@ class RationalWithV(ScalarDomain):
     def pow(self, a, k: int):
         if a == 0 and k < 0:
             raise ValidationError("division by zero")
-        return Fraction(a) ** k
+        return a ** k if k >= 0 else Fraction(a) ** k
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -467,6 +484,9 @@ class PrimeFieldWithV(ScalarDomain):
     def reduce(self, x: LaurentHalf) -> int:
         return x.eval_mod(self.v_image, self.ell)
 
+    def from_int(self, n: int) -> int:
+        return n % self.ell
+
     def add(self, a, b):
         return (a + b) % self.ell
 
@@ -485,6 +505,18 @@ class PrimeFieldWithV(ScalarDomain):
         if a % self.ell == 0 and k < 0:
             raise ValidationError("division by zero")
         return pow(a, k, self.ell)
+
+    def monomial(self, entries, w):
+        """prod_j entries[j]**w[j] in one int loop of modular powers."""
+        ell = self.ell
+        result = 1
+        try:
+            for a, k in zip(entries, w):
+                if k:
+                    result = result * pow(a, k, ell) % ell
+        except ValueError:  # pow of a non-unit to a negative exponent
+            raise ValidationError("division by zero") from None
+        return result
 
     def is_zero(self, a) -> bool:
         return a % self.ell == 0

@@ -27,7 +27,6 @@ The two conventions disagree in general; both are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
@@ -83,10 +82,7 @@ class SatakeParameter:
         """s^lam = prod s_j^{lam_j}."""
         if len(lam) != self.rank:
             raise ValidationError("coweight length does not match parameter rank")
-        dom = self.domain
-        factors = [dom.pow(self.entries[j], lam[j])
-                   for j in range(self.rank) if lam[j]]
-        return reduce(dom.mul, factors, dom.one())
+        return self.domain.monomial(self.entries, lam)
 
     def permuted(self, perm: tuple[int, ...]) -> "SatakeParameter":
         return SatakeParameter(self.domain,

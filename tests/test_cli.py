@@ -199,6 +199,18 @@ def test_satake_window_is_refused_before_enumeration(capsys):
         "satake window: (max_norm+1)^rank = 51^6 exceeds max_support=20000")
 
 
+@pytest.mark.parametrize("d", [400, 1000000])
+def test_inertia_matrix_is_refused_before_it_is_built(d, capsys):
+    # d = 10^6 would ask for 10^12 entries
+    code, out, err = _run_within(1.0, ["verify", "inertia", "--d", str(d),
+                                       "--trials", "1"], capsys)
+    assert code == 3 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["message"] == (
+        f"inertia matrix: d^2 = {d * d} exceeds max_support=20000")
+
+
 def test_verify_satake(capsys):
     code, out, _ = _run(["verify", "satake", "--family", "GL", "--rank", "2",
                          "--max-norm", "2"], capsys)
@@ -426,6 +438,20 @@ PINNED_STDOUT = [
     (["poly", "--family", "GL", "--rank", "5", "--mu", "1,1,0,0,0",
       "--twist", "classical", "--basis", "double-coset"],
      "5da1ea5e4d308e13f7dd68112942162b7ca0c03f3dee78dff8a2bb1ccbddac49"),
+    (["verify", "inertia", "--d", "8", "--trials", "5", "--seed", "5"],
+     "d6b4e3af5f484f697cf04854222b57532d9ee00edc90a4e1bef5267fb961f3d8"),
+    (["verify", "ch", "--family", "GL", "--rank", "5", "--mu", "1,1,0,0,0",
+      "--field", "ell=1000003,v=5", "--trials", "3"],
+     "5d1fb620a979b4d7dff408d45aa9b8a5a0279d330f5392038b58b7ff6fc3bf19"),
+    (["verify", "modell", "--family", "PGL", "--rank", "4", "--mu", "0,1,0",
+      "--field", "ell=7,v=3"],
+     "cab7021d2724feac8afb96758a8587d26df5226075371ed343d385b95300ed6e"),
+    (["eval", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
+      "--field", "rat:v=2/3", "--entries", "2,3,5,7"],
+     "1fa4fdd24061ecca5f88684b5127c131d90953482ed38ea0e91beba976e278dc"),
+    (["verify", "ch", "--family", "GL", "--rank", "3", "--mu", "1,0,0",
+      "--field", "rat:v=3/2"],
+     "62a81d69ccbcd188dac44c14a9e0ec192430d4a8ca170997d21a638b43accd11"),
 ]
 
 
@@ -435,7 +461,9 @@ PINNED_STDOUT = [
                               "eval-formal-GL4-1100", "newton-formal-GL4-1100",
                               "coset-GL4-1100", "coset-PGL4-010",
                               "coset-GL5-10000", "satake-GL3", "satake-PGL3",
-                              "coset-GL5-11000"])
+                              "coset-GL5-11000", "inertia-d8",
+                              "ch-GL5-11000-F1000003", "modell-PGL4-010-F7",
+                              "eval-rat-GL4-1100", "ch-rat-GL3-100"])
 def test_stdout_bytes_pinned(argv, digest, capsys):
     code, out, _ = _run(argv, capsys)
     assert code == 0
@@ -531,7 +559,7 @@ _VALUES = {
                      "ell=3317044064679887385961981,v=2"),
     "--entries": _free("2,7", "2,7,3", "0,1", "[]", "1/2,3"),
     "--trials": _small_int(-1, 2),
-    "--d": _small_int(-1, 4),
+    "--d": st.one_of(st.sampled_from([400, 10 ** 6]), _small_int(-1, 4)),
     "--max-norm": st.one_of(st.sampled_from([-1, 0, 10 ** 6]),
                             _small_int(-1, 1)),
     "--max-support": st.sampled_from([-1, 0, 1, 5]),
@@ -567,6 +595,7 @@ EXAMPLE_SECONDS = 10.0
 @example(argv=["verify", "satake", "--max-norm=-1", "--max-support=5"])
 @example(argv=["poly", "--rank=3", "--mu=1,1,0", "--basis=double-coset",
                "--max-support=5"])
+@example(argv=["verify", "inertia", "--d=1000000", "--trials=1"])
 def test_fuzzed_argv_keeps_the_error_contract(argv, capsys):
     code, _, err = _run_within(EXAMPLE_SECONDS, argv, capsys)
     assert code in (0, 1, 2, 3, 4)

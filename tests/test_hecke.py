@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -409,6 +410,23 @@ def test_inertia_unipotent_residual_is_m_minus_i_power():
         rep = inertia_relation_check(d, m, dom, require_nilpotent=True)
         assert not rep.passed
         assert rep.residual == [[str(x) for x in row] for row in expected]
+
+
+def test_inertia_check_on_ints_matches_the_check_on_fractions():
+    # integer input stays on ints, and the report is the same bytes
+    rng = random.Random(67)
+    for d in (1, 3, 6):
+        m = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        as_fractions = [[Fraction(x) for x in row] for row in m]
+        for nilpotent in (False, True):
+            reports = [json.dumps(inertia_relation_check(
+                d, matrix, require_nilpotent=nilpotent).to_json(),
+                sort_keys=True) for matrix in (m, as_fractions)]
+            assert reports[0] == reports[1]
+        dom = RationalWithV(1)
+        power = mat_pow(dom, m, d)
+        assert all(type(x) is int for row in power for x in row)
+        assert power == mat_pow(dom, as_fractions, d)
 
 
 def test_inertia_binomial_identity_random_matrices():

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import isqrt
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from heckepoly.errors import ValidationError
 from heckepoly.laurent import (PRIME_TEST_BOUND, LaurentHalf, PrimeFieldWithV,
-                               RationalWithV, is_prime, validate_sqrt)
+                               RationalWithV, ScalarDomain, is_prime,
+                               validate_sqrt)
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-50, 50),
                            max_size=6).map(LaurentHalf)
@@ -120,6 +122,51 @@ def test_rational_domain():
     assert dom.inv(Fraction(3)) == Fraction(1, 3)
     with pytest.raises(ValidationError):
         RationalWithV(0)
+
+
+def test_rational_reduce_is_an_int_when_integral():
+    dom = RationalWithV(Fraction(2, 3))
+    for x, expected in ((LaurentHalf.from_int(5), 5),
+                        (LaurentHalf({2: 9, 0: -1}), 3),
+                        (LaurentHalf.zero(), 0),
+                        (LaurentHalf.v_power(1), Fraction(2, 3)),
+                        (LaurentHalf({2: 1, 0: 1}), Fraction(13, 9))):
+        value = dom.reduce(x)
+        assert value == expected
+        assert type(value) is type(expected)
+    assert type(dom.zero()) is int and type(dom.one()) is int
+    assert dom.scalar_str(3) == dom.scalar_str(Fraction(3)) == "3"
+
+
+def test_prime_field_from_int_is_the_residue():
+    assert F11.zero() == 0 and F11.one() == 1
+    assert [F11.from_int(n) for n in (-12, 11, 23)] == [10, 0, 1]
+
+
+def test_prime_field_monomial_matches_the_default_fold():
+    rng = random.Random(61)
+    for dom in (F11, PrimeFieldWithV(1_000_003, 5)):
+        for rank in range(1, 7):
+            for _ in range(40):
+                entries = [rng.randrange(dom.ell) for _ in range(rank)]
+                w = [rng.randint(-3, 3) for _ in range(rank)]
+                if any(a == 0 and k < 0 for a, k in zip(entries, w)):
+                    with pytest.raises(ValidationError, match="by zero"):
+                        dom.monomial(entries, w)
+                    with pytest.raises(ValidationError, match="by zero"):
+                        ScalarDomain.monomial(dom, entries, w)
+                    continue
+                assert dom.monomial(entries, w) == \
+                    ScalarDomain.monomial(dom, entries, w)
+
+
+def test_monomial_of_a_zero_entry_to_a_negative_power_is_refused():
+    with pytest.raises(ValidationError, match="division by zero"):
+        F11.monomial((3, 0), (1, -1))
+    with pytest.raises(ValidationError, match="division by zero"):
+        F11.monomial((22,), (-2,))
+    assert F11.monomial((3, 0), (1, 0)) == 3
+    assert F11.monomial((3, 0), (0, 2)) == 0
 
 
 def test_scalar_string_roundtrip():

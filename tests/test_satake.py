@@ -178,9 +178,6 @@ def test_evaluate_reduces_each_distinct_coefficient_once():
             CountingRationals.calls += 1
             return super().reduce(x)
 
-        def from_int(self, n):  # zero and one, without a reduce
-            return Fraction(n)
-
     datum = build_standard("GL", 4)
     dom = CountingRationals(Fraction(2, 3))
     s = SatakeParameter.random(dom, 4, random.Random(5))
