@@ -24,15 +24,17 @@ formula (``kato``) reads the whole polynomial from the same table.
 Every vector in the table is a difference below lam + rho^vee, so it is
 kept in simple-coroot coordinates, which are integral: gamma lies in the
 cone of the positive coroots iff all its coordinates are >= 0, and P_t
-recurses on those coordinates.  The orbit of lam + rho^vee is walked
-along the datum's left-multiplication table (w = s_i u with u shorter),
-tracking the coordinates of lam + rho^vee - w(lam + rho^vee) and the
-pairings <alpha_j, w(lam + rho^vee)>, one reflection per element.  The
+recurses on those coordinates.  Only the orbit points with
+lam + rho^vee - w(lam + rho^vee) <= top, the largest coordinates of any
+lam - mu, can contribute; they are walked from w = 1 by reflections
+that raise the length, tracking those coordinates and the pairings
+<alpha_j, w(lam + rho^vee)>, so no Weyl group table is built.  The
 positive coroots and the dominant mu <= lam, with the coordinates of
 lam - mu, come from the datum (``coroot_steps``, ``dominant_walk``).
-The working set (the signed orbit points plus the P_t memo) is bounded
-by ``max_support`` and checked before each expansion.  ``decompose``
-strips highest weights on dominant terms alone and expands no orbit.
+The working set (the signed orbit points kept plus the P_t memo) is
+bounded by ``max_support`` and checked as it grows; the error names the
+stage the caller gave the table.  ``decompose`` strips highest weights
+on dominant terms alone and expands no orbit.
 """
 
 from __future__ import annotations
@@ -351,7 +353,8 @@ def weyl_character(datum: BasedRootDatum, lam: Coweight) -> SymmetricFunction:
     if not datum.is_dominant(lam):
         raise ValidationError(f"{lam} is not dominant")
     terms: dict[Coweight, LaurentHalf] = {}
-    for mu, k in KostkaFoulkesTable(datum).kostka_foulkes(lam).items():
+    table = KostkaFoulkesTable(datum, stage="Weyl character")
+    for mu, k in table.kostka_foulkes(lam).items():
         m = LaurentHalf.from_int(sum(k))
         terms.update((w, m) for w in datum.weyl_orbit(mu))
     return SymmetricFunction(datum, WeightMultiset(terms), check=False)
@@ -370,7 +373,8 @@ def decompose(datum: BasedRootDatum,
     """Coefficients c_lam with f = sum c_lam chi_lam, by
     ``KostkaFoulkesTable.decompose`` at DEFAULT_MAX_SUPPORT, so this may
     raise ResourceLimitError."""
-    return KostkaFoulkesTable(datum).decompose(f)
+    return KostkaFoulkesTable(datum, stage="character decomposition"
+                              ).decompose(f)
 
 
 def _add_shifted(acc: list[int], poly: list[int], k: int, sign: int = 1):
@@ -384,18 +388,16 @@ def _add_shifted(acc: list[int], poly: list[int], k: int, sign: int = 1):
 
 class KostkaFoulkesTable:
     """K_{lam mu}(t) of one datum, by Lusztig's q-analogue of Kostant's
-    multiplicity formula, with the Weyl and coroot tables and the memo of
-    the t-partition function P_t."""
+    multiplicity formula, with the coroot tables and the memo of the
+    t-partition function P_t.  ``stage`` names the caller in the guard's
+    error."""
 
     def __init__(self, datum: BasedRootDatum,
-                 max_support: int = DEFAULT_MAX_SUPPORT):
+                 max_support: int = DEFAULT_MAX_SUPPORT,
+                 stage: str = "Kostka-Foulkes table"):
         self.datum = datum
         self.max_support = max_support
-        # w_k = s_i u with u = s_i w_k one step shorter; touching the
-        # tables also refuses a Weyl group too large to enumerate
-        left = datum.weyl_left
-        self._steps = [(left[k][w.word[0]], w.word[0])
-                       for k, w in enumerate(datum.weyl_elements) if k]
+        self.stage = stage
         self._columns = [tuple(row[i] for row in datum.cartan)
                          for i in range(datum.num_simple)]
         # P_t over the simple coroots alone is t^(sum of coordinates), so
@@ -409,25 +411,38 @@ class KostkaFoulkesTable:
     def _guard(self, extra: int):
         size = self._orbit_size + len(self._memo) + extra
         if size > self.max_support:
-            # the stage is named for Kato's formula, the table's main reader
             raise ResourceLimitError(
-                f"Kato coordinates: working set {size} exceeds "
+                f"{self.stage}: working set {size} exceeds "
                 f"max_support={self.max_support}")
 
-    def _orbit(self, lam: Coweight) -> list[tuple[Coweight, int]]:
-        """(coordinates of x - w x, eps(w)) over W, for x = lam + rho^vee."""
-        self._guard(self.datum.weyl_order)
-        self._orbit_size = self.datum.weyl_order
-        pairings = [tuple(self.datum.pairing(a, lam) + 1
-                          for a in self.datum.simple_roots)]
-        out = [(tuple(0 for _ in pairings[0]), 1)]
-        for u, i in self._steps:
-            p, (d, sign) = pairings[u], out[u]
-            k = p[i]
-            pairings.append(tuple(x - k * y
-                                  for x, y in zip(p, self._columns[i])))
-            out.append((tuple(x + k * (j == i) for j, x in enumerate(d)),
-                        -sign))
+    def _orbit(self, lam: Coweight, top: Coweight
+               ) -> list[tuple[Coweight, int]]:
+        """(coordinates d of x - w x, eps(w)) for x = lam + rho^vee, over
+        the w in W with d <= top.
+
+        Those w form a lower set of the left weak order: s_i w > w exactly
+        when <alpha_i, w x> > 0, and then x - s_i w x = (x - w x) +
+        <alpha_i, w x> alpha_i^vee.  So a walk from w = 1 that reflects
+        only where the pairing is positive, and keeps d <= top, finds them
+        all, one length (one sign) per level.
+        """
+        level = {tuple(0 for _ in top):
+                 tuple(self.datum.pairing(a, lam) + 1
+                       for a in self.datum.simple_roots)}
+        out: list[tuple[Coweight, int]] = []
+        sign = 1
+        while level:
+            out.extend((d, sign) for d in level)
+            self._guard(len(out))
+            nxt: dict[Coweight, tuple[int, ...]] = {}
+            for d, p in level.items():
+                for i, k in enumerate(p):
+                    if k > 0 and d[i] + k <= top[i]:
+                        e = d[:i] + (d[i] + k,) + d[i + 1:]
+                        if e not in nxt:
+                            nxt[e] = tuple(x - k * y for x, y in
+                                           zip(p, self._columns[i]))
+            level, sign = nxt, -sign
         return out
 
     def _partitions(self, c: Coweight, j: int = 0) -> list[int]:
@@ -457,8 +472,7 @@ class KostkaFoulkesTable:
             return got
         below = self.datum.dominant_walk(lam)
         top = tuple(max(col) for col in zip(*below.values()))
-        points = [(d, s) for d, s in self._orbit(lam)
-                  if all(x <= y for x, y in zip(d, top))]
+        points = self._orbit(lam, top)
         self._orbit_size = len(points)
         out = {}
         for mu, e in below.items():

@@ -315,10 +315,14 @@ def verify_ch(cfg: RunConfig):
 
 def verify_inertia(cfg: RunConfig):
     d = cfg.d
-    # refuse the d x d matrices before any is built; d < 1 is left to the
+    # refuse the d x d matrices, and the d^3 work of each of the check's
+    # matrix products, before any matrix is built; d < 1 is left to the
     # check, which rejects it
     if d > 0 and d * d > cfg.max_support:
         raise ResourceLimitError(f"inertia matrix: d^2 = {d * d} exceeds "
+                                 f"max_support={cfg.max_support}")
+    if d > 0 and d ** 3 > cfg.max_support:
+        raise ResourceLimitError(f"inertia work: d^3 = {d ** 3} exceeds "
                                  f"max_support={cfg.max_support}")
     reports = []
     for k in range(cfg.trials):

@@ -20,7 +20,15 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   |<alpha, lam>| when w^{-1} alpha > 0 and |<alpha, lam> - 1| when
   w^{-1} alpha < 0;
 * quadratic relation: T_s^2 = (q - 1) T_s + q with q = v^2, hence
-  T_s^{-1} = q^{-1} T_s - (1 - q^{-1});
+  T_s^{-1} = q^{-1} T_s - (1 - q^{-1}); on one basis element that is
+  T_s^{-1} T_z = T_{sz} when sz < z, and
+  q^{-1} T_{sz} + (q^{-1} - 1) T_z when sz > z, one pass either way;
+* coefficients: inside the engine a T-basis coefficient in Z[v, v^-1]
+  is a plain {exponent: int} dict, accumulated in place, so multiplying
+  by q or q^{-1} is an exponent shift.  LaurentHalf appears only where
+  the public types are built: the AffineHeckeElement returned by
+  multiply, theta, translation_inverse and central_element, and the
+  SphericalCosetVector returned by satake_inverse;
 * products in the T basis: T_x T_y = T_{xy} when lengths add, and the
   quadratic relation resolves the other case generator by generator
   along a reduced word (affine simple reflections plus the
@@ -57,7 +65,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .laurent import LaurentHalf, ONE, Q
+from .laurent import LaurentHalf, ONE
 from .characters import (DEFAULT_MAX_SUPPORT, SymmetricFunction,
                          WeightMultiset, orbit_character)
 from .root_data import BasedRootDatum, Coweight, solve_integer_combination
@@ -286,41 +294,46 @@ class AffineHeckeAlgebra:
                 f"max_support={self.max_support}")
 
     @staticmethod
-    def _acc(out: dict, key: AffKey, c: LaurentHalf):
-        prev = out.get(key)
-        c = c if prev is None else prev + c
-        if c.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c
+    def _acc(out: dict, key, c: dict[int, int], shift: int = 0,
+             sign: int = 1):
+        """out[key] += sign * v^shift * c on {exponent: int} coefficients,
+        in place; zero coefficients and emptied keys are dropped.  Every
+        value of out is a dict made here, so no caller's dict changes."""
+        cur = out.get(key)
+        if cur is None:
+            out[key] = {e + shift: sign * x for e, x in c.items()}
+            return
+        for e, x in c.items():
+            e += shift
+            x = cur.get(e, 0) + sign * x
+            if x:
+                cur[e] = x
+            else:
+                del cur[e]
+        if not cur:
+            del out[key]
 
-    def _left_mul_gen(self, idx: int, terms: dict,
-                      stage: str = PRODUCT) -> dict:
-        q_minus_1 = Q - ONE
+    def _left_mul_gen(self, idx: int, terms: dict, stage: str = PRODUCT,
+                      inverse: bool = False) -> dict:
+        """T_s E, or T_s^{-1} E if inverse, in one pass over E's terms:
+        T_s T_z = T_{sz} if sz > z, else (q - 1) T_z + q T_{sz};
+        T_s^{-1} T_z = T_{sz} if sz < z, else q^{-1} T_{sz} + (q^{-1} - 1) T_z.
+        """
+        acc, length = self._acc, self.length
+        shift = -2 if inverse else 2
         mu, alpha, alpha_v, row = self._gen_actions[idx]
-        out: dict[AffKey, LaurentHalf] = {}
+        out: dict[AffKey, dict[int, int]] = {}
         for z, c in terms.items():
             lam, w = z
             k = sum(a * x for a, x in zip(alpha, lam))
             sz = (tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v)),
                   row[w])
-            if self.length(sz) > self.length(z):
-                self._acc(out, sz, c)
+            if (length(sz) > length(z)) != inverse:
+                acc(out, sz, c)
             else:
-                self._acc(out, z, c * q_minus_1)
-                self._acc(out, sz, c * Q)
-        self._guard(out, stage)
-        return out
-
-    def _left_mul_gen_inv(self, idx: int, terms: dict, stage: str) -> dict:
-        # T_s^{-1} E = q^{-1} (T_s E) - (1 - q^{-1}) E
-        q_inv = LaurentHalf.v_power(-2)
-        correction = q_inv - ONE
-        out: dict[AffKey, LaurentHalf] = {}
-        for z, c in self._left_mul_gen(idx, terms, stage).items():
-            self._acc(out, z, c * q_inv)
-        for z, c in terms.items():
-            self._acc(out, z, c * correction)
+                acc(out, sz, c, shift)
+                acc(out, z, c, shift)
+                acc(out, z, c, 0, -1)
         self._guard(out, stage)
         return out
 
@@ -337,6 +350,15 @@ class AffineHeckeAlgebra:
                           for a, m_row in zip(mu, m)), row[w]): c
                    for (lam, w), c in cur.items()}
         return cur
+
+    @staticmethod
+    def _element(terms: dict, shift: int = 0,
+                 denom: LaurentHalf = ONE) -> AffineHeckeElement:
+        """The public element v^shift * sum c_x T_x / denom of
+        {exponent: int} coefficients c_x."""
+        return AffineHeckeElement(
+            {x: LaurentHalf({e + shift: n for e, n in c.items()})
+             for x, c in terms.items()}, denom)
 
     def _finite_left(self, w: int) -> tuple:
         """Left multiplication by the finite Weyl element w, memoized: its
@@ -363,25 +385,31 @@ class AffineHeckeAlgebra:
 
     def multiply(self, a: AffineHeckeElement,
                  b: AffineHeckeElement) -> AffineHeckeElement:
-        out: dict[AffKey, LaurentHalf] = {}
+        b_terms = {z: c.terms for z, c in b.terms.items()}
+        out: dict[AffKey, dict[int, int]] = {}
         for x, cx in a.terms.items():
-            for z, c in self._left_mul_basis(x, b.terms).items():
-                self._acc(out, z, cx * c)
+            for z, c in self._left_mul_basis(x, b_terms).items():
+                for e, n in cx.terms.items():
+                    self._acc(out, z, c, e, n)
             self._guard(out, PRODUCT)
-        return AffineHeckeElement(out, a.denom * b.denom)
+        return self._element(out, denom=a.denom * b.denom)
 
     # -- Bernstein elements ------------------------------------------------
+
+    def _inverse_terms(self, lam: Coweight) -> dict:
+        """T_{t_lam}^{-1} for dominant lam, along a reduced word."""
+        pi, word = self.reduced_word(self.translation_key(lam))
+        cur = {self.inv_aff(pi): {0: 1}}
+        for idx in word:
+            cur = self._left_mul_gen(idx, cur, "theta", inverse=True)
+        return cur
 
     def translation_inverse(self, lam: Coweight) -> AffineHeckeElement:
         """T_{t_lam}^{-1} for dominant lam, expanded along a reduced word."""
         lam = tuple(lam)
         if not self.datum.is_dominant(lam):
             raise ValidationError("translation_inverse expects a dominant coweight")
-        pi, word = self.reduced_word(self.translation_key(lam))
-        cur = {self.inv_aff(pi): ONE}
-        for idx in word:
-            cur = self._left_mul_gen_inv(idx, cur, "theta")
-        return AffineHeckeElement(cur)
+        return self._element(self._inverse_terms(lam))
 
     @cached_property
     def _dominant_lifters(self) -> list[Coweight]:
@@ -433,31 +461,31 @@ class AffineHeckeAlgebra:
         """Bernstein element theta_lam; theta_lam theta_nu = theta_{lam+nu}."""
         lam = tuple(lam)
         cached = self._theta_memo.get(lam)
-        if cached is not None:
-            return cached
-        lam1, lam2 = self._dominant_decomposition(lam)
-        e1 = self.length(self.translation_key(lam1))
-        e2 = self.length(self.translation_key(lam2))
-        if lam2 == self._zero_vec:
-            elt = self.t_basis(self.translation_key(lam1))
-        else:
-            inv = self.translation_inverse(lam2)
-            elt = AffineHeckeElement(self._left_mul_basis(
-                self.translation_key(lam1), inv.terms, "theta"))
-        result = elt.scale(LaurentHalf.v_power(e2 - e1))
-        self._theta_memo[lam] = result
-        return result
+        if cached is None:
+            lam1, lam2 = self._dominant_decomposition(lam)
+            e1 = self.length(self.translation_key(lam1))
+            e2 = self.length(self.translation_key(lam2))
+            if lam2 == self._zero_vec:
+                terms = {self.translation_key(lam1): {0: 1}}
+            else:
+                terms = self._left_mul_basis(
+                    self.translation_key(lam1), self._inverse_terms(lam2),
+                    "theta")
+            cached = self._theta_memo[lam] = self._element(terms, e2 - e1)
+        # a fresh terms dict, so no caller's edit reaches the memo
+        return AffineHeckeElement(dict(cached.terms))
 
     def central_element(self, f: SymmetricFunction) -> AffineHeckeElement:
         """z_f = f(theta); commutes with every T_s and theta_nu."""
         if not isinstance(f, SymmetricFunction):
             raise ValidationError("central_element needs a W-invariant function")
-        total: dict[AffKey, LaurentHalf] = {}
+        total: dict[AffKey, dict[int, int]] = {}
         for w, c in f.weights.terms.items():
             for key, coeff in self.theta(w).terms.items():
-                self._acc(total, key, c * coeff)
+                for e, n in c.terms.items():
+                    self._acc(total, key, coeff.terms, e, n)
             self._guard(total, "central element")
-        return AffineHeckeElement(total)
+        return self._element(total)
 
     # -- spherical side ------------------------------------------------------
 
@@ -507,22 +535,22 @@ class AffineHeckeAlgebra:
         z = self.central_element(f)
         if z.denom != ONE:
             raise ConsistencyError("central element has a denominator")
-        coeffs: dict[Coweight, LaurentHalf] = {}
+        coeffs: dict[Coweight, dict[int, int]] = {}
         coset_min: dict[Coweight, int] = {}
         for x, c in z.terms.items():
             lam = x[0]
             low = coset_min.get(lam)
             if low is None:
                 low = coset_min[lam] = self._min_coset_length(x)
-            self._acc(coeffs, lam, c.shift(2 * (self.length(x) - low)))
+            self._acc(coeffs, lam, c.terms, 2 * (self.length(x) - low))
         coords: dict[Coweight, LaurentHalf] = {}
         for dom in {self.datum.dominant_representative(lam) for lam in coeffs}:
-            values = {coeffs.get(lam, LaurentHalf.zero())
-                      for lam in self.datum.weyl_orbit(dom)}
-            if len(values) != 1:
+            value = coeffs.get(dom, {})
+            if any(coeffs.get(lam, {}) != value
+                   for lam in self.datum.weyl_orbit(dom)):
                 raise ConsistencyError(
                     f"coset W t_{dom} W has non-constant coefficients")
-            coords[dom] = values.pop()
+            coords[dom] = LaurentHalf(value)
         return SphericalCosetVector(coords)
 
     def _ordered_labels(self, lam_list) -> list[Coweight]:

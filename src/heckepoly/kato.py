@@ -34,7 +34,7 @@ def coset_coordinates(datum: BasedRootDatum, f: SymmetricFunction,
     ``AffineHeckeAlgebra(datum).satake_inverse(f)``."""
     if not isinstance(f, SymmetricFunction):
         raise ValidationError("coset_coordinates needs a W-invariant function")
-    table = KostkaFoulkesTable(datum, max_support)
+    table = KostkaFoulkesTable(datum, max_support, "Kato coordinates")
     coords: dict[Coweight, LaurentHalf] = {}
     for lam, a in table.decompose(f).items():
         for mu, k in table.kostka_foulkes(lam).items():

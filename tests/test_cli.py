@@ -16,6 +16,7 @@ from heckepoly.characters import SymmetricFunction, WeightMultiset
 from heckepoly.cli import main
 from heckepoly.errors import ConsistencyError
 from heckepoly.iwahori import AffineHeckeAlgebra
+from heckepoly.root_data import BasedRootDatum
 
 
 def _schema(name):
@@ -98,7 +99,7 @@ def test_poly_non_minuscule_exits_2(capsys):
 def test_poly_resource_guard_exits_3(capsys):
     code, _, err = _run(["poly", "--family", "GL", "--rank", "3",
                          "--mu", "1,0,0", "--basis", "double-coset",
-                         "--max-support", "2"], capsys)
+                         "--max-support", "1"], capsys)
     assert code == 3
     jsonschema.validate(json.loads(err), _schema("error"))
 
@@ -106,13 +107,13 @@ def test_poly_resource_guard_exits_3(capsys):
 def test_resource_guard_names_its_stage(capsys):
     code, out, err = _run(["poly", "--family", "GL", "--rank", "3",
                            "--mu", "1,1,0", "--twist", "classical",
-                           "--basis", "double-coset", "--max-support", "5"],
+                           "--basis", "double-coset", "--max-support", "1"],
                           capsys)
     assert code == 3 and out == ""
     obj = json.loads(err)
     jsonschema.validate(obj, _schema("error"))
     message = obj["error"]["message"]
-    assert "max_support=5" in message
+    assert "max_support=1" in message
     assert message.split(":")[0] in ("theta", "central element",
                                      "T-basis product", "Kato coordinates")
 
@@ -211,6 +212,17 @@ def test_inertia_matrix_is_refused_before_it_is_built(d, capsys):
         f"inertia matrix: d^2 = {d * d} exceeds max_support=20000")
 
 
+def test_inertia_work_is_refused_before_a_matrix_is_built(capsys):
+    # d = 141 passes the d^2 bound, but the check is O(d^4) per matrix
+    code, out, err = _run_within(1.0, ["verify", "inertia", "--d", "141",
+                                       "--trials", "1"], capsys)
+    assert code == 3 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["message"] == (
+        "inertia work: d^3 = 2803221 exceeds max_support=20000")
+
+
 def test_verify_satake(capsys):
     code, out, _ = _run(["verify", "satake", "--family", "GL", "--rank", "2",
                          "--max-norm", "2"], capsys)
@@ -288,6 +300,25 @@ def test_cli_import_leaves_kato_unloaded():
     path, modules = json.loads(proc.stdout)
     assert path == cli.__file__
     assert "heckepoly.cli" in modules and "heckepoly.kato" not in modules
+
+
+def test_cli_import_path_is_exactly_the_library_core():
+    # every start compiles and runs this path, so a module added to it
+    # shows in the start-up time of each command
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys; before = set(sys.modules)\n"
+         "import heckepoly.cli\n"
+         "print(json.dumps(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    outside_stdlib = {m for m in loaded
+                      if m.partition(".")[0] not in sys.stdlib_module_names}
+    assert "__future__" in loaded
+    assert outside_stdlib == {"heckepoly"} | {
+        f"heckepoly.{m}" for m in ("errors", "laurent", "root_data",
+                                   "characters", "satake", "hecke",
+                                   "iwahori", "cli")}
 
 
 def test_bad_flags_exit_2():
@@ -384,18 +415,22 @@ def test_datum_gl9_reports_weyl_order_without_enumerating(capsys):
     assert json.loads(out)["weyl_order"] == 362880
 
 
-def test_double_coset_gl9_refused_before_enumeration(capsys):
-    start = time.perf_counter()
-    code, out, err = _run(["poly", "--family", "GL", "--rank", "9",
-                           "--mu", "1,0,0,0,0,0,0,0,0", "--twist", "classical",
-                           "--basis", "double-coset"], capsys)
-    assert time.perf_counter() - start < 1.0
-    assert code == 3 and out == ""
-    obj = json.loads(err)
-    jsonschema.validate(obj, _schema("error"))
-    assert obj["error"]["kind"] == "resource"
-    assert "Weyl group enumeration" in obj["error"]["message"]
-    assert "100000" in obj["error"]["message"]
+def test_double_coset_gl9_answers_without_enumeration(capsys, monkeypatch):
+    # |W| = 362880 is past the enumeration bound, but Kato's formula walks
+    # only the orbit points below each lam: one point for a minuscule lam
+    monkeypatch.setattr(BasedRootDatum, "weyl_elements",
+                        property(lambda self: pytest.fail("W enumerated")))
+    code, out, _ = _run_within(1.0, ["poly", "--family", "GL", "--rank", "9",
+                                     "--mu", "1,0,0,0,0,0,0,0,0",
+                                     "--twist", "classical",
+                                     "--basis", "double-coset"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    jsonschema.validate(obj, _schema("poly"))
+    # coefficient i is (-1)^i q^{i(i-1)/2} 1_{K (1^i,0^(9-i)) K}
+    assert obj["coset_coefficients"] == [
+        [{"lambda": [1] * i + [0] * (9 - i),
+          "coeff": f"{(-1) ** i}*v^{i * (i - 1)}"}] for i in range(10)]
 
 
 # -- byte-identity pins: stdout digests recorded before each refactor ---------
@@ -452,6 +487,10 @@ PINNED_STDOUT = [
     (["verify", "ch", "--family", "GL", "--rank", "3", "--mu", "1,0,0",
       "--field", "rat:v=3/2"],
      "62a81d69ccbcd188dac44c14a9e0ec192430d4a8ca170997d21a638b43accd11"),
+    (["verify", "satake", "--family", "GL", "--rank", "4", "--max-norm", "2"],
+     "cdb2bdf6ca57c60bf85a4abd052484eb9974e05be9ea303edbfd70fd29a3cbd0"),
+    (["verify", "satake", "--family", "Sp", "--rank", "4", "--max-norm", "3"],
+     "a8c32b83677d2d3b013b18e3dc2457224c45aa870084b63ecd4b9f33f5eb7bde"),
 ]
 
 
@@ -463,7 +502,8 @@ PINNED_STDOUT = [
                               "coset-GL5-10000", "satake-GL3", "satake-PGL3",
                               "coset-GL5-11000", "inertia-d8",
                               "ch-GL5-11000-F1000003", "modell-PGL4-010-F7",
-                              "eval-rat-GL4-1100", "ch-rat-GL3-100"])
+                              "eval-rat-GL4-1100", "ch-rat-GL3-100",
+                              "satake-GL4", "satake-Sp4-norm3"])
 def test_stdout_bytes_pinned(argv, digest, capsys):
     code, out, _ = _run(argv, capsys)
     assert code == 0

@@ -141,6 +141,16 @@ def test_theta_additivity():
                 == algebra.theta(total)
 
 
+def test_repeated_results_do_not_share_terms():
+    # theta is memoized: editing one result must not reach the next call
+    for make, lam in ((H3.theta, (0, 1, 2)), (H3.theta, (2, 1, 0)),
+                      (H3.translation_inverse, (2, 1, 0))):
+        first = make(lam)
+        expected = dict(first.terms)
+        first.terms.clear()
+        assert make(lam).terms == expected, (make, lam)
+
+
 def test_theta_inverse():
     lam = (1, 0)
     assert H2.multiply(H2.theta(lam), H2.theta((-1, 0))) == H2.unit()
@@ -443,10 +453,11 @@ def test_left_generator_action_matches_group_law(algebra):
         for idx in algebra.generator_indices:
             sz = algebra.mul_aff(algebra.generator(idx), z)
             if algebra.length(sz) > algebra.length(z):
-                expected = {sz: ONE}
+                expected = {sz: ONE.terms}
             else:
-                expected = {z: Q - ONE, sz: Q}
-            assert algebra._left_mul_gen(idx, {z: ONE}) == expected, (idx, z)
+                expected = {z: (Q - ONE).terms, sz: Q.terms}
+            assert algebra._left_mul_gen(idx, {z: ONE.terms}) == expected, \
+                (idx, z)
 
 
 @pytest.mark.parametrize("algebra", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
@@ -463,10 +474,46 @@ def test_reduced_word_and_length_zero_relabel(algebra):
         assert prod == x
         # T_x = T_pi T_{s_1} ... T_{s_m}: T_pi relabels by the group law
         z = _sample_keys(algebra, rng, 1)[0]
-        cur = {z: ONE}
+        cur = {z: ONE.terms}
         for idx in reversed(word):
             cur = algebra._left_mul_gen(idx, cur)
         expected = {algebra.mul_aff(pi, key): c for key, c in cur.items()}
-        assert algebra._left_mul_basis(x, {z: ONE}) == expected
+        assert algebra._left_mul_basis(x, {z: ONE.terms}) == expected
     if algebra.datum.family != "Sp":  # Sp's coweights are all in Q^vee
         assert relabels > 0
+
+
+@pytest.mark.parametrize("algebra", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_inverse_generator_action_matches_the_quadratic_relation(algebra):
+    # oracle, in LaurentHalf arithmetic on the group law:
+    # T_s^{-1} E = q^{-1} T_s E - (1 - q^{-1}) E
+    rng = random.Random(83)
+    q_inv = V(-2)
+    for _ in range(12):
+        keys = _sample_keys(algebra, rng, 3)
+        # a repeated key, and sz of a sampled z, exercise accumulation
+        keys.append(algebra.mul_aff(algebra.generator(0), keys[0]))
+        elt = {z: LaurentHalf({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])})
+               for z in keys}
+        for idx in algebra.generator_indices:
+            expected = {}
+            for z, c in elt.items():
+                sz = algebra.mul_aff(algebra.generator(idx), z)
+                if algebra.length(sz) > algebra.length(z):
+                    ts = {sz: c}
+                else:
+                    ts = {z: c * (Q - ONE), sz: c * Q}
+                for key, d in ts.items():
+                    expected[key] = expected.get(key, LaurentHalf.zero()) \
+                        + q_inv * d
+                expected[z] = expected.get(z, LaurentHalf.zero()) \
+                    - (ONE - q_inv) * c
+            raw = {z: c.terms for z, c in elt.items()}
+            inv = algebra._left_mul_gen(idx, raw, inverse=True)
+            assert {z: LaurentHalf(c) for z, c in inv.items()} == \
+                {z: c for z, c in expected.items() if c}, idx
+            # no stored zero, and T_s T_s^{-1} E = E
+            assert all(inv.values()) and all(0 not in c.values()
+                                              for c in inv.values())
+            assert algebra._left_mul_gen(idx, inv) == raw, idx
+            assert raw == {z: c.terms for z, c in elt.items()}

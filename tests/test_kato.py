@@ -15,6 +15,7 @@ from heckepoly.characters import (KostkaFoulkesTable, SymmetricFunction,
                                   WeightMultiset, decompose, orbit_character,
                                   weyl_character)
 from heckepoly.root_data import BasedRootDatum, Coweight, build_standard
+from heckepoly.hecke import hecke_polynomial
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
 from heckepoly.kato import coset_coordinates
 
@@ -215,21 +216,90 @@ def test_non_invariant_input_is_a_consistency_error():
 
 
 def test_guard_counts_orbit_points_and_memo_entries():
+    # chi_(1,0,0) keeps one orbit point (nothing lies below it) and then
+    # needs one memo entry of P_t
     f = orbit_character(GL3, (1, 0, 0))
     with pytest.raises(ResourceLimitError,
-                       match=r"^Kato coordinates: working set 6 exceeds "
-                             r"max_support=5$"):
-        coset_coordinates(GL3, f, max_support=5)
-    assert coset_coordinates(GL3, f, max_support=6) == \
+                       match=r"^Kato coordinates: working set 2 exceeds "
+                             r"max_support=1$"):
+        coset_coordinates(GL3, f, max_support=1)
+    assert coset_coordinates(GL3, f, max_support=2) == \
         SphericalCosetVector({(1, 0, 0): LaurentHalf.v_power(-2)})
-    # m_(2,1,0) = chi_(2,1,0) - 2 chi_(1,1,1): the first character leaves
-    # two memo entries of P_t, so the second orbit (6 points) makes 8
+    # (3,0,0) keeps 2 of its 6 orbit points, and the walk's own guard
+    # counts those before any memo entry exists
+    with pytest.raises(ResourceLimitError,
+                       match=r"^Kato coordinates: working set 2 exceeds "
+                             r"max_support=1$"):
+        coset_coordinates(GL3, orbit_character(GL3, (3, 0, 0)),
+                          max_support=1)
+    # m_(2,1,0) = chi_(2,1,0) - 2 chi_(1,1,1): the first character keeps
+    # one point and leaves two memo entries of P_t
     m = orbit_character(GL3, (2, 1, 0))
     with pytest.raises(ResourceLimitError,
-                       match=r"working set 8 exceeds max_support=7$"):
-        coset_coordinates(GL3, m, max_support=7)
-    assert coset_coordinates(GL3, m, max_support=8) == \
+                       match=r"working set 3 exceeds max_support=2$"):
+        coset_coordinates(GL3, m, max_support=2)
+    assert coset_coordinates(GL3, m, max_support=3) == \
         AffineHeckeAlgebra(GL3).satake_inverse(m)
+
+
+def _orbit_by_weyl_table(datum, lam, top):
+    """Oracle for the pruned walk: every w in W along the left table
+    (w = s_i u with u shorter), keeping the points x - w x <= top."""
+    left = datum.weyl_left
+    columns = [tuple(row[i] for row in datum.cartan)
+               for i in range(datum.num_simple)]
+    pairings = [tuple(datum.pairing(a, lam) + 1 for a in datum.simple_roots)]
+    points = [(tuple(0 for _ in pairings[0]), 1)]
+    for k, w in enumerate(datum.weyl_elements[1:], 1):
+        i = w.word[0]
+        u = left[k][i]
+        p, (d, sign) = pairings[u], points[u]
+        pairings.append(tuple(x - p[i] * y for x, y in zip(p, columns[i])))
+        points.append((tuple(x + p[i] * (j == i) for j, x in enumerate(d)),
+                       -sign))
+    return sorted((d, e) for d, e in points
+                  if all(x <= y for x, y in zip(d, top)))
+
+
+@pytest.mark.parametrize("family,rank,mu", [
+    ("GL", 5, (1, 1, 0, 0, 0)), ("GL", 6, (1, 1, 1, 0, 0, 0)),
+    ("PGL", 4, (0, 1, 0)), ("Sp", 4, None)],
+    ids=["GL5-k2", "GL6-k3", "PGL4", "Sp4-norm2"])
+def test_pruned_walk_keeps_the_orbit_points_below_top(family, rank, mu):
+    # the lam are those of the polynomial's coefficients, or Sp4's window
+    datum = build_standard(family, rank)
+    if mu is None:
+        lambdas = _window(datum, 2)
+    else:
+        h = hecke_polynomial(datum, mu, "classical")
+        lambdas = sorted({w for c in h.coefficients
+                          for w in c.weights.terms if datum.is_dominant(w)})
+    table = KostkaFoulkesTable(datum, 10 ** 6)
+    for lam in lambdas:
+        below = datum.dominant_walk(lam)
+        top = tuple(max(col) for col in zip(*below.values()))
+        assert sorted(table._orbit(lam, top)) == \
+            _orbit_by_weyl_table(datum, lam, top), lam
+
+
+def test_weyl_character_walks_no_weyl_group(monkeypatch):
+    # GL8 has |W| = 40320, above the default bound, but chi_(1,0,...,0)
+    # keeps one orbit point
+    gl8 = build_standard("GL", 8)
+    monkeypatch.setattr(BasedRootDatum, "weyl_elements",
+                        property(lambda self: pytest.fail("W enumerated")))
+    lam = (1,) + (0,) * 7
+    chi = weyl_character(gl8, lam)
+    assert chi == orbit_character(gl8, lam)
+    assert len(chi.weights.terms) == 8
+    # at a tiny bound the refusal names weyl_character's own stage
+    monkeypatch.setattr(characters, "KostkaFoulkesTable",
+                        lambda datum, stage: KostkaFoulkesTable(datum, 1,
+                                                                stage))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^Weyl character: working set 2 exceeds "
+                             r"max_support=1$"):
+        weyl_character(gl8, lam)
 
 
 @pytest.mark.parametrize("family,rank", [("GL", 3), ("Sp", 4), ("PGL", 3)])
@@ -273,9 +343,9 @@ def test_one_table_walks_one_orbit_per_character(family, rank, monkeypatch):
     walked = []
     orbit = KostkaFoulkesTable._orbit
 
-    def counted(self, lam):
+    def counted(self, lam, top):
         walked.append(lam)
-        return orbit(self, lam)
+        return orbit(self, lam, top)
     monkeypatch.setattr(KostkaFoulkesTable, "_orbit", counted)
     for f in window + combinations:
         split = decompose(datum, f)
