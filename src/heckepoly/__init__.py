@@ -14,31 +14,27 @@ from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain,
                       validate_sqrt)
 from .root_data import BasedRootDatum, Coweight, WeylElement, build_standard
 from .characters import (SymmetricFunction, WeightMultiset, decompose,
-                         dimension, ext_power_character, minuscule_weights,
-                         orbit_character, weyl_character)
+                         minuscule_weights, orbit_character, weyl_character)
 from .satake import (FormalTorusDomain, FrobeniusMatrix, SatakeParameter,
-                     evaluate, frobenius_matrix, resolve_twist, trace_of)
-from .hecke import (ExcursionValue, HeckePolynomial, RelationReport,
-                    cayley_hamilton_check, evaluate_coefficients,
-                    excursion_values, hecke_polynomial,
+                     evaluate, frobenius_matrix, resolve_twist)
+from .hecke import (HeckePolynomial, RelationReport, cayley_hamilton_check,
+                    evaluate_coefficients, excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
 from .iwahori import (AffineHeckeAlgebra, AffineHeckeElement,
                       SphericalCosetVector)
 
 __all__ = [
     "AffineHeckeAlgebra", "AffineHeckeElement", "BasedRootDatum",
-    "ConsistencyError", "Coweight", "ExcursionValue", "FormalTorusDomain",
+    "ConsistencyError", "Coweight", "FormalTorusDomain",
     "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
     "PrimeFieldWithV", "RationalWithV", "RelationReport", "ResourceLimitError",
     "SatakeParameter", "ScalarDomain", "SphericalCosetVector",
     "SymmetricFunction", "ValidationError",
     "WeightMultiset", "WeylElement", "build_standard",
-    "cayley_hamilton_check", "decompose", "dimension",
-    "evaluate", "evaluate_coefficients", "ext_power_character",
+    "cayley_hamilton_check", "decompose", "evaluate", "evaluate_coefficients",
     "excursion_values", "frobenius_matrix", "hecke_polynomial",
     "inertia_relation_check", "minuscule_weights", "orbit_character",
-    "reduce_mod_ell", "resolve_twist", "trace_of", "validate_sqrt",
-    "weyl_character",
+    "reduce_mod_ell", "resolve_twist", "validate_sqrt", "weyl_character",
 ]
 
 __version__ = "0.1.0"

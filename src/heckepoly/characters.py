@@ -7,7 +7,8 @@ WeightMultiset; these are the Satake coordinates of spherical Hecke
 elements.  The FormalTorusDomain makes weight multisets a scalar domain.
 
 The i-th exterior-power character of weights lam_1..lam_d is e_i of
-the e^{lam_j}: ``elementary_symmetric`` in the formal domain, O(d^2).
+the e^{lam_j}: ``elementary_symmetric`` in the formal domain, O(d^2),
+as ``hecke.hecke_polynomial`` computes it on the Frobenius diagonal.
 
 Weight multiplicities have one source, the ``KostkaFoulkesTable`` of a
 datum: K_{lam mu}(t) by Lusztig's q-analogue of Kostant's multiplicity
@@ -42,7 +43,7 @@ from __future__ import annotations
 import json
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .laurent import LaurentHalf, ONE, ScalarDomain, elementary_symmetric
+from .laurent import LaurentHalf, ONE, ScalarDomain
 from .root_data import BasedRootDatum, Coweight
 
 # Default bound on the working set of a guarded stage: the Kostka-Foulkes
@@ -331,17 +332,6 @@ def minuscule_weights(datum: BasedRootDatum, mu: Coweight) -> tuple[Coweight, ..
     return datum.weyl_orbit(mu)
 
 
-def ext_power_character(datum: BasedRootDatum, weights: tuple[Coweight, ...],
-                        i: int) -> SymmetricFunction:
-    """Character of the i-th exterior power: e_i of the e^{lam_j}."""
-    d = len(weights)
-    if not 0 <= i <= d:
-        raise ValidationError(f"exterior power index {i} outside 0..{d}")
-    e = elementary_symmetric(FormalTorusDomain(datum.rank),
-                             [WeightMultiset.monomial(w) for w in weights])
-    return SymmetricFunction(datum, e[i])
-
-
 def weyl_character(datum: BasedRootDatum, lam: Coweight) -> SymmetricFunction:
     """Character of the irreducible dual-group representation chi_lam.
 
@@ -358,14 +348,6 @@ def weyl_character(datum: BasedRootDatum, lam: Coweight) -> SymmetricFunction:
         m = LaurentHalf.from_int(sum(k))
         terms.update((w, m) for w in datum.weyl_orbit(mu))
     return SymmetricFunction(datum, WeightMultiset(terms), check=False)
-
-
-def dimension(datum: BasedRootDatum, f: SymmetricFunction) -> LaurentHalf:
-    """Evaluate at the all-ones parameter: sum of all coefficients."""
-    total = LaurentHalf.zero()
-    for c in f.weights.terms.values():
-        total = total + c
-    return total
 
 
 def decompose(datum: BasedRootDatum,

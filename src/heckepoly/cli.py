@@ -24,7 +24,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
@@ -92,63 +91,35 @@ def parse_twist(text: str):
     raise ValidationError(f"bad twist {text!r} (paper|classical|exp=<int>)")
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters; a rejected config never starts a run."""
-
-    command: str
-    family: str = "GL"
-    rank: int = 2
-    mu: tuple[int, ...] | None = None
-    twist: str | int = "paper"
-    e_over_f: int = 1
-    field: str = "formal"
-    basis: str = "satake"
-    trials: int = 10
-    seed: int = 0
-    d: int = 2
-    max_norm: int = 2
-    max_support: int = DEFAULT_MAX_SUPPORT
-    entries: str | None = None
-    out: str | None = None
-
-    def datum(self) -> BasedRootDatum:
-        return build_standard(self.family, self.rank)
-
-    def domain(self, rank: int) -> ScalarDomain:
-        return parse_field(self.field, rank)
-
-    def require_mu(self, datum: BasedRootDatum) -> tuple[int, ...]:
-        """--mu, checked against the lattice of the command's datum."""
-        if self.mu is None:
-            raise ValidationError("--mu is required")
-        if len(self.mu) != datum.rank:
-            raise ValidationError(
-                f"--mu has {len(self.mu)} entries, but the lattice of "
-                f"{self.family}{self.rank} has rank {datum.rank}")
-        return self.mu
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("family", "rank", "twist", "e_over_f", "field", "basis",
-                 "trials", "seed", "d", "max_norm", "max_support",
-                 "entries", "out"):
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, getattr(args, name))
+def _check_options(args: argparse.Namespace) -> argparse.Namespace:
+    """Convert and check the parsed options in place, so a rejected
+    option never starts a run.  A command's parser defines only the
+    options it takes; the checks skip the others."""
     if getattr(args, "mu", None) is not None:
-        cfg.mu = parse_mu(args.mu)
-    if isinstance(cfg.twist, str):
-        cfg.twist = parse_twist(cfg.twist)
-    if getattr(args, "check", None) is not None:
-        cfg.command = f"verify-{args.check}"
-    if cfg.trials < 1:
+        args.mu = parse_mu(args.mu)
+    if hasattr(args, "twist"):
+        args.twist = parse_twist(args.twist)
+    if getattr(args, "trials", 1) < 1:
         raise ValidationError("--trials must be >= 1")
-    if cfg.max_support < 1:
+    if getattr(args, "e_over_f", 1) < 1:
+        raise ValidationError("--e-over-f must be >= 1: [E:F] is a field "
+                              "degree")
+    if getattr(args, "max_support", 1) < 1:
         raise ValidationError("--max-support must be >= 1")
-    if cfg.max_norm < 0:
+    if getattr(args, "max_norm", 0) < 0:
         raise ValidationError("--max-norm must be >= 0")
-    return cfg
+    return args
+
+
+def _require_mu(args, datum: BasedRootDatum) -> tuple[int, ...]:
+    """--mu, checked against the lattice of the command's datum."""
+    if args.mu is None:
+        raise ValidationError("--mu is required")
+    if len(args.mu) != datum.rank:
+        raise ValidationError(
+            f"--mu has {len(args.mu)} entries, but the lattice of "
+            f"{args.family}{args.rank} has rank {datum.rank}")
+    return args.mu
 
 
 def _trial_rng(seed: int, index: int) -> random.Random:
@@ -157,8 +128,8 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_datum(cfg: RunConfig) -> tuple[list[str], int]:
-    datum = cfg.datum()
+def cmd_datum(args) -> tuple[list[str], int]:
+    datum = build_standard(args.family, args.rank)
     payload = {
         "command": "datum",
         "family": datum.family,
@@ -223,46 +194,46 @@ def _render_coset_poly(degree: int, coset_coeffs) -> str:
     return rendered
 
 
-def cmd_poly(cfg: RunConfig) -> tuple[list[str], int]:
-    datum = cfg.datum()
-    mu = cfg.require_mu(datum)
-    h = hecke_polynomial(datum, mu, cfg.twist, cfg.e_over_f)
-    payload = {"command": "poly", "basis": cfg.basis,
+def cmd_poly(args) -> tuple[list[str], int]:
+    datum = build_standard(args.family, args.rank)
+    mu = _require_mu(args, datum)
+    h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
+    payload = {"command": "poly", "basis": args.basis,
                "polynomial": h.to_json()}
-    if cfg.basis == "double-coset":
+    if args.basis == "double-coset":
         # only this path needs Kato's formula; importing it here keeps
         # every other command from loading the module
         from .kato import coset_coordinates
-        coset = [coset_coordinates(datum, c, cfg.max_support)
+        coset = [coset_coordinates(datum, c, args.max_support)
                  for c in h.coefficients]
         payload["coset_coefficients"] = [vec.to_json() for vec in coset]
         payload["rendering"] = _render_coset_poly(h.degree, coset)
-    elif cfg.basis != "satake":
-        raise ValidationError(f"unknown basis {cfg.basis!r}")
+    elif args.basis != "satake":
+        raise ValidationError(f"unknown basis {args.basis!r}")
     return [_dump(payload)], EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig) -> tuple[list[str], int]:
-    datum = cfg.datum()
-    mu = cfg.require_mu(datum)
-    dom = cfg.domain(datum.rank)
+def cmd_eval(args) -> tuple[list[str], int]:
+    datum = build_standard(args.family, args.rank)
+    mu = _require_mu(args, datum)
+    dom = parse_field(args.field, datum.rank)
     if isinstance(dom, FormalTorusDomain):
-        if cfg.entries is not None:
+        if args.entries is not None:
             raise ValidationError("--entries does not apply to --field formal:"
                                   " it evaluates at the generic parameter")
         s = SatakeParameter.generic(datum.rank)
-    elif cfg.entries is not None:
+    elif args.entries is not None:
         try:
-            entries = tuple(dom.parse_scalar(t) for t in cfg.entries.split(","))
+            entries = tuple(dom.parse_scalar(t) for t in args.entries.split(","))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad --entries {cfg.entries!r}") from exc
+            raise ValidationError(f"bad --entries {args.entries!r}") from exc
         s = SatakeParameter(dom, entries)
     else:
-        s = SatakeParameter.random(dom, datum.rank, _trial_rng(cfg.seed, 0))
-    h = hecke_polynomial(datum, mu, cfg.twist, cfg.e_over_f)
+        s = SatakeParameter.random(dom, datum.rank, _trial_rng(args.seed, 0))
+    h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
     values = evaluate_coefficients(h, s)
     m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
-    exc = excursion_values(datum, mu, s, cfg.twist, cfg.e_over_f)
+    exc = excursion_values(datum, mu, s, args.twist, args.e_over_f)
     payload = {
         "command": "eval",
         "group": {"family": datum.family, "rank": datum.rank},
@@ -272,9 +243,8 @@ def cmd_eval(cfg: RunConfig) -> tuple[list[str], int]:
         "parameter": s.to_json()["entries"],
         "coefficient_values": [dom.scalar_str(x) for x in values],
         "frobenius": m.to_json(),
-        "excursion_frobenius": [dom.scalar_str(e.value) for e in exc],
-        "excursion_inertia": [e.value for e in
-                              excursion_values(datum, mu, frobenius=False)],
+        "excursion_frobenius": [dom.scalar_str(e) for e in exc],
+        "excursion_inertia": excursion_values(datum, mu, frobenius=False),
     }
     return [_dump(payload)], EXIT_OK
 
@@ -296,59 +266,59 @@ def _verify_lines(reports) -> tuple[list[str], int]:
     return lines, EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def verify_ch(cfg: RunConfig):
-    datum = cfg.datum()
-    mu = cfg.require_mu(datum)
-    dom = cfg.domain(datum.rank)
-    h = hecke_polynomial(datum, mu, cfg.twist, cfg.e_over_f)
+def verify_ch(args):
+    datum = build_standard(args.family, args.rank)
+    mu = _require_mu(args, datum)
+    dom = parse_field(args.field, datum.rank)
+    h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
     reports = []
-    for k in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, k)
+    for k in range(args.trials):
+        rng = _trial_rng(args.seed, k)
         s = SatakeParameter.random(dom, datum.rank, rng)
         values = evaluate_coefficients(h, s)
         m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
         rep = cayley_hamilton_check(h, m, values, dom, s)
-        rep.extra.update({"trial": k, "seed": cfg.seed})
+        rep.extra.update({"trial": k, "seed": args.seed})
         reports.append(rep)
     return _verify_lines(reports)
 
 
-def verify_inertia(cfg: RunConfig):
-    d = cfg.d
+def verify_inertia(args):
+    d = args.d
     # refuse the d x d matrices, and the d^3 work of each of the check's
     # matrix products, before any matrix is built; d < 1 is left to the
     # check, which rejects it
-    if d > 0 and d * d > cfg.max_support:
+    if d > 0 and d * d > args.max_support:
         raise ResourceLimitError(f"inertia matrix: d^2 = {d * d} exceeds "
-                                 f"max_support={cfg.max_support}")
-    if d > 0 and d ** 3 > cfg.max_support:
+                                 f"max_support={args.max_support}")
+    if d > 0 and d ** 3 > args.max_support:
         raise ResourceLimitError(f"inertia work: d^3 = {d ** 3} exceeds "
-                                 f"max_support={cfg.max_support}")
+                                 f"max_support={args.max_support}")
     reports = []
-    for k in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, k)
+    for k in range(args.trials):
+        rng = _trial_rng(args.seed, k)
         m = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
         rep = inertia_relation_check(d, m)
-        rep.extra.update({"trial": k, "seed": cfg.seed, "matrix": m})
+        rep.extra.update({"trial": k, "seed": args.seed, "matrix": m})
         reports.append(rep)
     jordan = [[1 if i == j or j == i + 1 else 0 for j in range(d)]
               for i in range(d)]
     rep = inertia_relation_check(d, jordan, require_nilpotent=True)
-    rep.extra.update({"trial": cfg.trials, "seed": cfg.seed,
+    rep.extra.update({"trial": args.trials, "seed": args.seed,
                       "matrix": jordan, "mode": "unipotent-jordan"})
     reports.append(rep)
     return _verify_lines(reports)
 
 
-def verify_satake(cfg: RunConfig):
-    datum = cfg.datum()
+def verify_satake(args):
+    datum = build_standard(args.family, args.rank)
     # refuse the triangularity window before any work; the power may be
     # too long to print
-    if (cfg.max_norm + 1) ** datum.rank > cfg.max_support:
+    if (args.max_norm + 1) ** datum.rank > args.max_support:
         raise ResourceLimitError(
-            f"satake window: (max_norm+1)^rank = {cfg.max_norm + 1}"
-            f"^{datum.rank} exceeds max_support={cfg.max_support}")
-    algebra = AffineHeckeAlgebra(datum, max_support=cfg.max_support)
+            f"satake window: (max_norm+1)^rank = {args.max_norm + 1}"
+            f"^{datum.rank} exceeds max_support={args.max_support}")
+    algebra = AffineHeckeAlgebra(datum, max_support=args.max_support)
     reports = []
     for mu in datum.small_minuscule_dominants():
         image = algebra.satake_of_indicator(mu)
@@ -359,7 +329,7 @@ def verify_satake(cfg: RunConfig):
             "passed": image == expected,
             "image": image.to_json(), "expected": expected.to_json()})
     closure = set()
-    for lam in itertools.product(range(cfg.max_norm + 1), repeat=datum.rank):
+    for lam in itertools.product(range(args.max_norm + 1), repeat=datum.rank):
         if datum.is_dominant(lam):
             closure.update(datum.dominants_below(lam))
     labels, b = algebra.satake_transform_matrix(sorted(closure))
@@ -376,18 +346,18 @@ def verify_satake(cfg: RunConfig):
     return _verify_lines(reports)
 
 
-def verify_newton(cfg: RunConfig):
-    datum = cfg.datum()
-    mu = cfg.require_mu(datum)
-    dom = cfg.domain(datum.rank)
+def verify_newton(args):
+    datum = build_standard(args.family, args.rank)
+    mu = _require_mu(args, datum)
+    dom = parse_field(args.field, datum.rank)
     # e_0..e_d at the generic parameter are the exterior-power characters
     generic = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
                                twist_exponent=0)
     weights, d = generic.weights, generic.size
     characters = elementary_symmetric(generic.domain, generic.diagonal)
     reports = []
-    for k in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, k)
+    for k in range(args.trials):
+        rng = _trial_rng(args.seed, k)
         s = SatakeParameter.random(dom, datum.rank, rng)
         e_vals = [evaluate(c, s) for c in characters]
         p_vals = [None]
@@ -407,28 +377,28 @@ def verify_newton(cfg: RunConfig):
                 rhs = dom.add(rhs, term)
             if not dom.eq(lhs, rhs):
                 ok = False
-        reports.append({"check": "newton", "trial": k, "seed": cfg.seed,
+        reports.append({"check": "newton", "trial": k, "seed": args.seed,
                         "passed": ok,
                         "parameter": s.to_json()["entries"]})
     return _verify_lines(reports)
 
 
-def verify_modell(cfg: RunConfig):
-    datum = cfg.datum()
-    mu = cfg.require_mu(datum)
-    dom = cfg.domain(datum.rank)
+def verify_modell(args):
+    datum = build_standard(args.family, args.rank)
+    mu = _require_mu(args, datum)
+    dom = parse_field(args.field, datum.rank)
     if not isinstance(dom, PrimeFieldWithV):
         raise ValidationError("verify modell needs a prime-field domain")
-    h = hecke_polynomial(datum, mu, cfg.twist, cfg.e_over_f)
+    h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
     h_red = reduce_mod_ell(h, dom)
     reports = []
-    for k in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, k)
+    for k in range(args.trials):
+        rng = _trial_rng(args.seed, k)
         s = SatakeParameter.random(dom, datum.rank, rng)
         direct = evaluate_coefficients(h, s)
         reduced = evaluate_coefficients(h_red, s)
         ok = all(dom.eq(a, b) for a, b in zip(direct, reduced))
-        reports.append({"check": "modell", "trial": k, "seed": cfg.seed,
+        reports.append({"check": "modell", "trial": k, "seed": args.seed,
                         "passed": ok,
                         "parameter": s.to_json()["entries"],
                         "values": [dom.scalar_str(x) for x in direct]})
@@ -509,16 +479,15 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
+        args = _check_options(build_parser().parse_args(argv))
         if args.command == "datum":
-            lines, code = cmd_datum(cfg)
+            lines, code = cmd_datum(args)
         elif args.command == "poly":
-            lines, code = cmd_poly(cfg)
+            lines, code = cmd_poly(args)
         elif args.command == "eval":
-            lines, code = cmd_eval(cfg)
+            lines, code = cmd_eval(args)
         else:
-            lines, code = _VERIFY[args.check](cfg)
+            lines, code = _VERIFY[args.check](args)
     except ValidationError as exc:
         return _fail("validation", 2, exc)
     except ResourceLimitError as exc:
@@ -526,9 +495,13 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         return _fail("consistency", 4, exc)
     text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail("validation", 2, ValidationError(
+                f"--out {args.out}: {exc.strerror}"))
     else:
         sys.stdout.write(text)
     return code

@@ -13,23 +13,17 @@ det(X - M) for M at s, which is how every identity here is tested.
 
 The verification operations are exact matrix identities:
 
-* ``cayley_hamilton_check``: the evaluated polynomial annihilates M
-  (the residual matrix must vanish identically) and its coefficients
-  equal those of det(X - M) (``charpoly_match``).  Annihilation alone
-  passes any monic polynomial vanishing on the distinct eigenvalues of
-  M, so both are required.  On a FrobeniusMatrix the check uses the
-  diagonal: the residual is diag(p(a_j)) by Horner, the characteristic
+* ``cayley_hamilton_check``: the evaluated polynomial annihilates the
+  FrobeniusMatrix M (the residual matrix must vanish identically) and
+  its coefficients equal those of det(X - M) (``charpoly_match``).
+  Annihilation alone passes any monic polynomial vanishing on the
+  distinct eigenvalues of M, so both are required.  M is diagonal, so
+  the residual is diag(p(a_j)) by Horner, the characteristic
   polynomial is e_k of the -a_j, as for the polynomial itself, and M
-  is singular iff some a_j is zero.  A plain matrix gets the
-  dense Horner residual and Berkowitz's characteristic polynomial;
+  is singular iff some a_j is zero;
 * ``inertia_relation_check``: the degenerate binomial relation
   sum_i (-1)^i C(d,i) M^i = (I - M)^d, with (M - I)^d = 0 reported for
   unipotent M.
-
-The determinant and characteristic polynomial of a plain matrix come
-from Berkowitz's division-free algorithm (Berkowitz 1984, Inf. Process.
-Lett. 18): O(n^4) ring operations and no inverses, so it works over
-every domain here, the formal one included.
 
 Reports render every scalar exactly; pass means the residual is the
 zero matrix, never "small".
@@ -39,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Any
 
 from .errors import ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
@@ -94,38 +87,6 @@ def mat_pow(dom: ScalarDomain, a, k: int) -> list[list]:
 
 def mat_is_zero(dom: ScalarDomain, a) -> bool:
     return all(dom.is_zero(x) for row in a for x in row)
-
-def mat_charpoly(dom: ScalarDomain, a) -> list:
-    """Coefficients of det(X - A); index i is the coefficient of X^{n-i}.
-
-    Berkowitz's algorithm: with A_k the leading k x k block, written as
-    [[A_{k-1}, C], [R, a_kk]], the coefficient vector of A_k is a
-    lower-triangular Toeplitz matrix with first column
-    (1, -a_kk, -R C, -R A_{k-1} C, ..., -R A_{k-1}^{k-2} C) applied to
-    that of A_{k-1}.  Only ring operations are used.
-    """
-    poly = [dom.one()]
-    for k in range(len(a)):
-        column = [dom.one(), dom.neg(a[k][k])]
-        vec = [a[i][k] for i in range(k)]  # A_{k-1}^j C, j = 0, 1, ...
-        for _ in range(k):
-            column.append(dom.neg(_dot(dom, a[k], vec)))
-            vec = [_dot(dom, a[i], vec) for i in range(k)]
-        poly = [_dot(dom, column[i::-1], poly) for i in range(k + 2)]
-    return poly
-
-def _dot(dom: ScalarDomain, row, vec):
-    """sum_j row[j] * vec[j] over the shorter of the two."""
-    acc = dom.zero()
-    for x, y in zip(row, vec):
-        acc = dom.add(acc, dom.mul(x, y))
-    return acc
-
-def mat_determinant(dom: ScalarDomain, a) -> Any:
-    """det A = (-1)^n times the constant term of det(X - A)."""
-    n = len(a)
-    c = mat_charpoly(dom, a)[n]
-    return dom.neg(c) if n % 2 else c
 
 def mat_strings(dom: ScalarDomain, a) -> list[list[str]]:
     return [[dom.scalar_str(x) for x in row] for row in a]
@@ -194,18 +155,10 @@ def evaluate_coefficients(h: HeckePolynomial, s: SatakeParameter) -> list:
 
 # -- excursion values ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExcursionValue:
-    """Trace of the i-th exterior power at the chosen group element."""
-
-    index: int
-    value: Any
-
-
 def excursion_values(datum: BasedRootDatum, mu: Coweight,
                      s: SatakeParameter | None = None, twist="paper",
                      e_over_f: int = 1,
-                     frobenius: bool = True) -> list[ExcursionValue]:
+                     frobenius: bool = True) -> list:
     """Excursion traces at a Frobenius lift or at an inertia element.
 
     Frobenius mode: value_i = tr(wedge^i M) at the twisted Frobenius
@@ -215,13 +168,12 @@ def excursion_values(datum: BasedRootDatum, mu: Coweight,
     weights = minuscule_weights(datum, mu)
     d = len(weights)
     if not frobenius:
-        return [ExcursionValue(i, comb(d, i)) for i in range(d + 1)]
+        return [comb(d, i) for i in range(d + 1)]
     if s is None:
         raise ValidationError("frobenius mode needs a parameter")
     t = resolve_twist(datum, mu, twist, e_over_f)
     m = frobenius_matrix(datum, mu, s, twist_exponent=t)
-    traces = elementary_symmetric(m.domain, m.diagonal)
-    return [ExcursionValue(i, traces[i]) for i in range(d + 1)]
+    return elementary_symmetric(m.domain, m.diagonal)
 
 
 # -- reports ------------------------------------------------------------------
@@ -262,48 +214,28 @@ class RelationReport:
         return out
 
 
-def cayley_hamilton_check(h: HeckePolynomial, m, coeff_values: list,
-                          domain: ScalarDomain,
+def cayley_hamilton_check(h: HeckePolynomial, m: FrobeniusMatrix,
+                          coeff_values: list, domain: ScalarDomain,
                           parameter: SatakeParameter | None = None) -> RelationReport:
-    """Exact residual of the evaluated polynomial at an invertible matrix.
+    """Exact residual of the evaluated polynomial at a Frobenius matrix.
 
     ``coeff_values[i]`` is the value of the coefficient of X^{d-i}; the
-    residual is sum_i coeff_values[i] * M^{d-i}, computed by Horner.
-    Up to the global sign (-1)^d this is the alternating excursion sum,
-    so "residual zero" is the same relation either way.  The report's
-    ``charpoly_match`` says whether the values are exactly the
-    coefficients of det(X - M); ``passed`` needs both.  Singular M is
-    rejected: the element it models acts invertibly.
+    residual is sum_i coeff_values[i] * M^{d-i}.  Up to the global sign
+    (-1)^d this is the alternating excursion sum, so "residual zero" is
+    the same relation either way.  The report's ``charpoly_match`` says
+    whether the values are exactly the coefficients of det(X - M);
+    ``passed`` needs both.  Singular M is rejected: the element it
+    models acts invertibly.
 
-    A FrobeniusMatrix is never densified: every domain here is an
-    integral domain, so M is singular iff a diagonal entry is zero, and
-    the residual is diag(p(a_j)).
+    M is diagonal and every domain here is an integral domain, so M is
+    singular iff a diagonal entry is zero, the residual is diag(p(a_j))
+    by Horner, and det(X - M) is e_k of the -a_j.
     """
+    if not isinstance(m, FrobeniusMatrix):
+        raise ValidationError("cayley_hamilton_check needs a FrobeniusMatrix")
     d = h.degree
     if len(coeff_values) != d + 1:
         raise ValidationError(f"need {d + 1} coefficient values")
-    if isinstance(m, FrobeniusMatrix):
-        residual, charpoly = _diagonal_residual(h, m, coeff_values, domain)
-    else:
-        residual, charpoly = _dense_residual(h, m, coeff_values, domain)
-    charpoly_match = all(domain.eq(x, y)
-                         for x, y in zip(coeff_values, charpoly))
-    passed = mat_is_zero(domain, residual) and charpoly_match
-    return RelationReport(
-        check="cayley-hamilton", passed=passed,
-        residual=mat_strings(domain, residual),
-        group={"family": h.datum.family, "rank": h.datum.rank},
-        mu=list(h.mu),
-        twist={"preset": h.twist_preset, "exponent": h.twist_exponent},
-        domain=domain.to_json(),
-        parameter=parameter.to_json()["entries"] if parameter else None,
-        extra={"charpoly_match": charpoly_match})
-
-
-def _diagonal_residual(h: HeckePolynomial, m: FrobeniusMatrix,
-                       coeff_values: list, domain: ScalarDomain):
-    """diag(p(a_j)) by Horner, and det(X - M) from e_k of the -a_j."""
-    d = h.degree
     if m.size != d:
         raise ValidationError(f"matrix must be {d}x{d}")
     if any(domain.is_zero(a) for a in m.diagonal):
@@ -316,25 +248,18 @@ def _diagonal_residual(h: HeckePolynomial, m: FrobeniusMatrix,
         residual[j][j] = acc
     charpoly = elementary_symmetric(domain,
                                     [domain.neg(a) for a in m.diagonal])
-    return residual, charpoly
-
-
-def _dense_residual(h: HeckePolynomial, m, coeff_values: list,
-                    domain: ScalarDomain):
-    """Horner with matrix products, and det(X - M) by Berkowitz."""
-    d = h.degree
-    matrix = [list(row) for row in m]
-    if len(matrix) != d or any(len(row) != d for row in matrix):
-        raise ValidationError(f"matrix must be {d}x{d}")
-    charpoly = mat_charpoly(domain, matrix)
-    if domain.is_zero(charpoly[d]):
-        raise ValidationError("matrix is singular")
-    residual = mat_scale(domain, coeff_values[0], mat_identity(domain, d))
-    for c in coeff_values[1:]:
-        residual = mat_mul(domain, residual, matrix)
-        for j in range(d):
-            residual[j][j] = domain.add(residual[j][j], c)
-    return residual, charpoly
+    charpoly_match = all(domain.eq(x, y)
+                         for x, y in zip(coeff_values, charpoly))
+    passed = mat_is_zero(domain, residual) and charpoly_match
+    return RelationReport(
+        check="cayley-hamilton", passed=passed,
+        residual=mat_strings(domain, residual),
+        group={"family": h.datum.family, "rank": h.datum.rank},
+        mu=list(h.mu),
+        twist={"preset": h.twist_preset, "exponent": h.twist_exponent},
+        domain=domain.to_json(),
+        parameter=parameter.to_json()["entries"] if parameter else None,
+        extra={"charpoly_match": charpoly_match})
 
 
 def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,

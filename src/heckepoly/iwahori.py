@@ -39,7 +39,8 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   into dominants (the result is decomposition independent);
 * measure: each Iwahori double coset IxI has mass q^{ell(x)} relative
   to meas(I) = 1, so the averaging idempotent is
-  e_K = (sum_w T_w) / P_W(q) with P_W(q) = sum_w q^{ell(w)};
+  e_K = (sum_w T_w) / P_W(q) with P_W(q) = sum_w q^{ell(w)}; the engine
+  never builds e_K as an element (see the last bullet);
 * public spherical coordinates are renormalized so that the unit
   function 1_K has coordinate 1 at lam = 0;
 * the product z E with E = sum_w T_w is read off right W-cosets, with
@@ -488,22 +489,6 @@ class AffineHeckeAlgebra:
         return self._element(total)
 
     # -- spherical side ------------------------------------------------------
-
-    def poincare(self) -> LaurentHalf:
-        """P_W(q) = sum over the finite Weyl group of q^{ell(w)}."""
-        total = LaurentHalf.zero()
-        for w in self.datum.weyl_elements:
-            total = total + LaurentHalf.v_power(2 * w.length)
-        return total
-
-    def finite_sum(self) -> AffineHeckeElement:
-        return AffineHeckeElement(
-            {(self._zero_vec, w): ONE for w in range(self.datum.weyl_order)})
-
-    def spherical_idempotent(self) -> AffineHeckeElement:
-        """e_K = (sum_w T_w) / P_W(q); idempotent."""
-        elt = self.finite_sum()
-        return AffineHeckeElement(elt.terms, self.poincare())
 
     def _min_coset_length(self, x: AffKey) -> int:
         """ell of the minimal element of the right coset x W: descend by

@@ -35,7 +35,6 @@ against the Cartan and braid axioms.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -535,13 +534,23 @@ class BasedRootDatum:
         For families with a central torus the list is a window, not
         exhaustive (central shifts of a minuscule coweight stay
         minuscule).
+
+        A coweight is dominant and minuscule iff every positive root
+        pairs with it to 0 or 1.  The window is walked one coordinate at
+        a time, and a prefix survives while every positive root whose
+        last nonzero coordinate is already set pairs to 0 or 1 with it,
+        so the window^rank candidates are never enumerated.
         """
         window = (0, 1) if self.family in ("GL", "Sp") else (-1, 0, 1)
-        out = []
-        for cand in itertools.product(window, repeat=self.rank):
-            if self.is_dominant(cand) and self.is_minuscule(cand):
-                out.append(cand)
-        return tuple(sorted(out, reverse=True))
+        closing: list[list[Coweight]] = [[] for _ in range(self.rank)]
+        for alpha in self.positive_roots:
+            closing[max(j for j, x in enumerate(alpha) if x)].append(alpha)
+        prefixes: list[Coweight] = [()]
+        for roots in closing:
+            prefixes = [p + (x,) for p in prefixes for x in window
+                        if all(_dot(alpha, p + (x,)) in (0, 1)
+                               for alpha in roots)]
+        return tuple(sorted(prefixes, reverse=True))
 
     # -- serialization --------------------------------------------------
 

@@ -15,8 +15,10 @@ identities can be checked symbolically.
 
 A FrobeniusMatrix is the diagonal matrix of a minuscule representation
 at a parameter, with entries v^twist * s^{lam_j} over the canonical
-weight order.  The twist exponent is a configured integer power of v
-with two named presets:
+weight order.  It is kept as its diagonal alone: the traces of its
+exterior powers are e_i of the entries, and the Cayley-Hamilton check
+in ``hecke`` works on the entries.  The twist exponent is a configured
+integer power of v with two named presets:
 
 * ``paper``:     [E:F] * d      (so v^{[E:F] d} = q^{[E:F] d / 2});
 * ``classical``: <2 rho, mu>    (so v^{<2 rho, mu>} = q^{<rho, mu>}).
@@ -29,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
-                      ScalarDomain, elementary_symmetric)
+from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
 from .characters import (FormalTorusDomain, SymmetricFunction,
                          minuscule_weights)
 from .root_data import BasedRootDatum, Coweight
@@ -141,12 +142,6 @@ class FrobeniusMatrix:
     def size(self) -> int:
         return len(self.diagonal)
 
-    def to_matrix(self) -> list[list]:
-        dom = self.domain
-        n = self.size
-        return [[self.diagonal[i] if i == j else dom.zero()
-                 for j in range(n)] for i in range(n)]
-
     def to_json(self) -> dict:
         return {"weights": [list(w) for w in self.weights],
                 "diagonal": [self.domain.scalar_str(a) for a in self.diagonal],
@@ -170,11 +165,3 @@ def frobenius_matrix(datum: BasedRootDatum, mu: Coweight, s: SatakeParameter,
     scale = dom.reduce(LaurentHalf.v_power(twist_exponent))
     diag = tuple(dom.mul(scale, s.power(w)) for w in weights)
     return FrobeniusMatrix(weights, diag, dom, twist_exponent)
-
-
-def trace_of(m: FrobeniusMatrix, i: int):
-    """Trace of the i-th exterior power: e_i of the diagonal entries."""
-    d = m.size
-    if not 0 <= i <= d:
-        raise ValidationError(f"exterior power index {i} outside 0..{d}")
-    return elementary_symmetric(m.domain, m.diagonal)[i]

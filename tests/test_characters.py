@@ -7,12 +7,13 @@ import pytest
 from heckepoly.errors import ValidationError
 from heckepoly.laurent import LaurentHalf
 from heckepoly.characters import (FormalTorusDomain, SymmetricFunction,
-                                  WeightMultiset, decompose, dimension,
-                                  ext_power_character, minuscule_weights,
-                                  orbit_character, weyl_character)
+                                  WeightMultiset, decompose,
+                                  minuscule_weights, orbit_character,
+                                  weyl_character)
 from heckepoly.hecke import hecke_polynomial
 from heckepoly.root_data import build_standard
 from heckepoly.satake import resolve_twist
+from oracles import dimension, ext_power_character
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)

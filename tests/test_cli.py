@@ -178,7 +178,8 @@ def test_verify_ch_stream(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--max-support=0", "--max-support=-1",
-                                  "--max-norm=-1"])
+                                  "--max-norm=-1", "--e-over-f=0",
+                                  "--e-over-f=-3"])
 def test_out_of_range_bounds_exit_2(flag, capsys):
     code, out, err = _run(["verify", "satake", "--family", "GL", "--rank",
                            "2", flag], capsys)
@@ -275,6 +276,40 @@ def test_out_flag_writes_file(tmp_path, capsys):
                          "--out", str(target)], capsys)
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["weyl_order"] == 8
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_2(target, tmp_path, capsys):
+    path = str(tmp_path / target)
+    code, out, err = _run(["poly", "--family", "GL", "--rank", "2",
+                           "--mu", "1,0", "--out", path], capsys)
+    assert code == 2 and out == ""
+    (line,) = err.strip().split("\n")
+    obj = json.loads(line)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == "validation"
+    assert obj["error"]["message"].startswith(f"--out {path}: ")
+
+
+def test_public_names_are_exactly_the_supported_surface():
+    import heckepoly
+    assert set(heckepoly.__all__) == {
+        "AffineHeckeAlgebra", "AffineHeckeElement", "BasedRootDatum",
+        "ConsistencyError", "Coweight", "FormalTorusDomain",
+        "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
+        "PrimeFieldWithV", "RationalWithV", "RelationReport",
+        "ResourceLimitError", "SatakeParameter", "ScalarDomain",
+        "SphericalCosetVector", "SymmetricFunction", "ValidationError",
+        "WeightMultiset", "WeylElement", "build_standard",
+        "cayley_hamilton_check", "decompose", "evaluate",
+        "evaluate_coefficients", "excursion_values", "frobenius_matrix",
+        "hecke_polynomial", "inertia_relation_check", "minuscule_weights",
+        "orbit_character", "reduce_mod_ell", "resolve_twist",
+        "validate_sqrt", "weyl_character"}
+    assert len(heckepoly.__all__) == len(set(heckepoly.__all__))
+    for name in heckepoly.__all__:
+        assert getattr(heckepoly, name) is not None, name
 
 
 def test_console_entry_point_subprocess():
@@ -413,6 +448,19 @@ def test_datum_gl9_reports_weyl_order_without_enumerating(capsys):
     code, out, _ = _run(["datum", "--family", "GL", "--rank", "9"], capsys)
     assert code == 0
     assert json.loads(out)["weyl_order"] == 362880
+
+
+@pytest.mark.parametrize("family,rank,count", [("GL", 22, 23), ("SL", 14, 1)])
+def test_datum_lists_minuscule_coweights_without_the_window(family, rank,
+                                                            count, capsys):
+    # the window has 2^22 and 3^13 candidates, which took over 20 s and
+    # about 9 s to filter; the walk fixes one coordinate at a time and keeps only the
+    # surviving prefixes.  Most of the remaining second on GL22 is the
+    # datum's braid-relation validation.
+    code, out, _ = _run_within(5.0, ["datum", "--family", family,
+                                     "--rank", str(rank)], capsys)
+    assert code == 0
+    assert len(json.loads(out)["minuscule_dominant_coweights"]) == count
 
 
 def test_double_coset_gl9_answers_without_enumeration(capsys, monkeypatch):
@@ -571,15 +619,15 @@ _COMMANDS = [
     (["verify"], []),
     (["datum"], []),
     (["poly"], ["--mu", "--twist", "--field", "--trials", "--basis",
-                 "--max-support"]),
+                 "--max-support", "--e-over-f", "--out"]),
     (["eval"], ["--mu", "--twist", "--field", "--trials", "--entries",
-                "--max-support"]),
+                "--max-support", "--e-over-f", "--out"]),
     (["verify", "ch"], ["--mu", "--twist", "--field", "--trials",
-                        "--max-support"]),
+                        "--max-support", "--e-over-f", "--out"]),
     (["verify", "newton"], ["--mu", "--twist", "--field", "--trials",
-                            "--max-support"]),
+                            "--max-support", "--e-over-f", "--out"]),
     (["verify", "modell"], ["--mu", "--twist", "--field", "--trials",
-                            "--max-support"]),
+                            "--max-support", "--e-over-f", "--out"]),
     (["verify", "inertia"], ["--twist", "--field", "--trials", "--d",
                              "--max-support"]),
     (["verify", "satake"], ["--twist", "--field", "--trials", "--max-norm",
@@ -604,6 +652,9 @@ _VALUES = {
                             _small_int(-1, 1)),
     "--max-support": st.sampled_from([-1, 0, 1, 5]),
     "--basis": _free("satake", "double-coset"),
+    "--e-over-f": st.sampled_from(["-1", "0", "2", "1.5"]),
+    # no value names a writable file, so a fuzzed run writes nothing
+    "--out": st.sampled_from(["/nonexistent/x", "/", "/dev/null"]),
     "--bogus": st.text(max_size=4),
 }
 # flags some command does not take, so argparse itself must reject them
@@ -636,6 +687,8 @@ EXAMPLE_SECONDS = 10.0
 @example(argv=["poly", "--rank=3", "--mu=1,1,0", "--basis=double-coset",
                "--max-support=5"])
 @example(argv=["verify", "inertia", "--d=1000000", "--trials=1"])
+@example(argv=["poly", "--mu=1,0", "--out=/nonexistent/x"])
+@example(argv=["verify", "ch", "--mu=1,0", "--trials=1", "--out=/"])
 def test_fuzzed_argv_keeps_the_error_contract(argv, capsys):
     code, _, err = _run_within(EXAMPLE_SECONDS, argv, capsys)
     assert code in (0, 1, 2, 3, 4)

@@ -6,6 +6,7 @@ from heckepoly.errors import ResourceLimitError, ValidationError
 from heckepoly.root_data import (MAX_WEYL_ORDER, BasedRootDatum,
                                  build_standard, _mat_mul, _identity,
                                  solve_integer_combination)
+from oracles import small_minuscule_dominants_by_product
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -348,3 +349,17 @@ def test_small_minuscule_dominants():
     mins = GL2.small_minuscule_dominants()
     assert (1, 0) in mins and (1, 1) in mins
     assert SP4.small_minuscule_dominants() == ((0, 0),)
+
+
+MINUSCULE_WINDOW_DATA = [(f, n) for f, ns in
+                         [("GL", (1, 2, 6, 7, 9)), ("SL", (2, 3, 5, 8)),
+                          ("PGL", (3, 4, 6, 9)), ("Sp", (2, 4, 6, 8))]
+                         for n in ns]
+
+
+@pytest.mark.parametrize("family,n", MINUSCULE_WINDOW_DATA,
+                         ids=[f"{f}{n}" for f, n in MINUSCULE_WINDOW_DATA])
+def test_minuscule_walk_matches_the_window_filter(family, n):
+    datum = build_standard(family, n)
+    assert datum.small_minuscule_dominants() == \
+        small_minuscule_dominants_by_product(datum)

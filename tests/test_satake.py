@@ -7,12 +7,12 @@ import pytest
 from heckepoly.errors import ValidationError
 from heckepoly.laurent import LaurentHalf, PrimeFieldWithV, RationalWithV
 from heckepoly.characters import (SymmetricFunction, WeightMultiset,
-                                  ext_power_character, minuscule_weights,
-                                  orbit_character)
+                                  minuscule_weights, orbit_character)
 from heckepoly.root_data import build_standard
 from heckepoly.satake import (FormalTorusDomain, SatakeParameter,
                               domain_from_json, evaluate, frobenius_matrix,
-                              resolve_twist, trace_of)
+                              resolve_twist)
+from oracles import ext_power_character, trace_of
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
