@@ -54,7 +54,7 @@ DEFAULT_MAX_SUPPORT = 20_000
 class WeightMultiset:
     """Finitely supported map from lattice vectors to LaurentHalf."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_groups")
 
     def __init__(self, terms: dict[Coweight, LaurentHalf] | None = None):
         clean: dict[Coweight, LaurentHalf] = {}
@@ -71,6 +71,7 @@ class WeightMultiset:
                     else:
                         clean[key] = c
         self._terms = clean
+        self._groups = None
 
     @classmethod
     def zero(cls) -> "WeightMultiset":
@@ -86,6 +87,19 @@ class WeightMultiset:
 
     def support(self) -> tuple[Coweight, ...]:
         return tuple(sorted(self._terms, reverse=True))
+
+    def by_coefficient(self) -> tuple[tuple[LaurentHalf, tuple[Coweight, ...]],
+                                      ...]:
+        """The terms grouped by coefficient, in first-seen order: one
+        (coefficient, weights) pair per distinct coefficient.  Grouped on
+        the first call and kept, so repeated evaluations of one function
+        hash its coefficients once."""
+        if self._groups is None:
+            groups: dict[LaurentHalf, list[Coweight]] = {}
+            for w, c in self._terms.items():
+                groups.setdefault(c, []).append(w)
+            self._groups = tuple((c, tuple(ws)) for c, ws in groups.items())
+        return self._groups
 
     def coeff(self, weight: Coweight) -> LaurentHalf:
         return self._terms.get(tuple(weight), LaurentHalf.zero())

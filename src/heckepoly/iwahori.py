@@ -43,17 +43,24 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   never builds e_K as an element (see the last bullet);
 * public spherical coordinates are renormalized so that the unit
   function 1_K has coordinate 1 at lam = 0;
-* the product z E with E = sum_w T_w is read off right W-cosets, with
-  no T-basis product: T_s E = q E for every finite simple s, and
-  T_{x'} E = sum_v T_{x'v} when x' is minimal in x'W, because lengths
-  add.  The right coset of (lam, w) is {(lam, v) : v in W}, so z E
-  has one coefficient a_lam on all of it,
-  a_lam = sum_w c_(lam, w) q^{ell(lam, w) - ell_min(lam)}.
+* satake_inverse computes z_f E, with E = sum_w T_w, in the module
+  H E and never in the T basis.  H E has one basis vector
+  v_lam = T_{x_lam} E per right coset t_lam W = {(lam, v) : v in W},
+  x_lam minimal in it; v_lam = sum_v T_{x_lam v} because lengths add,
+  so the coefficient a_lam of v_lam is that of every T_(lam, v).  Here
+  ell(x_lam) = ell_min(lam) = sum over positive roots alpha of
+  |<alpha, lam>|, less one for each alpha with <alpha, lam> > 0.  An
+  affine simple s sends lam to s lam = mu + lam - <alpha, lam> alpha^vee,
+  and T_s v_lam is q v_lam if s lam = lam, v_{s lam} if
+  ell_min(s lam) > ell_min(lam), and (q - 1) v_lam + q v_{s lam}
+  otherwise; a length-zero element relabels lam.  Each theta_lam E
+  follows the reduced words that theta uses.
 
-Supports on intermediate elements grow quickly with |lam|; theta, the
-central element and every T-basis product are guarded by a
-configurable bound and raise ResourceLimitError, naming the stage,
-instead of thrashing.
+Supports grow quickly with |lam|.  Every T-basis product, theta and the
+central element are guarded by a configurable bound and raise
+ResourceLimitError, naming the stage, instead of thrashing.
+satake_inverse counts cosets against the same bound: stage ``theta``
+for one theta_lam E, ``central element`` for the running sum.
 
 The CLI's ``poly`` reads double-coset coordinates off Kato's formula
 (``kato.coset_coordinates``); ``satake_inverse`` here is its independent
@@ -183,6 +190,7 @@ class AffineHeckeAlgebra:
         self._length_memo: dict[AffKey, int] = {}
         self._theta_memo: dict[Coweight, AffineHeckeElement] = {}
         self._finite_left_memo: dict[int, tuple] = {}
+        self._coset_length_memo: dict[Coweight, int] = {}
         self._gens = self._build_generators()
 
     # -- extended affine Weyl group -------------------------------------
@@ -345,12 +353,16 @@ class AffineHeckeAlgebra:
         for idx in reversed(word):
             cur = self._left_mul_gen(idx, cur, stage)
         if pi != self.identity_key():
-            mu, w_pi = pi
-            m, row = self._finite_left(w_pi)
-            cur = {(tuple(a + sum(r * lam[j] for j, r in m_row)
-                          for a, m_row in zip(mu, m)), row[w]): c
+            row = self._finite_left(pi[1])[1]
+            cur = {(self._relabel(pi, lam), row[w]): c
                    for (lam, w), c in cur.items()}
         return cur
+
+    def _relabel(self, pi: AffKey, lam: Coweight) -> Coweight:
+        """The translation part mu + w lam of pi t_lam, pi = (mu, w)."""
+        mu, w = pi
+        return tuple(a + sum(r * lam[j] for j, r in m_row)
+                     for a, m_row in zip(mu, self._finite_left(w)[0]))
 
     @staticmethod
     def _element(terms: dict, shift: int = 0,
@@ -488,46 +500,86 @@ class AffineHeckeAlgebra:
             self._guard(total, "central element")
         return self._element(total)
 
-    # -- spherical side ------------------------------------------------------
+    # -- spherical module H E ----------------------------------------------
 
-    def _min_coset_length(self, x: AffKey) -> int:
-        """ell of the minimal element of the right coset x W: descend by
-        finite simple reflections, one weyl_right lookup each, while the
-        length drops."""
-        right = self.datum.weyl_right
-        lam, w = x
-        length = self.length(x)
-        while True:
-            for i in range(self.datum.num_simple):
-                shorter = self.length((lam, right[w][i]))
-                if shorter < length:
-                    w, length = right[w][i], shorter
-                    break
+    def _coset_length(self, lam: Coweight) -> int:
+        """ell_min(lam), the length of the minimal element x_lam of the
+        right coset t_lam W: sum over positive roots alpha of
+        |<alpha, lam>|, less one for each alpha with <alpha, lam> > 0."""
+        memo = self._coset_length_memo
+        cached = memo.get(lam)
+        if cached is None:
+            cached = 0
+            for alpha in self.datum.positive_roots:
+                k = sum(a * x for a, x in zip(alpha, lam))
+                cached += k - 1 if k > 0 else -k
+            memo[lam] = cached
+        return cached
+
+    def _module_gen(self, idx: int, coeffs: dict, stage: str,
+                    inverse: bool = False) -> dict:
+        """T_s, or T_s^{-1} if inverse, on sum a_lam v_lam in H E, in one
+        pass: with s lam = mu + lam - <alpha, lam> alpha^vee,
+        T_s v_lam = q v_lam if s lam = lam, v_{s lam} if
+        ell_min(s lam) > ell_min(lam), else (q - 1) v_lam + q v_{s lam};
+        T_s^{-1} v_lam = q^{-1} v_lam if s lam = lam, v_{s lam} if
+        ell_min(s lam) < ell_min(lam), else
+        q^{-1} v_{s lam} + (q^{-1} - 1) v_lam.
+        """
+        acc, ell = self._acc, self._coset_length
+        shift = -2 if inverse else 2
+        mu, alpha, alpha_v, _ = self._gen_actions[idx]
+        out: dict[Coweight, dict[int, int]] = {}
+        for lam, c in coeffs.items():
+            k = sum(a * x for a, x in zip(alpha, lam))
+            slam = tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v))
+            if slam == lam:
+                acc(out, lam, c, shift)
+            elif (ell(slam) > ell(lam)) != inverse:
+                acc(out, slam, c)
             else:
-                return length
+                acc(out, slam, c, shift)
+                acc(out, lam, c, shift)
+                acc(out, lam, c, 0, -1)
+        self._guard(out, stage)
+        return out
+
+    def _theta_on_e(self, lam: Coweight) -> dict:
+        """theta_lam E = v^{ell(t_lam2) - ell(t_lam1)} T_{t_lam1}
+        T_{t_lam2}^{-1} E in H E, along the reduced words of theta."""
+        lam1, lam2 = self._dominant_decomposition(lam)
+        t1, t2 = self.translation_key(lam1), self.translation_key(lam2)
+        pi, word = self.reduced_word(t2)
+        cur = {self.inv_aff(pi)[0]: {self.length(t2) - self.length(t1): 1}}
+        for idx in word:
+            cur = self._module_gen(idx, cur, "theta", inverse=True)
+        pi, word = self.reduced_word(t1)
+        for idx in reversed(word):
+            cur = self._module_gen(idx, cur, "theta")
+        if pi != self.identity_key():
+            cur = {self._relabel(pi, nu): c for nu, c in cur.items()}
+        return cur
 
     def satake_inverse(self, f: SymmetricFunction) -> SphericalCosetVector:
         """Double-coset coordinates of z_f * e_K.
 
-        z_f E, with E = sum_w T_w, is read off right W-cosets: T_s E = q E
-        for every finite simple s, and T_{x'} E = sum_v T_{x'v} when x'
-        is minimal in x'W.  So z_f E has the coefficient
-        a_lam = sum_w c_(lam, w) q^{ell(lam, w) - ell_min(lam)} on every
-        (lam, v).  The a_lam must be constant on each double coset
+        z_f E, with E = sum_w T_w, lies in the module H E, whose basis
+        v_lam = T_{x_lam} E has one vector per right coset t_lam W
+        (x_lam minimal in it), and v_lam = sum_v T_{x_lam v} because
+        lengths add.  So z_f E = sum_lam a_lam v_lam is summed over the
+        terms of f, one theta_lam E at a time, and never formed in the T
+        basis.  The a_lam must be constant on each double coset
         W t_lam W; the constants are the public coordinates (normalized
         so that f = 1 maps to 1_K).
         """
-        z = self.central_element(f)
-        if z.denom != ONE:
-            raise ConsistencyError("central element has a denominator")
+        if not isinstance(f, SymmetricFunction):
+            raise ValidationError("satake_inverse needs a W-invariant function")
         coeffs: dict[Coweight, dict[int, int]] = {}
-        coset_min: dict[Coweight, int] = {}
-        for x, c in z.terms.items():
-            lam = x[0]
-            low = coset_min.get(lam)
-            if low is None:
-                low = coset_min[lam] = self._min_coset_length(x)
-            self._acc(coeffs, lam, c.terms, 2 * (self.length(x) - low))
+        for w, c in f.weights.terms.items():
+            for lam, coeff in self._theta_on_e(w).items():
+                for e, n in c.terms.items():
+                    self._acc(coeffs, lam, coeff, e, n)
+            self._guard(coeffs, "central element")
         coords: dict[Coweight, LaurentHalf] = {}
         for dom in {self.datum.dominant_representative(lam) for lam in coeffs}:
             value = coeffs.get(dom, {})

@@ -14,7 +14,8 @@ again here.  The table's working set is bounded by ``max_support``.
 
 This path never builds an affine Hecke algebra element;
 ``AffineHeckeAlgebra.satake_inverse`` computes the same coordinates
-from the T basis and stays as its independent check.
+in the affine Hecke algebra's module H e_K and stays as its independent
+check.
 """
 
 from __future__ import annotations

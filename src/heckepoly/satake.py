@@ -105,14 +105,12 @@ def evaluate(f, s: SatakeParameter):
     Terms are grouped by coefficient, so each distinct coefficient is
     reduced once and multiplied into the sum of s^w over its weights: a
     twisted coefficient v^t * n costs one power of v, not one per weight.
+    The grouping is made on the first evaluation of f and reused after.
     """
     weights = f.weights if isinstance(f, SymmetricFunction) else f
     dom = s.domain
-    by_coeff: dict[LaurentHalf, list[Coweight]] = {}
-    for w, c in weights.terms.items():
-        by_coeff.setdefault(c, []).append(w)
     return dom.sum(dom.mul(dom.reduce(c), dom.sum(s.power(w) for w in ws))
-                   for c, ws in by_coeff.items())
+                   for c, ws in weights.by_coefficient())
 
 
 def resolve_twist(datum: BasedRootDatum, mu: Coweight, twist,

@@ -132,10 +132,11 @@ def test_double_coset_paths_never_form_a_t_basis_product(capsys, monkeypatch):
                        "--mu", "1,1,0,0", "--twist", "classical",
                        "--basis", "double-coset"], capsys)
     assert code == 0
-    # verify satake still checks the engine itself, without a T-basis
-    # product
+    # verify satake still checks the engine itself, in the spherical
+    # module H E: no T-basis product, theta or central element
     monkeypatch.undo()
-    monkeypatch.setattr(AffineHeckeAlgebra, "multiply", refuse("multiply"))
+    for name in ("multiply", "theta", "central_element"):
+        monkeypatch.setattr(AffineHeckeAlgebra, name, refuse(name))
     engine = AffineHeckeAlgebra.satake_inverse
     calls = []
 
@@ -222,6 +223,31 @@ def test_inertia_work_is_refused_before_a_matrix_is_built(capsys):
     jsonschema.validate(obj, _schema("error"))
     assert obj["error"]["message"] == (
         "inertia work: d^3 = 2803221 exceeds max_support=20000")
+
+
+def test_verify_satake_engine_guard_names_its_stage(capsys):
+    # the window passes its check (4^2 = 16); the engine's supports do not
+    code, out, err = _run_within(5.0, ["verify", "satake", "--family", "Sp",
+                                       "--rank", "4", "--max-norm", "3",
+                                       "--max-support", "16"], capsys)
+    assert code == 3 and out == ""
+    assert len(err.strip().split("\n")) == 1
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    message = obj["error"]["message"]
+    assert message.split(":")[0] in ("theta", "central element")
+    assert message.endswith("exceeds max_support=16")
+
+
+def test_verify_satake_pgl4_window_is_pinned(capsys):
+    # stdout recorded with the T-basis central element, which needed
+    # about 40 s here; the module H E needs about 4 s
+    code, out, _ = _run_within(20.0, ["verify", "satake", "--family", "PGL",
+                                      "--rank", "4", "--max-norm", "2"],
+                               capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e4f064a5a8bebae82396f685e771aa0b6f099e0a66a84065e70a9680e050f309")
 
 
 def test_verify_satake(capsys):

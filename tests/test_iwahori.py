@@ -6,10 +6,12 @@ import pytest
 from heckepoly.errors import (ConsistencyError, ResourceLimitError,
                               ValidationError)
 from heckepoly.laurent import LaurentHalf, ONE, Q
-from heckepoly.characters import SymmetricFunction, orbit_character
+from heckepoly.characters import (SymmetricFunction, WeightMultiset,
+                                  orbit_character)
 from heckepoly.root_data import build_standard
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
-from oracles import finite_sum, poincare, spherical_idempotent
+from oracles import (finite_sum, min_coset_length, poincare,
+                     satake_inverse_by_central_element, spherical_idempotent)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -354,8 +356,14 @@ def test_round_trip_other_families():
 
 def test_resource_guard():
     tiny = AffineHeckeAlgebra(GL3, max_support=5)
-    with pytest.raises(ResourceLimitError, match="max_support=5"):
+    with pytest.raises(ResourceLimitError, match="^theta: .*max_support=5$"):
         tiny.satake_inverse(orbit_character(GL3, (2, 1, 0)))
+    # theta_(1,1) E and theta_(2,2) E are one coset each; their sum is two
+    f = orbit_character(GL2, (1, 1)) + orbit_character(GL2, (2, 2))
+    with pytest.raises(ResourceLimitError,
+                       match="^central element: support 2 exceeds "
+                             "max_support=1$"):
+        AffineHeckeAlgebra(GL2, max_support=1).satake_inverse(f)
 
 
 def _satake_inverse_by_product(algebra, f):
@@ -386,10 +394,9 @@ SATAKE_ORACLE = [(H2, 2), (H3, 2), (H4, 2), (HPGL3, 2), (HPGL4, 1),
                  (HSP, 2)]
 
 
-@pytest.mark.parametrize("algebra,max_norm", SATAKE_ORACLE,
-                         ids=["GL2", "GL3", "GL4", "PGL3", "PGL4", "Sp4"])
-def test_satake_inverse_matches_the_t_basis_product(algebra, max_norm):
-    datum = algebra.datum
+def _window_functions(datum, max_norm):
+    """The orbit characters m_lam of the window's dominant lam, then
+    three random combinations of three of them."""
     characters = [orbit_character(datum, lam) for lam in
                   itertools.product(range(max_norm + 1), repeat=datum.rank)
                   if datum.is_dominant(lam)]
@@ -401,18 +408,47 @@ def test_satake_inverse_matches_the_t_basis_product(algebra, max_norm):
             f = f + chi.scale(LaurentHalf({rng.randint(-2, 2):
                                            rng.choice([-2, -1, 1, 2])}))
         combinations.append(f)
-    for f in characters + combinations:
+    return characters + combinations
+
+
+@pytest.mark.parametrize("algebra,max_norm", SATAKE_ORACLE,
+                         ids=["GL2", "GL3", "GL4", "PGL3", "PGL4", "Sp4"])
+def test_satake_inverse_matches_the_t_basis_product(algebra, max_norm):
+    for f in _window_functions(algebra.datum, max_norm):
         assert algebra.satake_inverse(f) == \
             _satake_inverse_by_product(algebra, f)
 
 
-def test_satake_inverse_rejects_a_non_central_element(monkeypatch):
-    # T_{t_(1,0)} E has coefficient 1 on t_(1,0) W and 0 on t_(0,1) W
-    monkeypatch.setattr(
-        AffineHeckeAlgebra, "central_element",
-        lambda self, f: self.t_basis(self.translation_key((1, 0))))
+# The central-element oracle sums theta_lam in the T basis, |W| keys per
+# coset; PGL4's whole max-norm 2 window takes it about 20 s.
+@pytest.mark.parametrize("algebra", [a for a, _ in SATAKE_ORACLE],
+                         ids=["GL2", "GL3", "GL4", "PGL3", "PGL4", "Sp4"])
+def test_satake_inverse_matches_the_central_element_oracle(algebra):
+    for f in _window_functions(algebra.datum, 2):
+        assert algebra.satake_inverse(f) == \
+            satake_inverse_by_central_element(algebra, f)
+
+
+@pytest.mark.parametrize("family,rank", [("GL", 3), ("GL", 4), ("PGL", 3),
+                                         ("PGL", 4), ("SL", 3), ("Sp", 4),
+                                         ("Sp", 6)])
+def test_coset_length_is_the_minimal_length_in_the_coset(family, rank):
+    datum = build_standard(family, rank)
+    algebra = AffineHeckeAlgebra(datum)
+    for lam in itertools.product(range(-2, 3), repeat=datum.rank):
+        lengths = [algebra.length((lam, w)) for w in range(datum.weyl_order)]
+        assert algebra._coset_length(lam) == min(lengths) == \
+            min_coset_length(algebra, (lam, 0)), lam
+
+
+def test_satake_inverse_rejects_a_non_central_element():
+    # e^(1,0) is not W-invariant: theta_(1,0) E = v^-1 v_(1,0) has
+    # coefficient v^-1 on t_(1,0) W and 0 on t_(0,1) W
+    f = SymmetricFunction(GL2, WeightMultiset.monomial((1, 0)), check=False)
     with pytest.raises(ConsistencyError, match="non-constant"):
-        H2.satake_inverse(orbit_character(GL2, (1, 0)))
+        H2.satake_inverse(f)
+    with pytest.raises(ValidationError, match="W-invariant"):
+        H2.satake_inverse(WeightMultiset.monomial((1, 0)))
 
 
 def test_element_json():

@@ -26,9 +26,6 @@ GL3 = build_standard("GL", 3)
 WINDOWS = [("GL", 2, 2), ("GL", 3, 2), ("SL", 3, 2), ("PGL", 3, 2),
            ("Sp", 4, 2), ("GL", 4, 2), ("PGL", 4, 2)]
 WINDOW_IDS = [f"{f}{n}" for f, n, _ in WINDOWS]
-# The engine needs about 60 s for all of PGL4's max-norm 2 window, which
-# reaches 2 rho^vee; up to <2 rho, lam> = 12 it needs about 5 s.
-ENGINE_MAX_EXPONENT = 12
 
 
 def _window(datum, max_norm):
@@ -155,8 +152,7 @@ def test_coset_coordinates_match_the_engine(family, rank, max_norm):
     datum = build_standard(family, rank)
     algebra = AffineHeckeAlgebra(datum)
     characters = [orbit_character(datum, lam)
-                  for lam in _window(datum, max_norm)
-                  if datum.rho_pairing_exponent(lam) <= ENGINE_MAX_EXPONENT]
+                  for lam in _window(datum, max_norm)]
     rng = random.Random(103)
     combinations = []
     for _ in range(3):
@@ -310,8 +306,7 @@ def test_decompose_and_coordinates_expand_no_orbit(family, rank,
     datum = build_standard(family, rank)
     rng = random.Random(29)
     coeffs = {lam: LaurentHalf({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])})
-              for lam in _window(datum, 2)
-              if datum.rho_pairing_exponent(lam) <= ENGINE_MAX_EXPONENT}
+              for lam in _window(datum, 2)}
     f = SymmetricFunction.constant(datum, 0)
     for lam, c in coeffs.items():
         f = f + weyl_character(datum, lam).scale(c)

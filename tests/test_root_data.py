@@ -4,8 +4,9 @@ import pytest
 
 from heckepoly.errors import ResourceLimitError, ValidationError
 from heckepoly.root_data import (MAX_WEYL_ORDER, BasedRootDatum,
-                                 build_standard, _mat_mul, _identity,
+                                 build_standard, _identity,
                                  solve_integer_combination)
+from oracles import mat_mul
 from oracles import small_minuscule_dominants_by_product
 
 GL2 = build_standard("GL", 2)
@@ -27,7 +28,7 @@ def _mulclose(mats, cap=10_000):
         nxt = []
         for m in frontier:
             for g in mats:
-                p = _mat_mul(m, g)
+                p = mat_mul(m, g)
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
@@ -53,7 +54,7 @@ def test_reflections_are_involutions():
     for datum in ALL:
         for i in range(datum.num_simple):
             m = datum.reflection_matrix(i)
-            assert _mat_mul(m, m) == _identity(datum.rank)
+            assert mat_mul(m, m) == _identity(datum.rank)
 
 
 def test_braid_relations_from_cartan():
@@ -63,11 +64,11 @@ def test_braid_relations_from_cartan():
         for i in range(datum.num_simple):
             for j in range(i + 1, datum.num_simple):
                 m_ij = orders[cartan[i][j] * cartan[j][i]]
-                prod = _mat_mul(datum.reflection_matrix(i),
+                prod = mat_mul(datum.reflection_matrix(i),
                                 datum.reflection_matrix(j))
                 power = _identity(datum.rank)
                 for _ in range(m_ij):
-                    power = _mat_mul(power, prod)
+                    power = mat_mul(power, prod)
                 assert power == _identity(datum.rank)
 
 
@@ -198,7 +199,7 @@ def _matrix_bfs(datum):
         nxt = []
         for m in frontier:
             for i, s_i in enumerate(reflections):
-                p = _mat_mul(m, s_i)
+                p = mat_mul(m, s_i)
                 if p not in seen:
                     seen[p] = seen[m] + (i,)
                     nxt.append(p)
@@ -250,7 +251,7 @@ def test_weyl_mul_matches_matrix_product(datum):
     mats = [w.matrix for w in elts]
     for a in range(datum.weyl_order):
         for b in range(datum.weyl_order):
-            assert mats[datum.weyl_mul(a, b)] == _mat_mul(mats[a], mats[b])
+            assert mats[datum.weyl_mul(a, b)] == mat_mul(mats[a], mats[b])
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
@@ -267,8 +268,8 @@ def test_weyl_index_tables(datum):
         assert len(datum.weyl_inversions[k]) == w.length
         for i in range(datum.num_simple):
             s_i = datum.reflection_matrix(i)
-            assert elts[datum.weyl_right[k][i]].matrix == _mat_mul(w.matrix, s_i)
-            assert elts[datum.weyl_left[k][i]].matrix == _mat_mul(s_i, w.matrix)
+            assert elts[datum.weyl_right[k][i]].matrix == mat_mul(w.matrix, s_i)
+            assert elts[datum.weyl_left[k][i]].matrix == mat_mul(s_i, w.matrix)
         lam = tuple(range(1, datum.rank + 1))
         assert datum.act(k, lam) == datum.act(w, lam) == _mat_vec(w.matrix, lam)
 
@@ -308,6 +309,18 @@ def test_json_roundtrip_and_validation():
         BasedRootDatum("bad", 2, [(2, -2)], [(1, -1)])
     with pytest.raises(ValidationError):
         BasedRootDatum("bad", 2, [(1, 0)], [(1, -1)])  # diagonal != 2
+
+
+def test_braid_relations_are_checked_by_reflections():
+    # <alpha_0, alpha_1^vee> = -1 but <alpha_1, alpha_0^vee> = 0: the
+    # Cartan product 0 asks s_0 and s_1 to commute, and they do not
+    with pytest.raises(ValidationError,
+                       match=r"^braid relation fails at \(0,1\)$"):
+        BasedRootDatum("bad", 2, [(1, 0), (0, 1)], [(2, 0), (-1, 2)])
+    with pytest.raises(ValidationError,
+                       match=r"^Cartan product 4 at \(0,1\) generates an "
+                             r"infinite group$"):
+        BasedRootDatum("bad", 2, [(1, 0), (0, 1)], [(2, -2), (-2, 2)])
 
 
 def test_builder_rejects_bad_input():

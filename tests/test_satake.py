@@ -190,3 +190,27 @@ def test_evaluate_reduces_each_distinct_coefficient_once():
             assert CountingRationals.calls == len(distinct)
             assert value == sum(dom.reduce(coeff) * s.power(w)
                                 for w, coeff in c.weights.terms.items())
+
+
+def test_evaluate_groups_the_terms_of_a_function_once(monkeypatch):
+    # the grouping by coefficient is kept with the function, so a second
+    # evaluation at another point hashes no coefficient
+    f = orbit_character(GL3, (1, 0, 0)).scale(LaurentHalf({3: 2})) + \
+        orbit_character(GL3, (1, 1, 0))
+    hashes = []
+    original = LaurentHalf.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return original(self)
+    monkeypatch.setattr(LaurentHalf, "__hash__", counted)
+    rng = random.Random(7)
+    points = [SatakeParameter.random(F11, 3, rng) for _ in range(2)]
+    first = evaluate(f, points[0])
+    grouped = len(hashes)
+    assert grouped == len(f.weights.terms)
+    second = evaluate(f, points[1])
+    assert len(hashes) == grouped
+    for value, s in zip((first, second), points):
+        assert value == sum(F11.reduce(c) * s.power(w)
+                            for w, c in f.weights.terms.items()) % 11
