@@ -20,12 +20,11 @@ from .satake import (FormalTorusDomain, FrobeniusMatrix, SatakeParameter,
 from .hecke import (HeckePolynomial, RelationReport, cayley_hamilton_check,
                     evaluate_coefficients, excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
-from .iwahori import (AffineHeckeAlgebra, AffineHeckeElement,
-                      SphericalCosetVector)
+from .iwahori import AffineHeckeAlgebra, SphericalCosetVector
 
 __all__ = [
-    "AffineHeckeAlgebra", "AffineHeckeElement", "BasedRootDatum",
-    "ConsistencyError", "Coweight", "FormalTorusDomain",
+    "AffineHeckeAlgebra", "BasedRootDatum", "ConsistencyError", "Coweight",
+    "FormalTorusDomain",
     "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
     "PrimeFieldWithV", "RationalWithV", "RelationReport", "ResourceLimitError",
     "SatakeParameter", "ScalarDomain", "SphericalCosetVector",

@@ -47,7 +47,7 @@ from .laurent import LaurentHalf, ONE, ScalarDomain
 from .root_data import BasedRootDatum, Coweight
 
 # Default bound on the working set of a guarded stage: the Kostka-Foulkes
-# table here, the T-basis engine in iwahori.
+# table here, the cosets of the spherical module in iwahori.
 DEFAULT_MAX_SUPPORT = 20_000
 
 

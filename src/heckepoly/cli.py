@@ -8,7 +8,7 @@ Commands:
 * ``eval``   -- evaluate the polynomial data at one Satake parameter;
 * ``verify`` -- seeded verification suites (ch, inertia, satake, newton,
   modell), one JSON report per line; ``satake`` checks the affine
-  T-basis engine.
+  Hecke engine's Satake transform.
 
 All output is canonical JSON (sorted keys); with a fixed seed the bytes
 are reproducible.  Exit codes: 0 pass, 1 verification failure,
@@ -332,17 +332,22 @@ def verify_satake(args):
     for lam in itertools.product(range(args.max_norm + 1), repeat=datum.rank):
         if datum.is_dominant(lam):
             closure.update(datum.dominants_below(lam))
-    labels, b = algebra.satake_transform_matrix(sorted(closure))
-    diag_ok = all(
-        b[i][i] == LaurentHalf.v_power(datum.rho_pairing_exponent(labels[i]))
-        for i in range(len(labels)))
-    tri_ok = all(b[i][j].is_zero() or datum.dominance_leq(labels[i], labels[j])
-                 for i in range(len(labels)) for j in range(len(labels)))
+    # one image per label, lowest first; the transform is triangular when
+    # each image lies below its label, with v^<2 rho, label> on it
+    labels = sorted(closure, key=lambda l: (datum.rho_pairing_exponent(l), l))
+    diagonal, tri_ok = [], True
+    for lam in labels:
+        image = algebra.satake_of_indicator(lam).weights
+        diagonal.append(image.coeff(lam))
+        tri_ok = tri_ok and all(datum.dominance_leq(mu, lam)
+                                for mu in image.terms if datum.is_dominant(mu))
+    diag_ok = all(c == LaurentHalf.v_power(datum.rho_pairing_exponent(lam))
+                  for lam, c in zip(labels, diagonal))
     reports.append({
         "check": "satake-triangular",
         "labels": [list(l) for l in labels],
         "passed": diag_ok and tri_ok,
-        "diagonal": [b[i][i].serialize() for i in range(len(labels))]})
+        "diagonal": [c.serialize() for c in diagonal]})
     return _verify_lines(reports)
 
 

@@ -1,5 +1,5 @@
-"""Affine Hecke algebra in the T_w basis, Bernstein elements, and the
-computed Satake transform.
+"""Affine Hecke algebra of a based root datum: its spherical module H E
+and the computed Satake transform.
 
 Conventions (fixed once, then pinned by the minuscule calibration
 identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
@@ -8,31 +8,22 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   group law (lam1, w1)(lam2, w2) = (lam1 + w1 lam2, w1 w2); w is the
   index of a finite Weyl element in ``datum.weyl_elements``, and every
   product, inverse and inversion set comes from the datum's index
-  tables (reduced words appear only in ``to_json``);
-* the hot path never applies the group law in general: a generator
+  tables;
+* the engine never applies the group law in general: a generator
   t_mu s_alpha (a simple reflection, or s_0 = t_{theta^vee} s_theta)
-  sends (lam, w) to (mu + s_alpha lam, s_alpha w), one reflection and
-  one lookup in a precomputed left-multiplication row; a right descent
-  by a finite s_i is one ``weyl_right`` lookup; and a length-zero
-  element relabels a support through its finite part's lattice matrix,
-  built once from the word and kept as sparse rows;
+  sends a coset label lam to mu + s_alpha lam, one reflection; a right
+  descent by a finite s_i is one ``weyl_right`` lookup; and a
+  length-zero element relabels a coset through its finite part's
+  lattice matrix, built once from the word and kept as sparse rows;
 * length: ell(t_lam w) = sum over positive roots alpha of
   |<alpha, lam>| when w^{-1} alpha > 0 and |<alpha, lam> - 1| when
   w^{-1} alpha < 0;
 * quadratic relation: T_s^2 = (q - 1) T_s + q with q = v^2, hence
-  T_s^{-1} = q^{-1} T_s - (1 - q^{-1}); on one basis element that is
-  T_s^{-1} T_z = T_{sz} when sz < z, and
-  q^{-1} T_{sz} + (q^{-1} - 1) T_z when sz > z, one pass either way;
-* coefficients: inside the engine a T-basis coefficient in Z[v, v^-1]
-  is a plain {exponent: int} dict, accumulated in place, so multiplying
-  by q or q^{-1} is an exponent shift.  LaurentHalf appears only where
-  the public types are built: the AffineHeckeElement returned by
-  multiply, theta, translation_inverse and central_element, and the
+  T_s^{-1} = q^{-1} T_s - (1 - q^{-1});
+* coefficients: inside the engine a coefficient in Z[v, v^-1] is a
+  plain {exponent: int} dict, accumulated in place, so multiplying by q
+  or q^{-1} is an exponent shift.  LaurentHalf appears only in the
   SphericalCosetVector returned by satake_inverse;
-* products in the T basis: T_x T_y = T_{xy} when lengths add, and the
-  quadratic relation resolves the other case generator by generator
-  along a reduced word (affine simple reflections plus the
-  length-zero remainder group, which acts by relabeling);
 * Bernstein elements: theta_lam = v^{-ell(t_lam)} T_{t_lam} for
   dominant lam, extended by theta_lam = v^{-ell(t_lam1) + ell(t_lam2)}
   T_{t_lam1} T_{t_lam2}^{-1} for any decomposition lam = lam1 - lam2
@@ -40,7 +31,7 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
 * measure: each Iwahori double coset IxI has mass q^{ell(x)} relative
   to meas(I) = 1, so the averaging idempotent is
   e_K = (sum_w T_w) / P_W(q) with P_W(q) = sum_w q^{ell(w)}; the engine
-  never builds e_K as an element (see the last bullet);
+  never builds e_K as an element (see the next bullet);
 * public spherical coordinates are renormalized so that the unit
   function 1_K has coordinate 1 at lam = 0;
 * satake_inverse computes z_f E, with E = sum_w T_w, in the module
@@ -54,23 +45,27 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   and T_s v_lam is q v_lam if s lam = lam, v_{s lam} if
   ell_min(s lam) > ell_min(lam), and (q - 1) v_lam + q v_{s lam}
   otherwise; a length-zero element relabels lam.  Each theta_lam E
-  follows the reduced words that theta uses.
+  follows reduced words of t_lam1 and t_lam2;
+* satake_transform inverts satake_inverse by stripping the highest
+  label, as ``KostkaFoulkesTable.decompose`` does: the image of m_lam
+  lies on the dominant mu <= lam, with a unit coefficient at lam.
 
-Supports grow quickly with |lam|.  Every T-basis product, theta and the
-central element are guarded by a configurable bound and raise
-ResourceLimitError, naming the stage, instead of thrashing.
-satake_inverse counts cosets against the same bound: stage ``theta``
-for one theta_lam E, ``central element`` for the running sum.
+Supports grow quickly with |lam|.  satake_inverse counts cosets against
+a configurable bound and raises ResourceLimitError, naming the stage:
+``theta`` for one theta_lam E, ``central element`` for the running sum.
 
 The CLI's ``poly`` reads double-coset coordinates off Kato's formula
 (``kato.coset_coordinates``); ``satake_inverse`` here is its independent
-check, run by ``verify satake`` and the tests.
+check, run by ``verify satake`` and the tests.  The product in the T
+basis is not part of the library: the tests keep it as their reference,
+``TBasisAlgebra`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE
@@ -78,66 +73,7 @@ from .characters import (DEFAULT_MAX_SUPPORT, SymmetricFunction,
                          WeightMultiset, orbit_character)
 from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
-PRODUCT = "T-basis product"
-
 AffKey = tuple[Coweight, int]
-
-
-@dataclass
-class AffineHeckeElement:
-    """Finite T-basis expansion with an optional scalar denominator."""
-
-    terms: dict[AffKey, LaurentHalf]
-    denom: LaurentHalf = field(default_factory=lambda: ONE)
-
-    def __post_init__(self):
-        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
-        if self.denom.is_zero():
-            raise ValidationError("denominator must be nonzero")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, c: LaurentHalf) -> "AffineHeckeElement":
-        return AffineHeckeElement({k: v * c for k, v in self.terms.items()},
-                                  self.denom)
-
-    def __add__(self, other: "AffineHeckeElement") -> "AffineHeckeElement":
-        if self.denom == other.denom:
-            out = dict(self.terms)
-            for k, c in other.terms.items():
-                out[k] = out.get(k, LaurentHalf.zero()) + c
-            return AffineHeckeElement(out, self.denom)
-        out = {k: c * other.denom for k, c in self.terms.items()}
-        for k, c in other.terms.items():
-            out[k] = out.get(k, LaurentHalf.zero()) + c * self.denom
-        return AffineHeckeElement(out, self.denom * other.denom)
-
-    def __neg__(self) -> "AffineHeckeElement":
-        return AffineHeckeElement({k: -c for k, c in self.terms.items()},
-                                  self.denom)
-
-    def __sub__(self, other: "AffineHeckeElement") -> "AffineHeckeElement":
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineHeckeElement):
-            return NotImplemented
-        if self.denom == other.denom:
-            return self.terms == other.terms
-        left = {k: c * other.denom for k, c in self.terms.items()}
-        right = {k: c * self.denom for k, c in other.terms.items()}
-        return left == right
-
-    def to_json(self, datum: BasedRootDatum):
-        items = []
-        for (lam, w), c in sorted(self.terms.items()):
-            word = list(datum.weyl_elements[w].word)
-            items.append({"translation": list(lam), "finite_word": word,
-                          "coeff": c.serialize()})
-        if self.denom == ONE:
-            return items
-        return {"terms": items, "denominator": self.denom.serialize()}
 
 
 @dataclass
@@ -174,9 +110,9 @@ class SphericalCosetVector:
 class AffineHeckeAlgebra:
     """Engine for one based root datum.
 
-    All elements are plain data; products, Bernstein elements and the
-    Satake transform are methods here so that datum-derived tables
-    (lengths, reflection data) are shared.
+    The Satake transform and its inverse are methods here so that
+    datum-derived tables (lengths, reflection data, the images of the
+    orbit sums) are shared.
     """
 
     def __init__(self, datum: BasedRootDatum,
@@ -188,9 +124,9 @@ class AffineHeckeAlgebra:
         self.max_support = max_support
         self._zero_vec = tuple(0 for _ in range(datum.rank))
         self._length_memo: dict[AffKey, int] = {}
-        self._theta_memo: dict[Coweight, AffineHeckeElement] = {}
         self._finite_left_memo: dict[int, tuple] = {}
         self._coset_length_memo: dict[Coweight, int] = {}
+        self._image_memo: dict[Coweight, dict[Coweight, LaurentHalf]] = {}
         self._gens = self._build_generators()
 
     # -- extended affine Weyl group -------------------------------------
@@ -207,27 +143,21 @@ class AffineHeckeAlgebra:
 
     @cached_property
     def _gen_actions(self) -> dict[int, tuple]:
-        """Per generator (mu, s_alpha): (mu, alpha, alpha^vee, row), where
-        row[w] is the index of s_alpha w.
+        """Per generator (mu, s_alpha): (mu, alpha, alpha^vee).
 
-        The generator sends (lam, w) to
-        (mu + lam - <alpha, lam> alpha^vee, row[w]): one reflection and
-        one lookup.
+        The generator sends the coset label lam to
+        mu + lam - <alpha, lam> alpha^vee: one reflection.
         """
         datum = self.datum
         acts = {}
-        for idx, (mu, s_alpha) in self._gens.items():
+        for idx, (mu, _) in self._gens.items():
             alpha = datum.simple_roots[idx - 1] if idx else datum.highest_root
-            acts[idx] = (mu, alpha, datum.coroot_of(alpha),
-                         self._finite_left(s_alpha)[1])
+            acts[idx] = (mu, alpha, datum.coroot_of(alpha))
         return acts
 
     @property
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self._gens))
-
-    def generator(self, idx: int) -> AffKey:
-        return self._gens[idx]
 
     def identity_key(self) -> AffKey:
         return (self._zero_vec, 0)
@@ -285,17 +215,6 @@ class AffineHeckeAlgebra:
                 raise ConsistencyError("element of positive length has no descent")
         return cur, tuple(reversed(word))
 
-    # -- T-basis products -------------------------------------------------
-
-    def unit(self) -> AffineHeckeElement:
-        return AffineHeckeElement({self.identity_key(): ONE})
-
-    def t_basis(self, x: AffKey) -> AffineHeckeElement:
-        return AffineHeckeElement({x: ONE})
-
-    def gen_t(self, idx: int) -> AffineHeckeElement:
-        return self.t_basis(self._gens[idx])
-
     def _guard(self, terms: dict, stage: str):
         if len(terms) > self.max_support:
             raise ResourceLimitError(
@@ -322,107 +241,24 @@ class AffineHeckeAlgebra:
         if not cur:
             del out[key]
 
-    def _left_mul_gen(self, idx: int, terms: dict, stage: str = PRODUCT,
-                      inverse: bool = False) -> dict:
-        """T_s E, or T_s^{-1} E if inverse, in one pass over E's terms:
-        T_s T_z = T_{sz} if sz > z, else (q - 1) T_z + q T_{sz};
-        T_s^{-1} T_z = T_{sz} if sz < z, else q^{-1} T_{sz} + (q^{-1} - 1) T_z.
-        """
-        acc, length = self._acc, self.length
-        shift = -2 if inverse else 2
-        mu, alpha, alpha_v, row = self._gen_actions[idx]
-        out: dict[AffKey, dict[int, int]] = {}
-        for z, c in terms.items():
-            lam, w = z
-            k = sum(a * x for a, x in zip(alpha, lam))
-            sz = (tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v)),
-                  row[w])
-            if (length(sz) > length(z)) != inverse:
-                acc(out, sz, c)
-            else:
-                acc(out, sz, c, shift)
-                acc(out, z, c, shift)
-                acc(out, z, c, 0, -1)
-        self._guard(out, stage)
-        return out
-
-    def _left_mul_basis(self, x: AffKey, terms: dict,
-                        stage: str = PRODUCT) -> dict:
-        pi, word = self.reduced_word(x)
-        cur = terms
-        for idx in reversed(word):
-            cur = self._left_mul_gen(idx, cur, stage)
-        if pi != self.identity_key():
-            row = self._finite_left(pi[1])[1]
-            cur = {(self._relabel(pi, lam), row[w]): c
-                   for (lam, w), c in cur.items()}
-        return cur
-
     def _relabel(self, pi: AffKey, lam: Coweight) -> Coweight:
         """The translation part mu + w lam of pi t_lam, pi = (mu, w)."""
         mu, w = pi
         return tuple(a + sum(r * lam[j] for j, r in m_row)
-                     for a, m_row in zip(mu, self._finite_left(w)[0]))
-
-    @staticmethod
-    def _element(terms: dict, shift: int = 0,
-                 denom: LaurentHalf = ONE) -> AffineHeckeElement:
-        """The public element v^shift * sum c_x T_x / denom of
-        {exponent: int} coefficients c_x."""
-        return AffineHeckeElement(
-            {x: LaurentHalf({e + shift: n for e, n in c.items()})
-             for x, c in terms.items()}, denom)
+                     for a, m_row in zip(mu, self._finite_left(w)))
 
     def _finite_left(self, w: int) -> tuple:
-        """Left multiplication by the finite Weyl element w, memoized: its
-        lattice matrix as sparse rows of (column, entry), and the row of
-        indices of w v, walked along w's word through weyl_left.
-
-        Only generators and length-zero elements ask, and there are few
-        of each.
-        """
+        """The lattice matrix of the finite Weyl element w as sparse rows
+        of (column, entry), memoized; only length-zero elements ask, and
+        there are few of them."""
         got = self._finite_left_memo.get(w)
         if got is None:
-            datum = self.datum
-            left = datum.weyl_left
-            word = datum.weyl_elements[w].word
-            row = []
-            for v in range(datum.weyl_order):
-                for i in reversed(word):
-                    v = left[v][i]
-                row.append(v)
-            sparse = tuple(tuple((j, r) for j, r in enumerate(m_row) if r)
-                           for m_row in datum.weyl_elements[w].matrix)
-            got = self._finite_left_memo[w] = (sparse, tuple(row))
+            got = self._finite_left_memo[w] = tuple(
+                tuple((j, r) for j, r in enumerate(m_row) if r)
+                for m_row in self.datum.weyl_elements[w].matrix)
         return got
 
-    def multiply(self, a: AffineHeckeElement,
-                 b: AffineHeckeElement) -> AffineHeckeElement:
-        b_terms = {z: c.terms for z, c in b.terms.items()}
-        out: dict[AffKey, dict[int, int]] = {}
-        for x, cx in a.terms.items():
-            for z, c in self._left_mul_basis(x, b_terms).items():
-                for e, n in cx.terms.items():
-                    self._acc(out, z, c, e, n)
-            self._guard(out, PRODUCT)
-        return self._element(out, denom=a.denom * b.denom)
-
     # -- Bernstein elements ------------------------------------------------
-
-    def _inverse_terms(self, lam: Coweight) -> dict:
-        """T_{t_lam}^{-1} for dominant lam, along a reduced word."""
-        pi, word = self.reduced_word(self.translation_key(lam))
-        cur = {self.inv_aff(pi): {0: 1}}
-        for idx in word:
-            cur = self._left_mul_gen(idx, cur, "theta", inverse=True)
-        return cur
-
-    def translation_inverse(self, lam: Coweight) -> AffineHeckeElement:
-        """T_{t_lam}^{-1} for dominant lam, expanded along a reduced word."""
-        lam = tuple(lam)
-        if not self.datum.is_dominant(lam):
-            raise ValidationError("translation_inverse expects a dominant coweight")
-        return self._element(self._inverse_terms(lam))
 
     @cached_property
     def _dominant_lifters(self) -> list[Coweight]:
@@ -447,7 +283,6 @@ class AffineHeckeAlgebra:
         sol = solve_integer_combination(cols, tuple(pairings))
         if sol is None:
             raise ConsistencyError("pairing pattern outside the root span")
-        from math import lcm
         scale = lcm(*(c.denominator for c in sol)) if sol else 1
         return tuple(int(c * scale) for c in sol)
 
@@ -469,36 +304,6 @@ class AffineHeckeAlgebra:
                     break
             else:
                 return cur, lam2
-
-    def theta(self, lam: Coweight) -> AffineHeckeElement:
-        """Bernstein element theta_lam; theta_lam theta_nu = theta_{lam+nu}."""
-        lam = tuple(lam)
-        cached = self._theta_memo.get(lam)
-        if cached is None:
-            lam1, lam2 = self._dominant_decomposition(lam)
-            e1 = self.length(self.translation_key(lam1))
-            e2 = self.length(self.translation_key(lam2))
-            if lam2 == self._zero_vec:
-                terms = {self.translation_key(lam1): {0: 1}}
-            else:
-                terms = self._left_mul_basis(
-                    self.translation_key(lam1), self._inverse_terms(lam2),
-                    "theta")
-            cached = self._theta_memo[lam] = self._element(terms, e2 - e1)
-        # a fresh terms dict, so no caller's edit reaches the memo
-        return AffineHeckeElement(dict(cached.terms))
-
-    def central_element(self, f: SymmetricFunction) -> AffineHeckeElement:
-        """z_f = f(theta); commutes with every T_s and theta_nu."""
-        if not isinstance(f, SymmetricFunction):
-            raise ValidationError("central_element needs a W-invariant function")
-        total: dict[AffKey, dict[int, int]] = {}
-        for w, c in f.weights.terms.items():
-            for key, coeff in self.theta(w).terms.items():
-                for e, n in c.terms.items():
-                    self._acc(total, key, coeff.terms, e, n)
-            self._guard(total, "central element")
-        return self._element(total)
 
     # -- spherical module H E ----------------------------------------------
 
@@ -528,7 +333,7 @@ class AffineHeckeAlgebra:
         """
         acc, ell = self._acc, self._coset_length
         shift = -2 if inverse else 2
-        mu, alpha, alpha_v, _ = self._gen_actions[idx]
+        mu, alpha, alpha_v = self._gen_actions[idx]
         out: dict[Coweight, dict[int, int]] = {}
         for lam, c in coeffs.items():
             k = sum(a * x for a, x in zip(alpha, lam))
@@ -590,75 +395,57 @@ class AffineHeckeAlgebra:
             coords[dom] = LaurentHalf(value)
         return SphericalCosetVector(coords)
 
-    def _ordered_labels(self, lam_list) -> list[Coweight]:
-        labels = sorted({tuple(l) for l in lam_list},
-                        key=lambda l: (self.datum.rho_pairing_exponent(l), l))
-        label_set = set(labels)
-        for lam in labels:
-            if not self.datum.is_dominant(lam):
-                raise ValidationError(f"{lam} is not dominant")
-            missing = [mu for mu in self.datum.dominants_below(lam)
-                       if mu not in label_set]
-            if missing:
-                raise ValidationError(
-                    f"list is not downward-closed: missing {missing}")
-        return labels
-
-    def satake_matrix(self, lam_list):
-        """Matrix of satake_inverse from the m_nu basis to the coset basis.
-
-        Entry [i][j] is the coordinate at labels[i] of the image of
-        m_{labels[j]}; the matrix is upper triangular for the dominance
-        order.
-        """
-        labels = self._ordered_labels(lam_list)
-        index = {lam: i for i, lam in enumerate(labels)}
-        n = len(labels)
-        a = [[LaurentHalf.zero() for _ in range(n)] for _ in range(n)]
-        for j, nu in enumerate(labels):
-            vec = self.satake_inverse(orbit_character(self.datum, nu))
-            for lam, c in vec.coords.items():
-                i = index.get(lam)
-                if i is None or i > j:
-                    raise ConsistencyError(
-                        f"image of m_{nu} is supported outside its lower set")
-                a[i][j] = c
-        return labels, a
-
-    def satake_transform_matrix(self, lam_list):
-        """Inverse of satake_matrix: the Satake transform, coset to m basis.
-
-        Upper triangular with diagonal entry v^{<2 rho, lam>} at lam.
-        """
-        labels, a = self.satake_matrix(lam_list)
-        n = len(labels)
-        b = [[LaurentHalf.zero() for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            b[k][k] = a[k][k].monomial_inverse()
-            for i in range(k - 1, -1, -1):
-                acc = LaurentHalf.zero()
-                for j in range(i + 1, k + 1):
-                    acc = acc + a[i][j] * b[j][k]
-                b[i][k] = -(a[i][i].monomial_inverse()) * acc
-        return labels, b
+    def _orbit_sum_image(self, lam: Coweight) -> dict[Coweight, LaurentHalf]:
+        """Coordinates of satake_inverse(m_lam), memoized, once they are
+        checked to lie on the dominant mu <= lam with a unit coefficient
+        at lam."""
+        image = self._image_memo.get(lam)
+        if image is None:
+            datum = self.datum
+            image = self.satake_inverse(orbit_character(datum, lam)).coords
+            if not set(datum.dominants_below(lam)).issuperset(image):
+                raise ConsistencyError(
+                    f"image of m_{lam} is supported outside its lower set")
+            if not image.get(lam, LaurentHalf.zero()).is_unit():
+                raise ConsistencyError(
+                    f"image of m_{lam} has no unit coefficient at {lam}")
+            self._image_memo[lam] = image
+        return image
 
     def satake_of_indicator(self, lam: Coweight) -> SymmetricFunction:
         """S(1_{K lam K}) expressed in monomial symmetric functions."""
         return self.satake_transform(SphericalCosetVector({tuple(lam): ONE}))
 
     def satake_transform(self, vec: SphericalCosetVector) -> SymmetricFunction:
-        """Inverse of satake_inverse on the span of the vector's lower sets."""
-        closure: set[Coweight] = set()
+        """Inverse of satake_inverse, by stripping.
+
+        The highest label lam by (<2 rho, lam>, lam) takes c m_lam, with c
+        the coordinate at lam over the unit coefficient of the image of
+        m_lam there, and c times that image is subtracted.  Each step
+        removes the highest label and adds lower ones.
+        """
+        datum = self.datum
         for lam in vec.coords:
-            closure.update(self.datum.dominants_below(lam))
-        if not closure:
-            return SymmetricFunction.constant(self.datum, 0)
-        labels, b = self.satake_transform_matrix(sorted(closure))
-        total = WeightMultiset()
-        for lam, c in vec.coords.items():
-            k = labels.index(lam)
-            for i, nu in enumerate(labels):
-                if not b[i][k].is_zero():
-                    total = total + orbit_character(
-                        self.datum, nu).weights.scale(b[i][k] * c)
-        return SymmetricFunction(self.datum, total, check=False)
+            if not datum.is_dominant(lam):
+                raise ValidationError(
+                    f"satake_transform: {lam} is not dominant")
+        work = dict(vec.coords)
+        out: dict[Coweight, LaurentHalf] = {}
+        while work:
+            lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
+            image = self._orbit_sum_image(lam)
+            # popped, not subtracted: the rest of the image is strictly
+            # lower, so each step ends with lam gone
+            c = out[lam] = work.pop(lam) * image[lam].monomial_inverse()
+            for mu, a in image.items():
+                if mu == lam:
+                    continue
+                rest = work.get(mu, LaurentHalf.zero()) - c * a
+                if rest.is_zero():
+                    work.pop(mu, None)
+                else:
+                    work[mu] = rest
+        # the orbits of distinct dominant labels are disjoint
+        return SymmetricFunction(datum, WeightMultiset(
+            {w: c for lam, c in out.items() for w in datum.weyl_orbit(lam)}),
+            check=False)

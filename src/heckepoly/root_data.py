@@ -296,13 +296,6 @@ class BasedRootDatum:
         self.weyl_elements
         return self.__dict__["weyl_right"]
 
-    @cached_property
-    def weyl_left(self) -> tuple[tuple[int, ...], ...]:
-        """weyl_left[k][i] is the index of s_i w_k = (w_k^{-1} s_i)^{-1}."""
-        inverse, right = self.weyl_inverse, self.weyl_right
-        return tuple(tuple(inverse[j] for j in right[inverse[k]])
-                     for k in range(self.weyl_order))
-
     def weyl_mul(self, a: int, b: int) -> int:
         """Index of w_a w_b, walking weyl_right along the word of w_b."""
         right = self.weyl_right

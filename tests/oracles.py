@@ -2,16 +2,214 @@
 computes, kept here so the tests can check the library against them.
 
 Each helper repeats one computation by the direct route: one e_k call,
-a sum over the finite Weyl group, or the whole candidate window.
+a sum over the finite Weyl group, the whole candidate window, or the
+product in the T basis of the affine Hecke algebra (``TBasisAlgebra``).
 """
 
 import itertools
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from heckepoly.errors import ConsistencyError, ValidationError
 from heckepoly.laurent import LaurentHalf, ONE, elementary_symmetric
 from heckepoly.characters import (FormalTorusDomain, SymmetricFunction,
                                   WeightMultiset)
-from heckepoly.iwahori import AffineHeckeElement, SphericalCosetVector
+from heckepoly.iwahori import (AffineHeckeAlgebra, AffKey,
+                               SphericalCosetVector)
+
+PRODUCT = "T-basis product"
+
+
+@dataclass
+class AffineHeckeElement:
+    """Finite T-basis expansion with an optional scalar denominator (the
+    denominator is there for e_K = E / P_W(q))."""
+
+    terms: dict[AffKey, LaurentHalf]
+    denom: LaurentHalf = field(default_factory=lambda: ONE)
+
+    def __post_init__(self):
+        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
+        if self.denom.is_zero():
+            raise ValidationError("denominator must be nonzero")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def scale(self, c: LaurentHalf) -> "AffineHeckeElement":
+        return AffineHeckeElement({k: v * c for k, v in self.terms.items()},
+                                  self.denom)
+
+    def __add__(self, other: "AffineHeckeElement") -> "AffineHeckeElement":
+        if self.denom == other.denom:
+            out = dict(self.terms)
+            for k, c in other.terms.items():
+                out[k] = out.get(k, LaurentHalf.zero()) + c
+            return AffineHeckeElement(out, self.denom)
+        out = {k: c * other.denom for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            out[k] = out.get(k, LaurentHalf.zero()) + c * self.denom
+        return AffineHeckeElement(out, self.denom * other.denom)
+
+    def __neg__(self) -> "AffineHeckeElement":
+        return AffineHeckeElement({k: -c for k, c in self.terms.items()},
+                                  self.denom)
+
+    def __sub__(self, other: "AffineHeckeElement") -> "AffineHeckeElement":
+        return self + (-other)
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineHeckeElement):
+            return NotImplemented
+        if self.denom == other.denom:
+            return self.terms == other.terms
+        left = {k: c * other.denom for k, c in self.terms.items()}
+        right = {k: c * self.denom for k, c in other.terms.items()}
+        return left == right
+
+    def to_json(self, datum):
+        items = []
+        for (lam, w), c in sorted(self.terms.items()):
+            word = list(datum.weyl_elements[w].word)
+            items.append({"translation": list(lam), "finite_word": word,
+                          "coeff": c.serialize()})
+        if self.denom == ONE:
+            return items
+        return {"terms": items, "denominator": self.denom.serialize()}
+
+
+class TBasisAlgebra(AffineHeckeAlgebra):
+    """The affine Hecke algebra with its product in the T basis.
+
+    T_x T_y = T_{xy} when lengths add, and the quadratic relation
+    resolves the other case generator by generator along a reduced word
+    (affine simple reflections plus the length-zero remainder group,
+    which acts by relabeling).  On one basis element,
+    T_s T_z = T_{sz} if sz > z, else (q - 1) T_z + q T_{sz}, and
+    T_s^{-1} T_z = T_{sz} if sz < z, else q^{-1} T_{sz} + (q^{-1} - 1) T_z.
+    Every product, theta and the central element are guarded by
+    max_support, naming the stage.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._theta_memo = {}
+
+    @cached_property
+    def _gen_rows(self) -> dict[int, tuple[int, ...]]:
+        """Per generator (mu, s_alpha): row[w] is the index of s_alpha w."""
+        datum = self.datum
+        return {idx: tuple(datum.weyl_mul(s_alpha, w)
+                           for w in range(datum.weyl_order))
+                for idx, (_, s_alpha) in self._gens.items()}
+
+    def unit(self) -> AffineHeckeElement:
+        return AffineHeckeElement({self.identity_key(): ONE})
+
+    def t_basis(self, x: AffKey) -> AffineHeckeElement:
+        return AffineHeckeElement({x: ONE})
+
+    def gen_t(self, idx: int) -> AffineHeckeElement:
+        return self.t_basis(self._gens[idx])
+
+    def _left_mul_gen(self, idx: int, terms: dict, stage: str = PRODUCT,
+                      inverse: bool = False) -> dict:
+        """T_s E, or T_s^{-1} E if inverse, in one pass over E's terms."""
+        acc, length = self._acc, self.length
+        shift = -2 if inverse else 2
+        mu, alpha, alpha_v = self._gen_actions[idx]
+        row = self._gen_rows[idx]
+        out = {}
+        for z, c in terms.items():
+            lam, w = z
+            k = sum(a * x for a, x in zip(alpha, lam))
+            sz = (tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v)),
+                  row[w])
+            if (length(sz) > length(z)) != inverse:
+                acc(out, sz, c)
+            else:
+                acc(out, sz, c, shift)
+                acc(out, z, c, shift)
+                acc(out, z, c, 0, -1)
+        self._guard(out, stage)
+        return out
+
+    def _left_mul_basis(self, x: AffKey, terms: dict,
+                        stage: str = PRODUCT) -> dict:
+        pi, word = self.reduced_word(x)
+        cur = terms
+        for idx in reversed(word):
+            cur = self._left_mul_gen(idx, cur, stage)
+        if pi != self.identity_key():
+            mul = self.datum.weyl_mul
+            cur = {(self._relabel(pi, lam), mul(pi[1], w)): c
+                   for (lam, w), c in cur.items()}
+        return cur
+
+    @staticmethod
+    def _element(terms: dict, shift: int = 0,
+                 denom: LaurentHalf = ONE) -> AffineHeckeElement:
+        """The element v^shift * sum c_x T_x / denom of {exponent: int}
+        coefficients c_x."""
+        return AffineHeckeElement(
+            {x: LaurentHalf({e + shift: n for e, n in c.items()})
+             for x, c in terms.items()}, denom)
+
+    def multiply(self, a: AffineHeckeElement,
+                 b: AffineHeckeElement) -> AffineHeckeElement:
+        b_terms = {z: c.terms for z, c in b.terms.items()}
+        out = {}
+        for x, cx in a.terms.items():
+            for z, c in self._left_mul_basis(x, b_terms).items():
+                for e, n in cx.terms.items():
+                    self._acc(out, z, c, e, n)
+            self._guard(out, PRODUCT)
+        return self._element(out, denom=a.denom * b.denom)
+
+    def _inverse_terms(self, lam) -> dict:
+        """T_{t_lam}^{-1} for dominant lam, along a reduced word."""
+        pi, word = self.reduced_word(self.translation_key(lam))
+        cur = {self.inv_aff(pi): {0: 1}}
+        for idx in word:
+            cur = self._left_mul_gen(idx, cur, "theta", inverse=True)
+        return cur
+
+    def translation_inverse(self, lam) -> AffineHeckeElement:
+        """T_{t_lam}^{-1} for dominant lam, expanded along a reduced word."""
+        lam = tuple(lam)
+        if not self.datum.is_dominant(lam):
+            raise ValidationError("translation_inverse expects a dominant coweight")
+        return self._element(self._inverse_terms(lam))
+
+    def theta(self, lam) -> AffineHeckeElement:
+        """Bernstein element theta_lam; theta_lam theta_nu = theta_{lam+nu}."""
+        lam = tuple(lam)
+        cached = self._theta_memo.get(lam)
+        if cached is None:
+            lam1, lam2 = self._dominant_decomposition(lam)
+            e1 = self.length(self.translation_key(lam1))
+            e2 = self.length(self.translation_key(lam2))
+            if lam2 == self._zero_vec:
+                terms = {self.translation_key(lam1): {0: 1}}
+            else:
+                terms = self._left_mul_basis(
+                    self.translation_key(lam1), self._inverse_terms(lam2),
+                    "theta")
+            cached = self._theta_memo[lam] = self._element(terms, e2 - e1)
+        # a fresh terms dict, so no caller's edit reaches the memo
+        return AffineHeckeElement(dict(cached.terms))
+
+    def central_element(self, f: SymmetricFunction) -> AffineHeckeElement:
+        """z_f = f(theta); commutes with every T_s and theta_nu."""
+        if not isinstance(f, SymmetricFunction):
+            raise ValidationError("central_element needs a W-invariant function")
+        total = {}
+        for w, c in f.weights.terms.items():
+            for key, coeff in self.theta(w).terms.items():
+                for e, n in c.terms.items():
+                    self._acc(total, key, coeff.terms, e, n)
+            self._guard(total, "central element")
+        return self._element(total)
 
 
 def mat_mul(a, b):

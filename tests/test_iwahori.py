@@ -10,19 +10,20 @@ from heckepoly.characters import (SymmetricFunction, WeightMultiset,
                                   orbit_character)
 from heckepoly.root_data import build_standard
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
-from oracles import (finite_sum, min_coset_length, poincare,
+from oracles import (TBasisAlgebra, finite_sum, min_coset_length, poincare,
                      satake_inverse_by_central_element, spherical_idempotent)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
 SP4 = build_standard("Sp", 4)
 
-H2 = AffineHeckeAlgebra(GL2)
-H3 = AffineHeckeAlgebra(GL3)
-HSP = AffineHeckeAlgebra(SP4)
-H4 = AffineHeckeAlgebra(build_standard("GL", 4))
-HPGL3 = AffineHeckeAlgebra(build_standard("PGL", 3))
-HPGL4 = AffineHeckeAlgebra(build_standard("PGL", 4))
+# the library's engine plus the T-basis product the tests compare it with
+H2 = TBasisAlgebra(GL2)
+H3 = TBasisAlgebra(GL3)
+HSP = TBasisAlgebra(SP4)
+H4 = TBasisAlgebra(build_standard("GL", 4))
+HPGL3 = TBasisAlgebra(build_standard("PGL", 3))
+HPGL4 = TBasisAlgebra(build_standard("PGL", 4))
 
 V = LaurentHalf.v_power
 
@@ -275,25 +276,28 @@ def test_satake_inverse_is_linear():
     assert vec == SphericalCosetVector({(1, 0): LaurentHalf({2: 2})})
 
 
-def test_satake_matrix_gl2_block():
-    labels, a = H2.satake_matrix([(2, 0), (1, 1)])
-    assert labels == [(1, 1), (2, 0)]
-    assert a[0][0] == ONE          # m_(1,1) -> coset (1,1)
-    assert a[1][1] == V(-2)        # leading coefficient at (2,0)
-    assert a[1][0].is_zero()       # triangular
-    labels, b = H2.satake_transform_matrix([(2, 0), (1, 1)])
-    assert b[0][0] == ONE and b[1][1] == V(2)
-    assert b[1][0].is_zero()
+def _by_level(datum, labels):
+    """Labels in the order the transform strips them, lowest first."""
+    return sorted(labels, key=lambda l: (datum.rho_pairing_exponent(l), l))
 
 
-def test_satake_matrix_identity_block():
-    labels, a = H2.satake_matrix([(0, 0)])
-    assert labels == [(0, 0)] and a == [[ONE]]
+def test_satake_inverse_gl2_block():
+    assert _by_level(GL2, GL2.dominants_below((2, 0))) == [(1, 1), (2, 0)]
+    low = H2.satake_inverse(orbit_character(GL2, (1, 1)))
+    high = H2.satake_inverse(orbit_character(GL2, (2, 0)))
+    assert low.coeff((1, 1)) == ONE      # m_(1,1) -> coset (1,1)
+    assert high.coeff((2, 0)) == V(-2)   # leading coefficient at (2,0)
+    assert low.coeff((2, 0)).is_zero()   # triangular
+    low = H2.satake_of_indicator((1, 1)).weights
+    high = H2.satake_of_indicator((2, 0)).weights
+    assert low.coeff((1, 1)) == ONE and high.coeff((2, 0)) == V(2)
+    assert low.coeff((2, 0)).is_zero()
 
 
-def test_satake_matrix_rejects_open_list():
-    with pytest.raises(ValidationError):
-        H2.satake_matrix([(2, 0)])  # missing (1,1)
+def test_satake_inverse_identity_block():
+    assert GL2.dominants_below((0, 0)) == ((0, 0),)
+    assert H2.satake_inverse(orbit_character(GL2, (0, 0))) == \
+        SphericalCosetVector({(0, 0): ONE})
 
 
 def test_satake_of_indicator_classical_gl2():
@@ -352,6 +356,64 @@ def test_round_trip_other_families():
             f = f + orbit_character(datum, lam).scale(
                 LaurentHalf({rng.randint(-1, 1): rng.choice([-1, 1, 2])}))
             assert algebra.satake_transform(algebra.satake_inverse(f)) == f
+
+
+def _window_labels(datum, max_norm):
+    """The dominant mu below the window's dominant lam, as verify satake
+    takes them."""
+    closure = set()
+    for lam in itertools.product(range(max_norm + 1), repeat=datum.rank):
+        if datum.is_dominant(lam):
+            closure.update(datum.dominants_below(lam))
+    return sorted(closure)
+
+
+@pytest.mark.parametrize("family,rank", [("GL", 2), ("GL", 3), ("PGL", 3),
+                                         ("SL", 3), ("Sp", 4)],
+                         ids=["GL2", "GL3", "PGL3", "SL3", "Sp4"])
+def test_satake_transform_round_trips_coset_vectors(family, rank):
+    # vec -> f -> vec: every unit vector of the max-norm 2 window, then
+    # four random combinations of three labels
+    datum = build_standard(family, rank)
+    algebra = AffineHeckeAlgebra(datum)
+    labels = _window_labels(datum, 2)
+    rng = random.Random(103)
+    vectors = [SphericalCosetVector({lam: ONE}) for lam in labels]
+    for _ in range(4):
+        vectors.append(SphericalCosetVector(
+            {lam: LaurentHalf({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])})
+             for lam in rng.sample(labels, min(3, len(labels)))}))
+    for vec in vectors:
+        assert algebra.satake_inverse(algebra.satake_transform(vec)) == vec
+    assert algebra.satake_transform(SphericalCosetVector({})) == \
+        SymmetricFunction.constant(datum, 0)
+
+
+@pytest.mark.parametrize("image,message", [
+    ({(2, 0): V(-2), (1, 1): V(-2) - ONE, (1, 0): ONE},
+     "outside its lower set"),
+    ({(1, 1): V(-2) - ONE}, "no unit coefficient at"),
+    ({(2, 0): LaurentHalf({-2: 2}), (1, 1): V(-2) - ONE},
+     "no unit coefficient at")],
+    ids=["outside-lower-set", "missing-leading", "non-unit-leading"])
+def test_satake_transform_refuses_an_image_it_cannot_strip(
+        monkeypatch, image, message):
+    # the lower set of (2, 0) is {(2, 0), (1, 1)}, and the true image of
+    # m_(2,0) is v^-2 1_(2,0) + (v^-2 - 1) 1_(1,1); each case spoils it
+    algebra = AffineHeckeAlgebra(GL2)
+    engine = algebra.satake_inverse
+    top = orbit_character(GL2, (2, 0))
+    assert engine(top) == SphericalCosetVector(
+        {(2, 0): V(-2), (1, 1): V(-2) - ONE})
+    monkeypatch.setattr(algebra, "satake_inverse", lambda f: (
+        SphericalCosetVector(image) if f == top else engine(f)))
+    with pytest.raises(ConsistencyError, match=message):
+        algebra.satake_of_indicator((2, 0))
+
+
+def test_satake_transform_rejects_a_non_dominant_label():
+    with pytest.raises(ValidationError, match="not dominant"):
+        H2.satake_transform(SphericalCosetVector({(0, 1): ONE}))
 
 
 def test_resource_guard():
@@ -488,7 +550,7 @@ def test_left_generator_action_matches_group_law(algebra):
     rng = random.Random(89)
     for z in _sample_keys(algebra, rng, 40):
         for idx in algebra.generator_indices:
-            sz = algebra.mul_aff(algebra.generator(idx), z)
+            sz = algebra.mul_aff(algebra._gens[idx], z)
             if algebra.length(sz) > algebra.length(z):
                 expected = {sz: ONE.terms}
             else:
@@ -507,7 +569,7 @@ def test_reduced_word_and_length_zero_relabel(algebra):
         assert algebra.length(pi) == 0 and len(word) == algebra.length(x)
         prod = pi
         for idx in word:
-            prod = algebra.mul_aff(prod, algebra.generator(idx))
+            prod = algebra.mul_aff(prod, algebra._gens[idx])
         assert prod == x
         # T_x = T_pi T_{s_1} ... T_{s_m}: T_pi relabels by the group law
         z = _sample_keys(algebra, rng, 1)[0]
@@ -529,13 +591,13 @@ def test_inverse_generator_action_matches_the_quadratic_relation(algebra):
     for _ in range(12):
         keys = _sample_keys(algebra, rng, 3)
         # a repeated key, and sz of a sampled z, exercise accumulation
-        keys.append(algebra.mul_aff(algebra.generator(0), keys[0]))
+        keys.append(algebra.mul_aff(algebra._gens[0], keys[0]))
         elt = {z: LaurentHalf({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])})
                for z in keys}
         for idx in algebra.generator_indices:
             expected = {}
             for z, c in elt.items():
-                sz = algebra.mul_aff(algebra.generator(idx), z)
+                sz = algebra.mul_aff(algebra._gens[idx], z)
                 if algebra.length(sz) > algebra.length(z):
                     ts = {sz: c}
                 else:

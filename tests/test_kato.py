@@ -239,16 +239,15 @@ def test_guard_counts_orbit_points_and_memo_entries():
 
 
 def _orbit_by_weyl_table(datum, lam, top):
-    """Oracle for the pruned walk: every w in W along the left table
-    (w = s_i u with u shorter), keeping the points x - w x <= top."""
-    left = datum.weyl_left
+    """Oracle for the pruned walk: every w in W, each from the shorter
+    u = s_i w (weyl_mul), keeping the points x - w x <= top."""
     columns = [tuple(row[i] for row in datum.cartan)
                for i in range(datum.num_simple)]
     pairings = [tuple(datum.pairing(a, lam) + 1 for a in datum.simple_roots)]
     points = [(tuple(0 for _ in pairings[0]), 1)]
     for k, w in enumerate(datum.weyl_elements[1:], 1):
         i = w.word[0]
-        u = left[k][i]
+        u = datum.weyl_mul(datum.weyl_right[0][i], k)
         p, (d, sign) = pairings[u], points[u]
         pairings.append(tuple(x - p[i] * y for x, y in zip(p, columns[i])))
         points.append((tuple(x + p[i] * (j == i) for j, x in enumerate(d)),

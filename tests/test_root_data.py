@@ -269,7 +269,8 @@ def test_weyl_index_tables(datum):
         for i in range(datum.num_simple):
             s_i = datum.reflection_matrix(i)
             assert elts[datum.weyl_right[k][i]].matrix == mat_mul(w.matrix, s_i)
-            assert elts[datum.weyl_left[k][i]].matrix == mat_mul(s_i, w.matrix)
+            s_i_w = datum.weyl_mul(datum.weyl_right[0][i], k)
+            assert elts[s_i_w].matrix == mat_mul(s_i, w.matrix)
         lam = tuple(range(1, datum.rank + 1))
         assert datum.act(k, lam) == datum.act(w, lam) == _mat_vec(w.matrix, lam)
 
