@@ -111,8 +111,8 @@ class AffineHeckeAlgebra:
     """Engine for one based root datum.
 
     The Satake transform and its inverse are methods here so that
-    datum-derived tables (lengths, reflection data, the images of the
-    orbit sums) are shared.
+    datum-derived tables (lengths, reduced words, each generator's step
+    on each coset label, the images of the orbit sums) are shared.
     """
 
     def __init__(self, datum: BasedRootDatum,
@@ -126,8 +126,12 @@ class AffineHeckeAlgebra:
         self._length_memo: dict[AffKey, int] = {}
         self._finite_left_memo: dict[int, tuple] = {}
         self._coset_length_memo: dict[Coweight, int] = {}
+        self._word_memo: dict[AffKey, tuple[AffKey, tuple[int, ...]]] = {}
         self._image_memo: dict[Coweight, dict[Coweight, LaurentHalf]] = {}
         self._gens = self._build_generators()
+        # per generator: lam -> _step(idx, lam)
+        self._step_memo: dict[int, dict[Coweight, tuple]] = {
+            idx: {} for idx in self._gens}
 
     # -- extended affine Weyl group -------------------------------------
 
@@ -192,11 +196,18 @@ class AffineHeckeAlgebra:
         return total
 
     def reduced_word(self, x: AffKey) -> tuple[AffKey, tuple[int, ...]]:
-        """Write x = pi * s_{i_1} ... s_{i_m} with ell(pi) = 0, m = ell(x).
+        """Write x = pi * s_{i_1} ... s_{i_m} with ell(pi) = 0, m = ell(x);
+        memoized per x.
 
         Right descents by a finite s_i are one weyl_right lookup,
         (lam, w) s_i = (lam, w s_i); only s_0 goes through the group law.
         """
+        got = self._word_memo.get(x)
+        if got is None:
+            got = self._word_memo[x] = self._descend(x)
+        return got
+
+    def _descend(self, x: AffKey) -> tuple[AffKey, tuple[int, ...]]:
         right = self.datum.weyl_right
         word: list[int] = []
         cur = x
@@ -331,16 +342,18 @@ class AffineHeckeAlgebra:
         ell_min(s lam) < ell_min(lam), else
         q^{-1} v_{s lam} + (q^{-1} - 1) v_lam.
         """
-        acc, ell = self._acc, self._coset_length
+        acc = self._acc
         shift = -2 if inverse else 2
-        mu, alpha, alpha_v = self._gen_actions[idx]
+        steps = self._step_memo[idx]
         out: dict[Coweight, dict[int, int]] = {}
         for lam, c in coeffs.items():
-            k = sum(a * x for a, x in zip(alpha, lam))
-            slam = tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v))
-            if slam == lam:
+            step = steps.get(lam)
+            if step is None:
+                step = steps[lam] = self._step(idx, lam)
+            slam, rises = step
+            if rises is None:
                 acc(out, lam, c, shift)
-            elif (ell(slam) > ell(lam)) != inverse:
+            elif rises != inverse:
                 acc(out, slam, c)
             else:
                 acc(out, slam, c, shift)
@@ -348,6 +361,16 @@ class AffineHeckeAlgebra:
                 acc(out, lam, c, 0, -1)
         self._guard(out, stage)
         return out
+
+    def _step(self, idx: int, lam: Coweight) -> tuple:
+        """(s lam, ell_min(s lam) > ell_min(lam)) for the generator s,
+        with None in place of the comparison when s lam = lam."""
+        mu, alpha, alpha_v = self._gen_actions[idx]
+        k = sum(a * x for a, x in zip(alpha, lam))
+        slam = tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v))
+        if slam == lam:
+            return lam, None
+        return slam, self._coset_length(slam) > self._coset_length(lam)
 
     def _theta_on_e(self, lam: Coweight) -> dict:
         """theta_lam E = v^{ell(t_lam2) - ell(t_lam1)} T_{t_lam1}

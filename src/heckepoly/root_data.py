@@ -443,16 +443,30 @@ class BasedRootDatum:
     # -- orbits, dominance, minuscule ----------------------------------
 
     def weyl_orbit(self, lam: Coweight) -> tuple[Coweight, ...]:
-        lam = tuple(lam)
-        seen = {lam}
-        frontier = [lam]
+        """W lam, in descending order.
+
+        The walk starts at the dominant representative and reflects only
+        where the pairing is positive: s_i mu lies below mu exactly when
+        <alpha_i, mu> > 0, and each other point of the orbit has a
+        simple reflection that raises it, so every point is reached.
+        The pairings of s_i mu are those of mu less <alpha_i, mu> times
+        column i of the Cartan matrix, as in the Kostka-Foulkes walk.
+        """
+        top = self.dominant_representative(lam)
+        columns = tuple(zip(*self.cartan))
+        coroots = self.simple_coroots
+        seen = {top: tuple(_dot(a, top) for a in self.simple_roots)}
+        frontier = [top]
         while frontier:
             mu = frontier.pop()
-            for i in range(self.num_simple):
-                nu = self.reflect(i, mu)
-                if nu not in seen:
-                    seen.add(nu)
-                    frontier.append(nu)
+            p = seen[mu]
+            for i, k in enumerate(p):
+                if k > 0:
+                    nu = tuple(x - k * y for x, y in zip(mu, coroots[i]))
+                    if nu not in seen:
+                        seen[nu] = tuple(x - k * y
+                                         for x, y in zip(p, columns[i]))
+                        frontier.append(nu)
         return tuple(sorted(seen, reverse=True))
 
     def is_dominant(self, lam: Coweight) -> bool:
@@ -467,14 +481,6 @@ class BasedRootDatum:
                     break
             else:
                 return lam
-
-    def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
-        """mu <= lam: lam - mu is a nonnegative integer sum of simple coroots."""
-        diff = tuple(l - m for l, m in zip(lam, mu))
-        coeffs = solve_integer_combination(list(self.simple_coroots), diff)
-        if coeffs is None:
-            return False
-        return all(c >= 0 and c.denominator == 1 for c in coeffs)
 
     def is_minuscule(self, lam: Coweight) -> bool:
         dom = self.dominant_representative(lam)

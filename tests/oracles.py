@@ -2,8 +2,9 @@
 computes, kept here so the tests can check the library against them.
 
 Each helper repeats one computation by the direct route: one e_k call,
-a sum over the finite Weyl group, the whole candidate window, or the
-product in the T basis of the affine Hecke algebra (``TBasisAlgebra``).
+a sum over the finite Weyl group, the whole candidate window, every
+reflection of every orbit point, a rational solve, or the product in
+the T basis of the affine Hecke algebra (``TBasisAlgebra``).
 """
 
 import itertools
@@ -16,6 +17,7 @@ from heckepoly.characters import (FormalTorusDomain, SymmetricFunction,
                                   WeightMultiset)
 from heckepoly.iwahori import (AffineHeckeAlgebra, AffKey,
                                SphericalCosetVector)
+from heckepoly.root_data import solve_integer_combination
 
 PRODUCT = "T-basis product"
 
@@ -318,3 +320,29 @@ def small_minuscule_dominants_by_product(datum):
         (cand for cand in itertools.product(window, repeat=datum.rank)
          if datum.is_dominant(cand) and datum.is_minuscule(cand)),
         reverse=True))
+
+
+def weyl_orbit_by_reflections(datum, lam):
+    """W lam by breadth-first search over every simple reflection of
+    every point found, in descending order."""
+    lam = tuple(lam)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        mu = frontier.pop()
+        for i in range(datum.num_simple):
+            nu = datum.reflect(i, mu)
+            if nu not in seen:
+                seen.add(nu)
+                frontier.append(nu)
+    return tuple(sorted(seen, reverse=True))
+
+
+def dominance_leq(datum, mu, lam):
+    """mu <= lam: lam - mu is a nonnegative integer sum of simple
+    coroots, by a rational solve."""
+    diff = tuple(l - m for l, m in zip(lam, mu))
+    coeffs = solve_integer_combination(list(datum.simple_coroots), diff)
+    if coeffs is None:
+        return False
+    return all(c >= 0 and c.denominator == 1 for c in coeffs)

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.resources
+import itertools
 import json
 import signal
 import subprocess
@@ -16,7 +18,7 @@ from heckepoly.characters import SymmetricFunction, WeightMultiset
 from heckepoly.cli import main
 from heckepoly.errors import ConsistencyError
 from heckepoly.iwahori import AffineHeckeAlgebra
-from heckepoly.root_data import BasedRootDatum
+from heckepoly.root_data import BasedRootDatum, build_standard
 
 
 def _schema(name):
@@ -30,18 +32,24 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def _run_within(seconds, argv, capsys):
-    """_run under a wall-clock alarm: a hang fails the test instead of
-    stalling the suite."""
+@contextlib.contextmanager
+def _within(seconds, what):
+    """A wall-clock alarm: a hang fails the test instead of stalling the
+    suite."""
     def expire(signum, frame):
-        raise TimeoutError(f"{argv} ran past {seconds} s")
+        raise TimeoutError(f"{what} ran past {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        return _run(argv, capsys)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _run_within(seconds, argv, capsys):
+    with _within(seconds, argv):
+        return _run(argv, capsys)
 
 
 def test_datum_gl2(capsys):
@@ -251,6 +259,34 @@ def test_verify_satake_pgl4_window_is_pinned(capsys):
         "e4f064a5a8bebae82396f685e771aa0b6f099e0a66a84065e70a9680e050f309")
 
 
+@pytest.mark.parametrize("family,rank", [("GL", 3), ("PGL", 3), ("Sp", 4),
+                                         ("GL", 4)])
+def test_engine_memos_do_not_depend_on_the_order_of_use(family, rank):
+    # the labels verify satake takes at max-norm 2, each image computed
+    # on one algebra lowest first, then highest first, and on a fresh one
+    datum = build_standard(family, rank)
+    labels = sorted({mu for lam in itertools.product(range(3),
+                                                     repeat=datum.rank)
+                     if datum.is_dominant(lam)
+                     for mu in datum.dominants_below(lam)},
+                    key=lambda l: (datum.rho_pairing_exponent(l), l))
+    with _within(20.0, f"{family}{rank}"):
+        shared = AffineHeckeAlgebra(datum)
+        ascending = {lam: shared._orbit_sum_image(lam) for lam in labels}
+        # drop the images, not the step and word memos they filled
+        shared._image_memo.clear()
+        descending = {lam: shared._orbit_sum_image(lam)
+                      for lam in reversed(labels)}
+        for lam in labels:
+            alone = AffineHeckeAlgebra(datum)._orbit_sum_image(lam)
+            assert ascending[lam] == descending[lam] == alone
+        # the translations of the labels, and every key the images used
+        keys = {shared.translation_key(lam) for lam in labels}
+        for key in keys | set(shared._word_memo):
+            assert (shared.reduced_word(key)
+                    == AffineHeckeAlgebra(datum).reduced_word(key))
+
+
 def test_verify_satake(capsys):
     code, out, _ = _run(["verify", "satake", "--family", "GL", "--rank", "2",
                          "--max-norm", "2"], capsys)
@@ -317,6 +353,54 @@ def test_unwritable_out_exits_2(target, tmp_path, capsys):
     jsonschema.validate(obj, _schema("error"))
     assert obj["error"]["kind"] == "validation"
     assert obj["error"]["message"].startswith(f"--out {path}: ")
+
+
+# -- the parser: help text, usage errors and sys.argv, pinned -------------------
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--help"],
+     "5c13bfc786d617f3357b63637d94dfa75c8471299b575a0a2f908cb3e77b7657"),
+    (["poly", "--help"],
+     "f59d47fb446b3140bfab213f55e5140d30d53d51caa423181e7bd32273a26a66"),
+    (["verify", "--help"],
+     "1c86c0916ad6a4c9237c3608ab87a5687e146a581fc363e41ec918ccf2194a6f"),
+    (["verify", "satake", "--help"],
+     "92bf682d227b19013ebf8a5a823320295d2085c6b3f3583ceb2bee281b8703f0"),
+], ids=["heckepoly", "poly", "verify", "verify-satake"])
+def test_help_bytes_pinned(argv, digest, capsys, monkeypatch):
+    # argparse wraps help to the terminal width, which COLUMNS sets; the
+    # digests are of Python 3.11's argparse layout
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bogus"], "heckepoly: argument command: invalid choice: 'bogus' "
+                "(choose from 'datum', 'poly', 'eval', 'verify')"),
+    (["verify", "bogus"], "heckepoly verify: argument check: invalid choice: "
+                          "'bogus' (choose from 'ch', 'inertia', 'modell', "
+                          "'newton', 'satake')"),
+], ids=["unknown-command", "unknown-check"])
+def test_unknown_command_errors_are_pinned(argv, message, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"kind": "validation",
+                                         "message": message}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["datum", "--family", "Sp", "--rank", "4"],
+    ["verify", "satake", "--family", "GL", "--rank", "2", "--max-norm", "1"],
+    ["verify", "bogus"],
+], ids=["datum", "verify-satake", "unknown-check"])
+def test_main_without_argv_reads_sys_argv(argv, capsys, monkeypatch):
+    expected = _run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["heckepoly"] + argv)
+    assert _run(None, capsys) == expected
 
 
 def test_public_names_are_exactly_the_supported_surface():

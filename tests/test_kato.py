@@ -18,6 +18,7 @@ from heckepoly.root_data import BasedRootDatum, Coweight, build_standard
 from heckepoly.hecke import hecke_polynomial
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
 from heckepoly.kato import coset_coordinates
+from oracles import dominance_leq
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -37,7 +38,7 @@ def _window(datum, max_norm):
 def _dominants_below_by_bfs(datum, lam):
     """Oracle for the dominant walk: walk down the simple coroots while
     <2 rho, .> stays nonnegative, then keep the dominant mu <= lam by the
-    rational solve of ``dominance_leq``."""
+    rational solve of the ``dominance_leq`` oracle."""
     seen = {lam}
     frontier = [lam]
     while frontier:
@@ -48,7 +49,7 @@ def _dominants_below_by_bfs(datum, lam):
                 seen.add(nu)
                 frontier.append(nu)
     return tuple(sorted((mu for mu in seen if datum.is_dominant(mu)
-                         and datum.dominance_leq(mu, lam)), reverse=True))
+                         and dominance_leq(datum, mu, lam)), reverse=True))
 
 
 def _root_form(datum):

@@ -6,8 +6,9 @@ from heckepoly.errors import ResourceLimitError, ValidationError
 from heckepoly.root_data import (MAX_WEYL_ORDER, BasedRootDatum,
                                  build_standard, _identity,
                                  solve_integer_combination)
-from oracles import mat_mul
-from oracles import small_minuscule_dominants_by_product
+from oracles import (dominance_leq, mat_mul,
+                     small_minuscule_dominants_by_product,
+                     weyl_orbit_by_reflections)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -81,6 +82,26 @@ def test_weyl_orbits():
                           (0, 0, 0, 1)}
 
 
+# every standard datum whose lattice has rank at most 5
+SMALL = ([("GL", n) for n in range(1, 6)]
+         + [(f, n) for f in ("SL", "PGL") for n in range(2, 7)]
+         + [("Sp", n) for n in range(2, 11, 2)])
+
+
+@pytest.mark.parametrize("family,n", SMALL, ids=[f"{f}{n}" for f, n in SMALL])
+def test_weyl_orbit_walk_matches_the_reflection_search(family, n):
+    datum = build_standard(family, n)
+    # the walk starts at the dominant representative; the search starts
+    # at the input, dominant or not
+    rng = random.Random(datum.rank)
+    points = [tuple(0 for _ in range(datum.rank)), datum.two_rho_hat,
+              tuple(-x for x in datum.two_rho_hat)]
+    points += [tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+               for _ in range(12)]
+    for lam in points:
+        assert datum.weyl_orbit(lam) == weyl_orbit_by_reflections(datum, lam)
+
+
 def test_orbit_size_divides_weyl_order():
     rng = random.Random(7)
     for datum in ALL:
@@ -133,10 +154,10 @@ def test_dominant_representative():
 
 
 def test_dominance_leq():
-    assert GL2.dominance_leq((1, 1), (2, 0))        # (2,0)-(1,1) = coroot
-    assert not GL2.dominance_leq((1, 0), (1, 1))    # sums differ
-    assert GL3.dominance_leq((1, 1, 1), (3, 0, 0))
-    assert not GL3.dominance_leq((2, 2, 0), (3, 0, 0))  # coefficient -1/?
+    assert dominance_leq(GL2, (1, 1), (2, 0))        # (2,0)-(1,1) = coroot
+    assert not dominance_leq(GL2, (1, 0), (1, 1))    # sums differ
+    assert dominance_leq(GL3, (1, 1, 1), (3, 0, 0))
+    assert not dominance_leq(GL3, (2, 2, 0), (3, 0, 0))  # coefficient -1/?
 
 
 def test_rho_pairing():
