@@ -12,7 +12,7 @@ field with a chosen square root of q.
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain,
                       validate_sqrt)
-from .root_data import BasedRootDatum, Coweight, WeylElement, build_standard
+from .root_data import BasedRootDatum, Coweight, build_standard
 from .characters import (SymmetricFunction, WeightMultiset, decompose,
                          minuscule_weights, orbit_character, weyl_character)
 from .satake import (FormalTorusDomain, FrobeniusMatrix, SatakeParameter,
@@ -29,7 +29,7 @@ __all__ = [
     "PrimeFieldWithV", "RationalWithV", "RelationReport", "ResourceLimitError",
     "SatakeParameter", "ScalarDomain", "SphericalCosetVector",
     "SymmetricFunction", "ValidationError",
-    "WeightMultiset", "WeylElement", "build_standard",
+    "WeightMultiset", "build_standard",
     "cayley_hamilton_check", "decompose", "evaluate", "evaluate_coefficients",
     "excursion_values", "frobenius_matrix", "hecke_polynomial",
     "inertia_relation_check", "minuscule_weights", "orbit_character",

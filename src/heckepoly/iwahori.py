@@ -4,20 +4,20 @@ and the computed Satake transform.
 Conventions (fixed once, then pinned by the minuscule calibration
 identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
 
-* extended affine Weyl group: pairs x = (lam, w) = t_lam w with the
-  group law (lam1, w1)(lam2, w2) = (lam1 + w1 lam2, w1 w2); w is the
-  index of a finite Weyl element in ``datum.weyl_elements``, and every
-  product, inverse and inversion set comes from the datum's index
-  tables;
-* the engine never applies the group law in general: a generator
-  t_mu s_alpha (a simple reflection, or s_0 = t_{theta^vee} s_theta)
-  sends a coset label lam to mu + s_alpha lam, one reflection; a right
-  descent by a finite s_i is one ``weyl_right`` lookup; and a
-  length-zero element relabels a coset through its finite part's
-  lattice matrix, built once from the word and kept as sparse rows;
+* extended affine Weyl group: pairs x = (lam, p) standing for t_lam w,
+  with p = w 2 rho^vee.  2 rho^vee is regular, so p fixes w, and the
+  finite Weyl group is never enumerated.  The group law is
+  (lam1, w1)(lam2, w2) = (lam1 + w1 lam2, w1 w2), but the engine only
+  multiplies on the left by a generator t_mu s_alpha (a simple
+  reflection, or s_0 = t_{theta^vee} s_theta):
+  x -> (mu + s_alpha lam, s_alpha p), two reflections;
 * length: ell(t_lam w) = sum over positive roots alpha of
-  |<alpha, lam>| when w^{-1} alpha > 0 and |<alpha, lam> - 1| when
-  w^{-1} alpha < 0;
+  |<alpha, lam> - 1| when w^{-1} alpha < 0, else |<alpha, lam>|; and
+  w^{-1} alpha < 0 exactly when <alpha, p> < 0;
+* reduced words come from left descents, x = s_{i_1} ... s_{i_m} pi
+  with ell(pi) = 0.  A length-zero pi = (mu, p) acts on coset labels
+  through w: the reflections that take p down to 2 rho^vee spell
+  w^{-1}, whose lattice matrix is built from them once per p;
 * quadratic relation: T_s^2 = (q - 1) T_s + q with q = v^2, hence
   T_s^{-1} = q^{-1} T_s - (1 - q^{-1});
 * coefficients: inside the engine a coefficient in Z[v, v^-1] is a
@@ -45,7 +45,7 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   and T_s v_lam is q v_lam if s lam = lam, v_{s lam} if
   ell_min(s lam) > ell_min(lam), and (q - 1) v_lam + q v_{s lam}
   otherwise; a length-zero element relabels lam.  Each theta_lam E
-  follows reduced words of t_lam1 and t_lam2;
+  follows reduced words of t_{-lam1} and t_{-lam2};
 * satake_transform inverts satake_inverse by stripping the highest
   label, as ``KostkaFoulkesTable.decompose`` does: the image of m_lam
   lies on the dominant mu <= lam, with a unit coefficient at lam.
@@ -71,9 +71,10 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE
 from .characters import (DEFAULT_MAX_SUPPORT, SymmetricFunction,
                          WeightMultiset, orbit_character)
-from .root_data import BasedRootDatum, Coweight, solve_integer_combination
+from .root_data import (BasedRootDatum, Coweight, _identity,
+                        solve_integer_combination)
 
-AffKey = tuple[Coweight, int]
+AffKey = tuple[Coweight, Coweight]
 
 
 @dataclass
@@ -124,9 +125,9 @@ class AffineHeckeAlgebra:
         self.max_support = max_support
         self._zero_vec = tuple(0 for _ in range(datum.rank))
         self._length_memo: dict[AffKey, int] = {}
-        self._finite_left_memo: dict[int, tuple] = {}
         self._coset_length_memo: dict[Coweight, int] = {}
         self._word_memo: dict[AffKey, tuple[AffKey, tuple[int, ...]]] = {}
+        self._unwind_memo: dict[Coweight, tuple] = {}
         self._image_memo: dict[Coweight, dict[Coweight, LaurentHalf]] = {}
         self._gens = self._build_generators()
         # per generator: lam -> _step(idx, lam)
@@ -135,72 +136,62 @@ class AffineHeckeAlgebra:
 
     # -- extended affine Weyl group -------------------------------------
 
-    def _build_generators(self) -> dict[int, AffKey]:
-        datum = self.datum
-        gens: dict[int, AffKey] = {}
-        for i in range(datum.num_simple):
-            gens[i + 1] = (self._zero_vec, datum.weyl_right[0][i])
-        if datum.num_simple > 0:
-            theta = datum.highest_root
-            gens[0] = (datum.coroot_of(theta), datum.reflection_index(theta))
-        return gens
+    def _build_generators(self) -> dict[int, tuple]:
+        """Per affine simple reflection t_mu s_alpha: (mu, alpha, alpha^vee).
 
-    @cached_property
-    def _gen_actions(self) -> dict[int, tuple]:
-        """Per generator (mu, s_alpha): (mu, alpha, alpha^vee).
-
-        The generator sends the coset label lam to
-        mu + lam - <alpha, lam> alpha^vee: one reflection.
+        Index i + 1 is the finite s_i, with mu = 0; index 0 is
+        s_0 = t_{theta^vee} s_theta for the highest root theta.
         """
         datum = self.datum
-        acts = {}
-        for idx, (mu, _) in self._gens.items():
-            alpha = datum.simple_roots[idx - 1] if idx else datum.highest_root
-            acts[idx] = (mu, alpha, datum.coroot_of(alpha))
-        return acts
+        gens = {i + 1: (self._zero_vec, alpha, alpha_v)
+                for i, (alpha, alpha_v) in enumerate(
+                    zip(datum.simple_roots, datum.simple_coroots))}
+        if datum.num_simple > 0:
+            theta = datum.highest_root
+            theta_v = datum.coroot_of(theta)
+            gens[0] = (theta_v, theta, theta_v)
+        return gens
 
     @property
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self._gens))
 
     def identity_key(self) -> AffKey:
-        return (self._zero_vec, 0)
+        return (self._zero_vec, self.datum.two_rho_hat)
 
     def translation_key(self, lam: Coweight) -> AffKey:
-        return (tuple(lam), 0)
+        return (tuple(lam), self.datum.two_rho_hat)
 
-    def mul_aff(self, x: AffKey, y: AffKey) -> AffKey:
-        (l1, w1), (l2, w2) = x, y
-        datum = self.datum
-        return (tuple(a + b for a, b in zip(l1, datum.act(w1, l2))),
-                datum.weyl_mul(w1, w2))
-
-    def inv_aff(self, x: AffKey) -> AffKey:
-        lam, w = x
-        w_inv = self.datum.weyl_inverse[w]
-        return (tuple(-a for a in self.datum.act(w_inv, lam)), w_inv)
+    def _left_gen(self, idx: int, x: AffKey) -> AffKey:
+        """s x = (mu + s_alpha lam, s_alpha p) for the generator
+        s = t_mu s_alpha."""
+        mu, alpha, alpha_v = self._gens[idx]
+        lam, p = x
+        k = sum(a * b for a, b in zip(alpha, lam))
+        j = sum(a * b for a, b in zip(alpha, p))
+        return (tuple(m + a - k * b for m, a, b in zip(mu, lam, alpha_v)),
+                tuple(a - j * b for a, b in zip(p, alpha_v)))
 
     def length(self, x: AffKey) -> int:
         memo = self._length_memo
         cached = memo.get(x)
-        if cached is not None:
-            return cached
-        lam, w = x
-        datum = self.datum
-        inversions = datum.weyl_inversions[w]
-        total = 0
-        for alpha in datum.positive_roots:
-            pair = datum.pairing(alpha, lam)
-            total += abs(pair - 1) if alpha in inversions else abs(pair)
-        memo[x] = total
-        return total
+        if cached is None:
+            lam, p = x
+            cached = 0
+            for alpha in self.datum.positive_roots:
+                k = sum(a * b for a, b in zip(alpha, lam))
+                if sum(a * b for a, b in zip(alpha, p)) < 0:
+                    k -= 1
+                cached += abs(k)
+            memo[x] = cached
+        return cached
 
     def reduced_word(self, x: AffKey) -> tuple[AffKey, tuple[int, ...]]:
-        """Write x = pi * s_{i_1} ... s_{i_m} with ell(pi) = 0, m = ell(x);
+        """Write x = s_{i_1} ... s_{i_m} * pi with ell(pi) = 0, m = ell(x);
         memoized per x.
 
-        Right descents by a finite s_i are one weyl_right lookup,
-        (lam, w) s_i = (lam, w s_i); only s_0 goes through the group law.
+        Each letter is the first generator, in index order, whose left
+        multiplication shortens what is left.
         """
         got = self._word_memo.get(x)
         if got is None:
@@ -208,15 +199,12 @@ class AffineHeckeAlgebra:
         return got
 
     def _descend(self, x: AffKey) -> tuple[AffKey, tuple[int, ...]]:
-        right = self.datum.weyl_right
         word: list[int] = []
         cur = x
         length = self.length(cur)
         while length > 0:
-            lam, w = cur
             for idx in self.generator_indices:
-                y = ((lam, right[w][idx - 1]) if idx
-                     else self.mul_aff(cur, self._gens[0]))
+                y = self._left_gen(idx, cur)
                 if self.length(y) < length:
                     cur = y
                     length -= 1
@@ -224,7 +212,26 @@ class AffineHeckeAlgebra:
                     break
             else:
                 raise ConsistencyError("element of positive length has no descent")
-        return cur, tuple(reversed(word))
+        return cur, tuple(word)
+
+    def _unwind(self, p: Coweight) -> tuple:
+        """w^{-1} for the orbit point p = w 2 rho^vee, as sparse rows of
+        (column, entry), memoized: the simple reflections that take p
+        down to 2 rho^vee spell w^{-1}, and are applied to the basis once.
+        Only length-zero elements ask, and there are few."""
+        got = self._unwind_memo.get(p)
+        if got is None:
+            datum = self.datum
+            point, columns = p, _identity(datum.rank)
+            while not datum.is_dominant(point):
+                i = next(i for i, alpha in enumerate(datum.simple_roots)
+                         if datum.pairing(alpha, point) < 0)
+                point = datum.reflect(i, point)
+                columns = [datum.reflect(i, col) for col in columns]
+            got = self._unwind_memo[p] = tuple(
+                tuple((j, col[r]) for j, col in enumerate(columns) if col[r])
+                for r in range(datum.rank))
+        return got
 
     def _guard(self, terms: dict, stage: str):
         if len(terms) > self.max_support:
@@ -251,23 +258,6 @@ class AffineHeckeAlgebra:
                 del cur[e]
         if not cur:
             del out[key]
-
-    def _relabel(self, pi: AffKey, lam: Coweight) -> Coweight:
-        """The translation part mu + w lam of pi t_lam, pi = (mu, w)."""
-        mu, w = pi
-        return tuple(a + sum(r * lam[j] for j, r in m_row)
-                     for a, m_row in zip(mu, self._finite_left(w)))
-
-    def _finite_left(self, w: int) -> tuple:
-        """The lattice matrix of the finite Weyl element w as sparse rows
-        of (column, entry), memoized; only length-zero elements ask, and
-        there are few of them."""
-        got = self._finite_left_memo.get(w)
-        if got is None:
-            got = self._finite_left_memo[w] = tuple(
-                tuple((j, r) for j, r in enumerate(m_row) if r)
-                for m_row in self.datum.weyl_elements[w].matrix)
-        return got
 
     # -- Bernstein elements ------------------------------------------------
 
@@ -357,15 +347,28 @@ class AffineHeckeAlgebra:
                 acc(out, slam, c)
             else:
                 acc(out, slam, c, shift)
-                acc(out, lam, c, shift)
-                acc(out, lam, c, 0, -1)
+                # out[lam] += (v^shift - 1) c, in one walk of c
+                cur = out.setdefault(lam, {})
+                for e, x in c.items():
+                    y = cur.get(e + shift, 0) + x
+                    if y:
+                        cur[e + shift] = y
+                    else:
+                        del cur[e + shift]
+                    y = cur.get(e, 0) - x
+                    if y:
+                        cur[e] = y
+                    else:
+                        del cur[e]
+                if not cur:
+                    del out[lam]
         self._guard(out, stage)
         return out
 
     def _step(self, idx: int, lam: Coweight) -> tuple:
         """(s lam, ell_min(s lam) > ell_min(lam)) for the generator s,
         with None in place of the comparison when s lam = lam."""
-        mu, alpha, alpha_v = self._gen_actions[idx]
+        mu, alpha, alpha_v = self._gens[idx]
         k = sum(a * x for a, x in zip(alpha, lam))
         slam = tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v))
         if slam == lam:
@@ -374,18 +377,30 @@ class AffineHeckeAlgebra:
 
     def _theta_on_e(self, lam: Coweight) -> dict:
         """theta_lam E = v^{ell(t_lam2) - ell(t_lam1)} T_{t_lam1}
-        T_{t_lam2}^{-1} E in H E, along the reduced words of theta."""
+        T_{t_lam2}^{-1} E in H E.
+
+        t_{-lam} = s_{i_1} ... s_{i_m} pi with pi = (mu, p) gives
+        t_lam = pi^{-1} s_{i_m} ... s_{i_1}.  So T_{t_lam2}^{-1} E starts
+        at T_pi E = v_mu and applies T_{s_i}^{-1} for i = i_m, ..., i_1,
+        and T_{t_lam1} applies T_{s_i} for i = i_1, ..., i_m, then pi^{-1},
+        which relabels nu as w^{-1} (nu - mu).
+        """
         lam1, lam2 = self._dominant_decomposition(lam)
-        t1, t2 = self.translation_key(lam1), self.translation_key(lam2)
-        pi, word = self.reduced_word(t2)
-        cur = {self.inv_aff(pi)[0]: {self.length(t2) - self.length(t1): 1}}
-        for idx in word:
+        (mu2, _), word2 = self.reduced_word(
+            self.translation_key(tuple(-x for x in lam2)))
+        pi, word1 = self.reduced_word(
+            self.translation_key(tuple(-x for x in lam1)))
+        cur = {mu2: {len(word2) - len(word1): 1}}
+        for idx in reversed(word2):
             cur = self._module_gen(idx, cur, "theta", inverse=True)
-        pi, word = self.reduced_word(t1)
-        for idx in reversed(word):
+        for idx in word1:
             cur = self._module_gen(idx, cur, "theta")
         if pi != self.identity_key():
-            cur = {self._relabel(pi, nu): c for nu, c in cur.items()}
+            mu, p = pi
+            rows = self._unwind(p)
+            cur = {tuple(sum(r * (nu[j] - mu[j]) for j, r in row)
+                         for row in rows): c
+                   for nu, c in cur.items()}
         return cur
 
     def satake_inverse(self, f: SymmetricFunction) -> SphericalCosetVector:

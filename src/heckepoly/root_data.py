@@ -6,19 +6,12 @@ torus, simple roots (vectors in the dual lattice) and simple coroots
 standard dot product.  The finite Weyl group acts on the lattice by
 lam -> lam - <alpha_i, lam> alpha_i^vee.
 
-Inside the package a Weyl element is an int: its index in
-``weyl_elements``, which is sorted by (length, reduced word), so 0 is
-the identity.  The group is enumerated by breadth-first search on orbit
-points: W acts simply transitively on the orbit of the regular coweight
-x0 = 2 rho^vee, so w is stored as v_w = w^{-1} x0, and the edge
-w -> w s_i costs one reflection of v_w.  Products, inverses, inversion
-sets and reflections are tables over the indices, built once per datum
-on first use from orbit points and reduced words.  |W| itself comes from
-the heights of the positive roots, so ``weyl_order`` enumerates nothing,
-and the enumeration refuses groups larger than MAX_WEYL_ORDER before it
-starts.  Lattice matrices are never stored: ``WeylElement.matrix``
-builds one from the word when asked (the length-zero relabeling in
-``iwahori``, tests).
+The package never enumerates W.  Its elements act one simple
+reflection at a time: ``weyl_orbit`` walks an orbit from its dominant
+point, ``dominant_representative`` reflects down to it, and the affine
+engine of ``iwahori`` names a Weyl element w by its orbit point
+w 2 rho^vee, which fixes w because 2 rho^vee is regular.  |W| comes from
+the heights of the positive roots (``weyl_order``).
 
 The reflection walk that finds the roots also carries the integer
 simple coordinates of each root and coroot.  ``dominant_walk`` steps
@@ -39,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 
 Coweight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -47,9 +40,6 @@ Matrix = tuple[tuple[int, ...], ...]
 SUPPORTED_FAMILIES = ("GL", "SL", "PGL", "Sp")
 
 _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
-
-# Largest Weyl group that weyl_elements enumerates (GL8 has 40320).
-MAX_WEYL_ORDER = 100_000
 
 
 def _identity(n: int) -> Matrix:
@@ -105,44 +95,8 @@ def solve_integer_combination(columns: list[Coweight], target) -> tuple | None:
     return tuple(coeffs)
 
 
-class WeylElement:
-    """Finite Weyl group element of a datum, held as its reduced word.
-
-    The word is the lexicographically smallest reduced expression.  The
-    lattice matrix is built from it on each access and never stored, so
-    the whole group costs one word per element.  Equality and hashing go
-    through the matrix.
-    """
-
-    __slots__ = ("word", "datum")
-
-    def __init__(self, word: tuple[int, ...], datum: "BasedRootDatum"):
-        self.word = word
-        self.datum = datum
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def matrix(self) -> Matrix:
-        columns = (self.datum.act(self, e) for e in _identity(self.datum.rank))
-        return tuple(zip(*columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"WeylElement(word={self.word})"
-
-
 class BasedRootDatum:
-    """Lattice Z^rank with simple roots/coroots and their Weyl group."""
+    """Lattice Z^rank with simple roots/coroots and their reflections."""
 
     def __init__(self, family: str, rank: int,
                  simple_roots: list[Coweight], simple_coroots: list[Coweight]):
@@ -211,68 +165,12 @@ class BasedRootDatum:
         av = self.simple_coroots[i]
         return tuple(x - c * y for x, y in zip(lam, av))
 
-    def reflection_matrix(self, i: int) -> Matrix:
-        basis = _identity(self.rank)
-        return tuple(zip(*(self.reflect(i, col) for col in basis)))
-
     def dual_reflect(self, i: int, chi: Coweight) -> Coweight:
         c = _dot(chi, self.simple_coroots[i])
         a = self.simple_roots[i]
         return tuple(x - c * y for x, y in zip(chi, a))
 
-    def act(self, w: int | WeylElement, lam: Coweight) -> Coweight:
-        """w lam, for an index into weyl_elements or a WeylElement.
-
-        Applies the simple reflections of w's reduced word, right to left.
-        """
-        if not isinstance(w, WeylElement):
-            w = self.weyl_elements[w]
-        lam = tuple(lam)
-        for i in reversed(w.word):
-            lam = self.reflect(i, lam)
-        return lam
-
     # -- Weyl group -------------------------------------------------------
-
-    @cached_property
-    def weyl_elements(self) -> tuple[WeylElement, ...]:
-        """W sorted by (length, reduced word); 0 is the identity.
-
-        Breadth-first search on orbit points: w is represented by
-        v_w = w^{-1} x0 with x0 = 2 rho^vee, which is regular, so w -> v_w
-        is injective.  The edge w -> w s_i is one reflection,
-        v_{w s_i} = s_i v_w.  Each level is scanned in word order and
-        letters in increasing order, so the first word to reach an
-        element is its lexicographically smallest reduced word, and
-        elements are found already sorted.  The search also fills
-        ``weyl_index`` and ``weyl_right``.
-        """
-        if self.weyl_order > MAX_WEYL_ORDER:
-            raise ResourceLimitError(
-                f"Weyl group enumeration: |W| = {self.weyl_order} exceeds "
-                f"the bound {MAX_WEYL_ORDER}")
-        reflect = self.reflect
-        simple = range(self.num_simple)
-        index = {self.two_rho_hat: 0}
-        words = [()]
-        points = [self.two_rho_hat]
-        right = []
-        k = 0
-        while k < len(words):
-            row = []
-            for i in simple:
-                p = reflect(i, points[k])
-                j = index.get(p)
-                if j is None:
-                    j = index[p] = len(words)
-                    words.append(words[k] + (i,))
-                    points.append(p)
-                row.append(j)
-            right.append(tuple(row))
-            k += 1
-        self.__dict__["weyl_index"] = index
-        self.__dict__["weyl_right"] = tuple(right)
-        return tuple(WeylElement(word, self) for word in words)
 
     @cached_property
     def weyl_order(self) -> int:
@@ -283,60 +181,6 @@ class BasedRootDatum:
         """
         heights = [sum(self._root_expansions[a]) for a in self.positive_roots]
         return int(prod(h + 1 for h in heights) // prod(heights))
-
-    @cached_property
-    def weyl_index(self) -> dict[Coweight, int]:
-        """Orbit point w^{-1} 2rho^vee -> index of w; filled by the BFS."""
-        self.weyl_elements
-        return self.__dict__["weyl_index"]
-
-    @cached_property
-    def weyl_right(self) -> tuple[tuple[int, ...], ...]:
-        """weyl_right[k][i] is the index of w_k s_i; filled by the BFS."""
-        self.weyl_elements
-        return self.__dict__["weyl_right"]
-
-    def weyl_mul(self, a: int, b: int) -> int:
-        """Index of w_a w_b, walking weyl_right along the word of w_b."""
-        right = self.weyl_right
-        for i in self.weyl_elements[b].word:
-            a = right[a][i]
-        return a
-
-    @cached_property
-    def weyl_inverse(self) -> tuple[int, ...]:
-        """weyl_inverse[k] is the index of w_k^{-1}: its reversed word."""
-        right = self.weyl_right
-        out = []
-        for w in self.weyl_elements:
-            k = 0
-            for i in reversed(w.word):
-                k = right[k][i]
-            out.append(k)
-        return tuple(out)
-
-    @cached_property
-    def weyl_inversions(self) -> tuple[frozenset[Coweight], ...]:
-        """weyl_inversions[k]: the positive roots alpha with w_k^{-1} alpha < 0.
-
-        <w^{-1} alpha, x0> = <alpha, w x0>, and w x0 is the orbit point of
-        w^{-1}; a root is negative iff it pairs negatively with x0.
-        """
-        points = list(self.weyl_index)
-        return tuple(
-            frozenset(alpha for alpha in self.positive_roots
-                      if _dot(alpha, points[k_inv]) < 0)
-            for k_inv in self.weyl_inverse)
-
-    def reflection_index(self, alpha: Coweight) -> int:
-        """Index of the reflection s_alpha: lam -> lam - <alpha, lam> alpha^vee.
-
-        s_alpha is an involution, so its orbit point is s_alpha x0.
-        """
-        x0 = self.two_rho_hat
-        c = _dot(alpha, x0)
-        point = tuple(x - c * y for x, y in zip(x0, self.coroot_of(alpha)))
-        return self.weyl_index[point]
 
     # -- roots ------------------------------------------------------------
 
@@ -390,13 +234,6 @@ class BasedRootDatum:
         pos = [a for a, cs in self._root_expansions.items()
                if all(c >= 0 for c in cs)]
         return tuple(sorted(pos))
-
-    @cached_property
-    def _positive_root_set(self) -> frozenset[Coweight]:
-        return frozenset(self.positive_roots)
-
-    def is_positive_root(self, alpha: Coweight) -> bool:
-        return alpha in self._positive_root_set
 
     @cached_property
     def two_rho(self) -> Coweight:

@@ -85,10 +85,6 @@ class SatakeParameter:
             raise ValidationError("coweight length does not match parameter rank")
         return self.domain.monomial(self.entries, lam)
 
-    def permuted(self, perm: tuple[int, ...]) -> "SatakeParameter":
-        return SatakeParameter(self.domain,
-                               tuple(self.entries[j] for j in perm))
-
     def to_json(self) -> dict:
         return {"domain": self.domain.to_json(),
                 "entries": [self.domain.scalar_str(e) for e in self.entries]}

@@ -2,24 +2,161 @@
 computes, kept here so the tests can check the library against them.
 
 Each helper repeats one computation by the direct route: one e_k call,
-a sum over the finite Weyl group, the whole candidate window, every
+a sum over the finite Weyl group (enumerated here, in ``WeylTables``,
+and nowhere in the library), the whole candidate window, every
 reflection of every orbit point, a rational solve, or the product in
 the T basis of the affine Hecke algebra (``TBasisAlgebra``).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from heckepoly.errors import ConsistencyError, ValidationError
+from heckepoly.errors import (ConsistencyError, ResourceLimitError,
+                              ValidationError)
 from heckepoly.laurent import LaurentHalf, ONE, elementary_symmetric
-from heckepoly.characters import (FormalTorusDomain, SymmetricFunction,
-                                  WeightMultiset)
-from heckepoly.iwahori import (AffineHeckeAlgebra, AffKey,
-                               SphericalCosetVector)
-from heckepoly.root_data import solve_integer_combination
+from heckepoly.characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
+                                  SymmetricFunction, WeightMultiset)
+from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
+from heckepoly.root_data import _dot, _identity, solve_integer_combination
+from heckepoly.satake import SatakeParameter
 
 PRODUCT = "T-basis product"
+
+# Largest Weyl group that WeylTables enumerates (GL8 has 40320).
+MAX_WEYL_ORDER = 100_000
+
+# (lam, w): t_lam w, with w an index into the datum's WeylTables
+TKey = tuple[tuple[int, ...], int]
+
+
+def reflection_matrix(datum, i):
+    """Lattice matrix of the simple reflection s_i, column by column."""
+    return tuple(zip(*(datum.reflect(i, col)
+                       for col in _identity(datum.rank))))
+
+
+def is_positive_root(datum, alpha):
+    return tuple(alpha) in datum.positive_roots
+
+
+def permuted(s, perm):
+    """The Satake parameter with its entries permuted."""
+    return SatakeParameter(s.domain, tuple(s.entries[j] for j in perm))
+
+
+class WeylTables:
+    """The finite Weyl group of a datum, enumerated, with index tables.
+
+    An element is an int, its index in ``words``, which is sorted by
+    (length, reduced word), so 0 is the identity.  The group is
+    enumerated by breadth-first search on orbit points: W acts simply
+    transitively on the orbit of the regular coweight x0 = 2 rho^vee, so
+    w is stored as v_w = w^{-1} x0, and the edge w -> w s_i costs one
+    reflection, v_{w s_i} = s_i v_w.  Each level is scanned in word order
+    and letters in increasing order, so the first word to reach an
+    element is its lexicographically smallest reduced word, and elements
+    are found already sorted.  Products, inverses, inversion sets and
+    reflections are tables over the indices.  Groups larger than
+    MAX_WEYL_ORDER are refused before the search starts.
+    """
+
+    def __init__(self, datum):
+        if datum.weyl_order > MAX_WEYL_ORDER:
+            raise ResourceLimitError(
+                f"Weyl group enumeration: |W| = {datum.weyl_order} exceeds "
+                f"the bound {MAX_WEYL_ORDER}")
+        self.datum = datum
+        index = {datum.two_rho_hat: 0}
+        words = [()]
+        points = [datum.two_rho_hat]
+        right = []
+        k = 0
+        while k < len(words):
+            row = []
+            for i in range(datum.num_simple):
+                p = datum.reflect(i, points[k])
+                j = index.get(p)
+                if j is None:
+                    j = index[p] = len(words)
+                    words.append(words[k] + (i,))
+                    points.append(p)
+                row.append(j)
+            right.append(tuple(row))
+            k += 1
+        # orbit point w^{-1} x0 -> index of w
+        self.index = index
+        self.words = tuple(words)
+        # right[k][i] is the index of w_k s_i
+        self.right = tuple(right)
+
+    @property
+    def order(self) -> int:
+        return len(self.words)
+
+    def mul(self, a: int, b: int) -> int:
+        """Index of w_a w_b, walking ``right`` along the word of w_b."""
+        right = self.right
+        for i in self.words[b]:
+            a = right[a][i]
+        return a
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """inverse[k] is the index of w_k^{-1}: its reversed word."""
+        right = self.right
+        out = []
+        for word in self.words:
+            k = 0
+            for i in reversed(word):
+                k = right[k][i]
+            out.append(k)
+        return tuple(out)
+
+    @cached_property
+    def inversions(self) -> tuple[frozenset, ...]:
+        """inversions[k]: the positive roots alpha with w_k^{-1} alpha < 0.
+
+        <w^{-1} alpha, x0> = <alpha, w x0>, and w x0 is the orbit point of
+        w^{-1}; a root is negative iff it pairs negatively with x0.
+        """
+        points = list(self.index)
+        return tuple(
+            frozenset(alpha for alpha in self.datum.positive_roots
+                      if _dot(alpha, points[k_inv]) < 0)
+            for k_inv in self.inverse)
+
+    def reflection_index(self, alpha) -> int:
+        """Index of s_alpha: lam -> lam - <alpha, lam> alpha^vee.
+
+        s_alpha is an involution, so its orbit point is s_alpha x0.
+        """
+        x0 = self.datum.two_rho_hat
+        c = _dot(alpha, x0)
+        return self.index[tuple(
+            x - c * y for x, y in zip(x0, self.datum.coroot_of(alpha)))]
+
+    def by_point(self, p) -> int:
+        """Index of the w with w x0 = p (the affine engine's label of w)."""
+        return self.inverse[self.index[tuple(p)]]
+
+    def act(self, k: int, lam):
+        """w_k lam: the simple reflections of w_k's word, right to left."""
+        lam = tuple(lam)
+        for i in reversed(self.words[k]):
+            lam = self.datum.reflect(i, lam)
+        return lam
+
+    def matrix(self, k: int):
+        return tuple(zip(*(self.act(k, e)
+                           for e in _identity(self.datum.rank))))
+
+
+@functools.cache
+def weyl_tables(datum) -> WeylTables:
+    """The WeylTables of a datum, built once per datum object."""
+    return WeylTables(datum)
 
 
 @dataclass
@@ -27,7 +164,7 @@ class AffineHeckeElement:
     """Finite T-basis expansion with an optional scalar denominator (the
     denominator is there for e_K = E / P_W(q))."""
 
-    terms: dict[AffKey, LaurentHalf]
+    terms: dict[TKey, LaurentHalf]
     denom: LaurentHalf = field(default_factory=lambda: ONE)
 
     def __post_init__(self):
@@ -71,8 +208,9 @@ class AffineHeckeElement:
 
     def to_json(self, datum):
         items = []
+        words = weyl_tables(datum).words
         for (lam, w), c in sorted(self.terms.items()):
-            word = list(datum.weyl_elements[w].word)
+            word = list(words[w])
             items.append({"translation": list(lam), "finite_word": word,
                           "coeff": c.serialize()})
         if self.denom == ONE:
@@ -80,8 +218,16 @@ class AffineHeckeElement:
         return {"terms": items, "denominator": self.denom.serialize()}
 
 
-class TBasisAlgebra(AffineHeckeAlgebra):
+class TBasisAlgebra:
     """The affine Hecke algebra with its product in the T basis.
+
+    A key (lam, w) is t_lam w, with w an index into the datum's
+    ``WeylTables``, and the group law is
+    (lam1, w1)(lam2, w2) = (lam1 + w1 lam2, w1 w2).  Lengths, reduced
+    words and relabelings come from those tables, not from the library's
+    engine; the two share only the coefficient accumulator and the
+    decomposition lam = lam1 - lam2 into dominants, which theta does not
+    depend on.
 
     T_x T_y = T_{xy} when lengths add, and the quadratic relation
     resolves the other case generator by generator along a reduced word
@@ -93,22 +239,126 @@ class TBasisAlgebra(AffineHeckeAlgebra):
     max_support, naming the stage.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    _acc = staticmethod(AffineHeckeAlgebra._acc)
+
+    def __init__(self, datum, max_support: int = DEFAULT_MAX_SUPPORT):
+        self.datum = datum
+        self.max_support = max_support
+        self.weyl = weyl_tables(datum)
+        self._zero_vec = (0,) * datum.rank
+        self._decompose = AffineHeckeAlgebra(datum)._dominant_decomposition
+        self._length_memo = {}
+        self._word_memo = {}
+        self._finite_left_memo = {}
         self._theta_memo = {}
+        # per generator t_mu s_alpha: its key (mu, s_alpha), and
+        # (mu, alpha, alpha^vee)
+        self._gens, self._gen_actions = {}, {}
+        for i, pair in enumerate(zip(datum.simple_roots,
+                                     datum.simple_coroots)):
+            self._gens[i + 1] = (self._zero_vec, self.weyl.right[0][i])
+            self._gen_actions[i + 1] = (self._zero_vec,) + pair
+        if datum.num_simple > 0:
+            theta = datum.highest_root
+            theta_v = datum.coroot_of(theta)
+            self._gens[0] = (theta_v, self.weyl.reflection_index(theta))
+            self._gen_actions[0] = (theta_v, theta, theta_v)
 
     @cached_property
     def _gen_rows(self) -> dict[int, tuple[int, ...]]:
         """Per generator (mu, s_alpha): row[w] is the index of s_alpha w."""
-        datum = self.datum
-        return {idx: tuple(datum.weyl_mul(s_alpha, w)
-                           for w in range(datum.weyl_order))
+        mul = self.weyl.mul
+        return {idx: tuple(mul(s_alpha, w) for w in range(self.weyl.order))
                 for idx, (_, s_alpha) in self._gens.items()}
+
+    @property
+    def generator_indices(self) -> tuple[int, ...]:
+        return tuple(sorted(self._gens))
+
+    def identity_key(self) -> TKey:
+        return (self._zero_vec, 0)
+
+    def translation_key(self, lam) -> TKey:
+        return (tuple(lam), 0)
+
+    def mul_aff(self, x: TKey, y: TKey) -> TKey:
+        (l1, w1), (l2, w2) = x, y
+        return (tuple(a + b for a, b in zip(l1, self.weyl.act(w1, l2))),
+                self.weyl.mul(w1, w2))
+
+    def inv_aff(self, x: TKey) -> TKey:
+        lam, w = x
+        w_inv = self.weyl.inverse[w]
+        return (tuple(-a for a in self.weyl.act(w_inv, lam)), w_inv)
+
+    def length(self, x: TKey) -> int:
+        memo = self._length_memo
+        cached = memo.get(x)
+        if cached is None:
+            lam, w = x
+            inversions = self.weyl.inversions[w]
+            cached = 0
+            for alpha in self.datum.positive_roots:
+                pair = _dot(alpha, lam)
+                cached += abs(pair - 1) if alpha in inversions else abs(pair)
+            memo[x] = cached
+        return cached
+
+    def reduced_word(self, x: TKey):
+        """Write x = pi * s_{i_1} ... s_{i_m} with ell(pi) = 0, m = ell(x),
+        by right descents; memoized per x.
+
+        A right descent by a finite s_i is one lookup,
+        (lam, w) s_i = (lam, w s_i); only s_0 goes through the group law.
+        """
+        got = self._word_memo.get(x)
+        if got is None:
+            right = self.weyl.right
+            word = []
+            cur = x
+            length = self.length(cur)
+            while length > 0:
+                lam, w = cur
+                for idx in self.generator_indices:
+                    y = ((lam, right[w][idx - 1]) if idx
+                         else self.mul_aff(cur, self._gens[0]))
+                    if self.length(y) < length:
+                        cur = y
+                        length -= 1
+                        word.append(idx)
+                        break
+                else:
+                    raise ConsistencyError(
+                        "element of positive length has no descent")
+            got = self._word_memo[x] = (cur, tuple(reversed(word)))
+        return got
+
+    def _relabel(self, pi: TKey, lam):
+        """The translation part mu + w lam of pi t_lam, pi = (mu, w)."""
+        mu, w = pi
+        return tuple(a + sum(r * lam[j] for j, r in m_row)
+                     for a, m_row in zip(mu, self._finite_left(w)))
+
+    def _finite_left(self, w: int) -> tuple:
+        """The lattice matrix of w as sparse rows of (column, entry),
+        memoized; only length-zero elements ask."""
+        got = self._finite_left_memo.get(w)
+        if got is None:
+            got = self._finite_left_memo[w] = tuple(
+                tuple((j, r) for j, r in enumerate(m_row) if r)
+                for m_row in self.weyl.matrix(w))
+        return got
+
+    def _guard(self, terms: dict, stage: str):
+        if len(terms) > self.max_support:
+            raise ResourceLimitError(
+                f"{stage}: support {len(terms)} exceeds "
+                f"max_support={self.max_support}")
 
     def unit(self) -> AffineHeckeElement:
         return AffineHeckeElement({self.identity_key(): ONE})
 
-    def t_basis(self, x: AffKey) -> AffineHeckeElement:
+    def t_basis(self, x: TKey) -> AffineHeckeElement:
         return AffineHeckeElement({x: ONE})
 
     def gen_t(self, idx: int) -> AffineHeckeElement:
@@ -136,14 +386,14 @@ class TBasisAlgebra(AffineHeckeAlgebra):
         self._guard(out, stage)
         return out
 
-    def _left_mul_basis(self, x: AffKey, terms: dict,
+    def _left_mul_basis(self, x: TKey, terms: dict,
                         stage: str = PRODUCT) -> dict:
         pi, word = self.reduced_word(x)
         cur = terms
         for idx in reversed(word):
             cur = self._left_mul_gen(idx, cur, stage)
         if pi != self.identity_key():
-            mul = self.datum.weyl_mul
+            mul = self.weyl.mul
             cur = {(self._relabel(pi, lam), mul(pi[1], w)): c
                    for (lam, w), c in cur.items()}
         return cur
@@ -188,7 +438,7 @@ class TBasisAlgebra(AffineHeckeAlgebra):
         lam = tuple(lam)
         cached = self._theta_memo.get(lam)
         if cached is None:
-            lam1, lam2 = self._dominant_decomposition(lam)
+            lam1, lam2 = self._decompose(lam)
             e1 = self.length(self.translation_key(lam1))
             e2 = self.length(self.translation_key(lam2))
             if lam2 == self._zero_vec:
@@ -251,8 +501,8 @@ def dimension(datum, f):
 def poincare(algebra):
     """P_W(q) = sum over the finite Weyl group of q^{ell(w)}."""
     total = LaurentHalf.zero()
-    for w in algebra.datum.weyl_elements:
-        total = total + LaurentHalf.v_power(2 * w.length)
+    for word in algebra.weyl.words:
+        total = total + LaurentHalf.v_power(2 * len(word))
     return total
 
 
@@ -260,7 +510,7 @@ def finite_sum(algebra):
     """E = sum over the finite Weyl group of T_w."""
     zero = (0,) * algebra.datum.rank
     return AffineHeckeElement(
-        {(zero, w): ONE for w in range(algebra.datum.weyl_order)})
+        {(zero, w): ONE for w in range(algebra.weyl.order)})
 
 
 def spherical_idempotent(algebra):
@@ -270,9 +520,9 @@ def spherical_idempotent(algebra):
 
 def min_coset_length(algebra, x):
     """ell of the minimal element of the right coset x W: descend by
-    finite simple reflections, one weyl_right lookup each, while the
+    finite simple reflections, one ``right`` lookup each, while the
     length drops."""
-    right = algebra.datum.weyl_right
+    right = algebra.weyl.right
     lam, w = x
     length = algebra.length(x)
     while True:

@@ -13,7 +13,7 @@ from heckepoly.characters import (FormalTorusDomain, SymmetricFunction,
 from heckepoly.hecke import hecke_polynomial
 from heckepoly.root_data import build_standard
 from heckepoly.satake import resolve_twist
-from oracles import dimension, ext_power_character
+from oracles import dimension, ext_power_character, weyl_tables
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -32,12 +32,13 @@ def weyl_character_oracle(datum, lam):
     coroots; doubling all exponents keeps everything integral.
     """
     two_rho_hat = datum.two_rho_hat
+    weyl = weyl_tables(datum)
 
     def alternating(vec):  # vec already doubled
         out = {}
-        for w in datum.weyl_elements:
-            sign = -1 if w.length % 2 else 1
-            img = datum.act(w, vec)
+        for k, word in enumerate(weyl.words):
+            sign = -1 if len(word) % 2 else 1
+            img = weyl.act(k, vec)
             out[img] = out.get(img, 0) + sign
         return {k: v for k, v in out.items() if v}
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib.resources
@@ -7,18 +8,24 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import heckepoly
 from heckepoly import cli, kato
-from heckepoly.characters import SymmetricFunction, WeightMultiset
+from heckepoly.characters import (SymmetricFunction, WeightMultiset,
+                                  orbit_character)
 from heckepoly.cli import main
 from heckepoly.errors import ConsistencyError
-from heckepoly.iwahori import AffineHeckeAlgebra
-from heckepoly.root_data import BasedRootDatum, build_standard
+from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
+from heckepoly.laurent import LaurentHalf, ONE
+from heckepoly.root_data import build_standard
+
+SRC = Path(heckepoly.__file__).parent
 
 
 def _schema(name):
@@ -248,6 +255,69 @@ def test_verify_satake_engine_guard_names_its_stage(capsys):
     assert message.endswith("exceeds max_support=16")
 
 
+def test_verify_satake_refuses_an_image_outside_its_lower_set(capsys,
+                                                              monkeypatch):
+    # a planted image of m_(2,0) with a label that is not below (2, 0):
+    # the transform refuses it before the triangular report is formed
+    engine = AffineHeckeAlgebra.satake_inverse
+    top = orbit_character(build_standard("GL", 2), (2, 0))
+
+    def planted(self, f):
+        image = engine(self, f)
+        if f == top:
+            image = SphericalCosetVector({**image.coords, (1, 0): ONE})
+        return image
+
+    monkeypatch.setattr(AffineHeckeAlgebra, "satake_inverse", planted)
+    code, out, err = _run(["verify", "satake", "--family", "GL", "--rank",
+                           "2", "--max-norm", "2"], capsys)
+    assert code == 4 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == "consistency"
+    assert obj["error"]["message"] == (
+        "image of m_(2, 0) is supported outside its lower set")
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_minuscule_calibration_past_the_old_weyl_bound(n):
+    # |W| = 40320 and 362880: the engine keys by orbit points of
+    # 2 rho^vee and never lists W
+    datum = build_standard("GL", n)
+    mu = (1,) + (0,) * (n - 1)
+    with _within(5.0, f"GL{n}"):
+        image = AffineHeckeAlgebra(datum).satake_of_indicator(mu)
+    assert image == orbit_character(datum, mu).scale(
+        LaurentHalf.v_power(datum.rho_pairing_exponent(mu)))
+
+
+# the Weyl-group tables, the Weyl element type and its action, which the
+# library no longer has; the tests' own tables live in tests/oracles.py
+_DELETED_WEYL_NAMES = {
+    "weyl_elements", "weyl_index", "weyl_right", "weyl_mul", "weyl_inverse",
+    "weyl_inversions", "reflection_index", "act", "WeylElement",
+    "MAX_WEYL_ORDER"}
+
+
+def test_src_enumerates_no_weyl_group():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                continue
+            if name in _DELETED_WEYL_NAMES:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_verify_satake_pgl4_window_is_pinned(capsys):
     # stdout recorded with the T-basis central element, which needed
     # about 40 s here; the module H E needs about 4 s
@@ -404,7 +474,6 @@ def test_main_without_argv_reads_sys_argv(argv, capsys, monkeypatch):
 
 
 def test_public_names_are_exactly_the_supported_surface():
-    import heckepoly
     assert set(heckepoly.__all__) == {
         "AffineHeckeAlgebra", "BasedRootDatum", "ConsistencyError",
         "Coweight", "FormalTorusDomain", "FrobeniusMatrix",
@@ -412,9 +481,9 @@ def test_public_names_are_exactly_the_supported_surface():
         "PrimeFieldWithV", "RationalWithV", "RelationReport",
         "ResourceLimitError", "SatakeParameter", "ScalarDomain",
         "SphericalCosetVector", "SymmetricFunction", "ValidationError",
-        "WeightMultiset", "WeylElement", "build_standard",
-        "cayley_hamilton_check", "decompose", "evaluate",
-        "evaluate_coefficients", "excursion_values", "frobenius_matrix",
+        "WeightMultiset", "build_standard", "cayley_hamilton_check",
+        "decompose", "evaluate", "evaluate_coefficients",
+        "excursion_values", "frobenius_matrix",
         "hecke_polynomial", "inertia_relation_check", "minuscule_weights",
         "orbit_character", "reduce_mod_ell", "resolve_twist",
         "validate_sqrt", "weyl_character"}
@@ -427,9 +496,9 @@ def test_affine_engine_public_methods_are_pinned():
     # the T-basis product lives in the tests' oracles, not here
     assert {name for name in dir(AffineHeckeAlgebra)
             if not name.startswith("_")} == {
-        "generator_indices", "identity_key", "inv_aff", "length", "mul_aff",
-        "reduced_word", "satake_inverse", "satake_of_indicator",
-        "satake_transform", "translation_key"}
+        "generator_indices", "identity_key", "length", "reduced_word",
+        "satake_inverse", "satake_of_indicator", "satake_transform",
+        "translation_key"}
 
 
 def test_console_entry_point_subprocess():
@@ -583,11 +652,10 @@ def test_datum_lists_minuscule_coweights_without_the_window(family, rank,
     assert len(json.loads(out)["minuscule_dominant_coweights"]) == count
 
 
-def test_double_coset_gl9_answers_without_enumeration(capsys, monkeypatch):
-    # |W| = 362880 is past the enumeration bound, but Kato's formula walks
-    # only the orbit points below each lam: one point for a minuscule lam
-    monkeypatch.setattr(BasedRootDatum, "weyl_elements",
-                        property(lambda self: pytest.fail("W enumerated")))
+def test_double_coset_gl9_answers_without_enumeration(capsys):
+    # |W| = 362880, but Kato's formula walks only the orbit points below
+    # each lam: one point for a minuscule lam.  The library has no Weyl
+    # enumeration to call (test_src_enumerates_no_weyl_group).
     code, out, _ = _run_within(1.0, ["poly", "--family", "GL", "--rank", "9",
                                      "--mu", "1,0,0,0,0,0,0,0,0",
                                      "--twist", "classical",

@@ -17,7 +17,12 @@ GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
 SP4 = build_standard("Sp", 4)
 
-# the library's engine plus the T-basis product the tests compare it with
+# the library's engine
+A2 = AffineHeckeAlgebra(GL2)
+A3 = AffineHeckeAlgebra(GL3)
+ASP = AffineHeckeAlgebra(SP4)
+
+# the T-basis product the tests compare it with
 H2 = TBasisAlgebra(GL2)
 H3 = TBasisAlgebra(GL3)
 HSP = TBasisAlgebra(SP4)
@@ -251,20 +256,20 @@ def test_spherical_idempotent():
 # -- Satake transform ---------------------------------------------------------------
 
 def test_satake_inverse_unit():
-    vec = H2.satake_inverse(SymmetricFunction.constant(GL2, 1))
+    vec = A2.satake_inverse(SymmetricFunction.constant(GL2, 1))
     assert vec == SphericalCosetVector({(0, 0): ONE})
 
 
 def test_satake_inverse_minuscule_gl2():
-    vec = H2.satake_inverse(orbit_character(GL2, (1, 0)))
+    vec = A2.satake_inverse(orbit_character(GL2, (1, 0)))
     assert vec == SphericalCosetVector({(1, 0): V(-1)})
-    vec = H2.satake_inverse(orbit_character(GL2, (1, 1)))
+    vec = A2.satake_inverse(orbit_character(GL2, (1, 1)))
     assert vec == SphericalCosetVector({(1, 1): ONE})
 
 
 def test_satake_inverse_minuscule_gl3():
     for mu in [(1, 0, 0), (1, 1, 0), (1, 1, 1)]:
-        vec = H3.satake_inverse(orbit_character(GL3, mu))
+        vec = A3.satake_inverse(orbit_character(GL3, mu))
         expected = SphericalCosetVector(
             {mu: V(-GL3.rho_pairing_exponent(mu))})
         assert vec == expected
@@ -272,7 +277,7 @@ def test_satake_inverse_minuscule_gl3():
 
 def test_satake_inverse_is_linear():
     f = orbit_character(GL2, (1, 0)).scale(LaurentHalf({3: 2}))
-    vec = H2.satake_inverse(f)
+    vec = A2.satake_inverse(f)
     assert vec == SphericalCosetVector({(1, 0): LaurentHalf({2: 2})})
 
 
@@ -283,33 +288,33 @@ def _by_level(datum, labels):
 
 def test_satake_inverse_gl2_block():
     assert _by_level(GL2, GL2.dominants_below((2, 0))) == [(1, 1), (2, 0)]
-    low = H2.satake_inverse(orbit_character(GL2, (1, 1)))
-    high = H2.satake_inverse(orbit_character(GL2, (2, 0)))
+    low = A2.satake_inverse(orbit_character(GL2, (1, 1)))
+    high = A2.satake_inverse(orbit_character(GL2, (2, 0)))
     assert low.coeff((1, 1)) == ONE      # m_(1,1) -> coset (1,1)
     assert high.coeff((2, 0)) == V(-2)   # leading coefficient at (2,0)
     assert low.coeff((2, 0)).is_zero()   # triangular
-    low = H2.satake_of_indicator((1, 1)).weights
-    high = H2.satake_of_indicator((2, 0)).weights
+    low = A2.satake_of_indicator((1, 1)).weights
+    high = A2.satake_of_indicator((2, 0)).weights
     assert low.coeff((1, 1)) == ONE and high.coeff((2, 0)) == V(2)
     assert low.coeff((2, 0)).is_zero()
 
 
 def test_satake_inverse_identity_block():
     assert GL2.dominants_below((0, 0)) == ((0, 0),)
-    assert H2.satake_inverse(orbit_character(GL2, (0, 0))) == \
+    assert A2.satake_inverse(orbit_character(GL2, (0, 0))) == \
         SphericalCosetVector({(0, 0): ONE})
 
 
 def test_satake_of_indicator_classical_gl2():
     # S(1_{K(2,0)K}) = q m_(2,0) + (q-1) m_(1,1)
-    image = H2.satake_of_indicator((2, 0))
+    image = A2.satake_of_indicator((2, 0))
     expected = orbit_character(GL2, (2, 0)).scale(Q) + \
         orbit_character(GL2, (1, 1)).scale(Q - ONE)
     assert image == expected
 
 
 def test_minuscule_calibration():
-    for algebra in (H2, H3):
+    for algebra in (A2, A3):
         datum = algebra.datum
         for mu in datum.small_minuscule_dominants():
             image = algebra.satake_of_indicator(mu)
@@ -320,7 +325,7 @@ def test_minuscule_calibration():
 
 def test_satake_round_trip():
     rng = random.Random(79)
-    for algebra in (H2, H3):
+    for algebra in (A2, A3):
         datum = algebra.datum
         for _ in range(4):
             f = SymmetricFunction.constant(datum, rng.randint(-2, 2))
@@ -336,7 +341,7 @@ def test_sp4_satake_has_classical_shape():
     # non-minuscule orbit: transform picks up a constant correction,
     # S(1_{K(1,0)K}) = q^2 m_(1,0) + (q^2 - 1), like GL2's
     # S(1_{K(2,0)K}) = q m_(2,0) + (q-1) m_(1,1)
-    image = HSP.satake_of_indicator((1, 0))
+    image = ASP.satake_of_indicator((1, 0))
     q2 = V(4)
     expected = orbit_character(SP4, (1, 0)).scale(q2) + \
         orbit_character(SP4, (0, 0)).scale(q2 - ONE)
@@ -413,7 +418,7 @@ def test_satake_transform_refuses_an_image_it_cannot_strip(
 
 def test_satake_transform_rejects_a_non_dominant_label():
     with pytest.raises(ValidationError, match="not dominant"):
-        H2.satake_transform(SphericalCosetVector({(0, 1): ONE}))
+        A2.satake_transform(SphericalCosetVector({(0, 1): ONE}))
 
 
 def test_resource_guard():
@@ -476,8 +481,9 @@ def _window_functions(datum, max_norm):
 @pytest.mark.parametrize("algebra,max_norm", SATAKE_ORACLE,
                          ids=["GL2", "GL3", "GL4", "PGL3", "PGL4", "Sp4"])
 def test_satake_inverse_matches_the_t_basis_product(algebra, max_norm):
+    engine = AffineHeckeAlgebra(algebra.datum)
     for f in _window_functions(algebra.datum, max_norm):
-        assert algebra.satake_inverse(f) == \
+        assert engine.satake_inverse(f) == \
             _satake_inverse_by_product(algebra, f)
 
 
@@ -486,8 +492,9 @@ def test_satake_inverse_matches_the_t_basis_product(algebra, max_norm):
 @pytest.mark.parametrize("algebra", [a for a, _ in SATAKE_ORACLE],
                          ids=["GL2", "GL3", "GL4", "PGL3", "PGL4", "Sp4"])
 def test_satake_inverse_matches_the_central_element_oracle(algebra):
+    engine = AffineHeckeAlgebra(algebra.datum)
     for f in _window_functions(algebra.datum, 2):
-        assert algebra.satake_inverse(f) == \
+        assert engine.satake_inverse(f) == \
             satake_inverse_by_central_element(algebra, f)
 
 
@@ -495,12 +502,17 @@ def test_satake_inverse_matches_the_central_element_oracle(algebra):
                                          ("PGL", 4), ("SL", 3), ("Sp", 4),
                                          ("Sp", 6)])
 def test_coset_length_is_the_minimal_length_in_the_coset(family, rank):
+    # the engine's keys (lam, p) run over the orbit points p of 2 rho^vee;
+    # the oracle descends by its Weyl tables
     datum = build_standard(family, rank)
     algebra = AffineHeckeAlgebra(datum)
+    oracle = TBasisAlgebra(datum)
+    points = datum.weyl_orbit(datum.two_rho_hat)
+    assert len(points) == datum.weyl_order
     for lam in itertools.product(range(-2, 3), repeat=datum.rank):
-        lengths = [algebra.length((lam, w)) for w in range(datum.weyl_order)]
+        lengths = [algebra.length((lam, p)) for p in points]
         assert algebra._coset_length(lam) == min(lengths) == \
-            min_coset_length(algebra, (lam, 0)), lam
+            min_coset_length(oracle, (lam, 0)), lam
 
 
 def test_satake_inverse_rejects_a_non_central_element():
@@ -508,9 +520,9 @@ def test_satake_inverse_rejects_a_non_central_element():
     # coefficient v^-1 on t_(1,0) W and 0 on t_(0,1) W
     f = SymmetricFunction(GL2, WeightMultiset.monomial((1, 0)), check=False)
     with pytest.raises(ConsistencyError, match="non-constant"):
-        H2.satake_inverse(f)
+        A2.satake_inverse(f)
     with pytest.raises(ValidationError, match="W-invariant"):
-        H2.satake_inverse(WeightMultiset.monomial((1, 0)))
+        A2.satake_inverse(WeightMultiset.monomial((1, 0)))
 
 
 def test_element_json():
@@ -616,3 +628,52 @@ def test_inverse_generator_action_matches_the_quadratic_relation(algebra):
                                               for c in inv.values())
             assert algebra._left_mul_gen(idx, inv) == raw, idx
             assert raw == {z: c.terms for z, c in elt.items()}
+
+
+# -- the engine's keys (lam, p), p = w 2 rho^vee (oracle: the Weyl tables) ----
+
+ENGINE_WINDOWS = [("GL", 2, 3), ("GL", 3, 2), ("PGL", 3, 2), ("SL", 3, 2),
+                  ("Sp", 4, 2), ("GL", 4, 2), ("PGL", 4, 2), ("Sp", 6, 1),
+                  ("GL", 5, 1)]
+
+
+@pytest.mark.parametrize("family,rank,max_norm", ENGINE_WINDOWS,
+                         ids=[f"{f}{n}" for f, n, _ in ENGINE_WINDOWS])
+def test_engine_reduced_words_multiply_back_by_the_group_law(family, rank,
+                                                             max_norm):
+    # every key t_nu and t_{-nu}, nu in the orbit of a window label, and
+    # (nu, p) for a sampled orbit point p; the oracle's group law turns
+    # x = s_{i_1} ... s_{i_m} pi back into x
+    datum = build_standard(family, rank)
+    engine = AffineHeckeAlgebra(datum)
+    oracle = TBasisAlgebra(datum)
+    weyl = oracle.weyl
+    points = datum.weyl_orbit(datum.two_rho_hat)
+    rng = random.Random(107)
+    keys = set()
+    for lam in _window_labels(datum, max_norm):
+        for nu in datum.weyl_orbit(lam):
+            keys.add(engine.translation_key(nu))
+            keys.add(engine.translation_key(tuple(-x for x in nu)))
+            keys.add((nu, rng.choice(points)))
+
+    def as_oracle(x):
+        return (x[0], weyl.by_point(x[1]))
+
+    relabels = 0
+    for x in sorted(keys):
+        pi, word = engine.reduced_word(x)
+        assert len(word) == engine.length(x) == oracle.length(as_oracle(x))
+        assert engine.length(pi) == 0
+        prod = oracle.identity_key()
+        for idx in word:
+            prod = oracle.mul_aff(prod, oracle._gens[idx])
+        assert oracle.mul_aff(prod, as_oracle(pi)) == as_oracle(x), x
+        # pi relabels through w^{-1}, read off p's way down to 2 rho^vee
+        rows = engine._unwind(pi[1])
+        assert tuple(tuple(dict(row).get(j, 0) for j in range(datum.rank))
+                     for row in rows) == \
+            weyl.matrix(weyl.inverse[weyl.by_point(pi[1])])
+        relabels += pi != engine.identity_key()
+    # SL's and Sp's lattices are the coroot lattice: no length-zero pi
+    assert (relabels > 0) == (family in ("GL", "PGL"))

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from heckepoly.errors import ResourceLimitError, ValidationError
-from heckepoly.root_data import (MAX_WEYL_ORDER, BasedRootDatum,
-                                 build_standard, _identity,
+from heckepoly.root_data import (BasedRootDatum, build_standard, _identity,
                                  solve_integer_combination)
-from oracles import (dominance_leq, mat_mul,
+from oracles import (MAX_WEYL_ORDER, WeylTables, dominance_leq,
+                     is_positive_root, mat_mul, reflection_matrix,
                      small_minuscule_dominants_by_product,
-                     weyl_orbit_by_reflections)
+                     weyl_orbit_by_reflections, weyl_tables)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -46,7 +46,7 @@ def test_gl2_single_root():
 def test_weyl_orders_against_mulclose():
     for datum, order in [(GL2, 2), (GL3, 6), (GL4, 24), (SP4, 8),
                          (SL3, 6), (PGL3, 6)]:
-        gens = [datum.reflection_matrix(i) for i in range(datum.num_simple)]
+        gens = [reflection_matrix(datum, i) for i in range(datum.num_simple)]
         assert len(_mulclose(gens)) == order
         assert datum.weyl_order == order
 
@@ -54,7 +54,7 @@ def test_weyl_orders_against_mulclose():
 def test_reflections_are_involutions():
     for datum in ALL:
         for i in range(datum.num_simple):
-            m = datum.reflection_matrix(i)
+            m = reflection_matrix(datum, i)
             assert mat_mul(m, m) == _identity(datum.rank)
 
 
@@ -65,8 +65,8 @@ def test_braid_relations_from_cartan():
         for i in range(datum.num_simple):
             for j in range(i + 1, datum.num_simple):
                 m_ij = orders[cartan[i][j] * cartan[j][i]]
-                prod = mat_mul(datum.reflection_matrix(i),
-                                datum.reflection_matrix(j))
+                prod = mat_mul(reflection_matrix(datum, i),
+                                reflection_matrix(datum, j))
                 power = _identity(datum.rank)
                 for _ in range(m_ij):
                     power = mat_mul(power, prod)
@@ -188,7 +188,7 @@ def test_sp4_structure():
     assert SP4.is_minuscule((1, 0)) is False
 
 
-# -- index tables (oracle: lattice matrices) -----------------------------------
+# -- the tests' Weyl tables (oracle: lattice matrices) --------------------------------
 
 # G2 on its coroot lattice: coroots are the standard basis, roots the
 # Cartan rows; loaded the way a custom datum arrives
@@ -213,7 +213,7 @@ def _matrix_bfs(datum):
     first word that reaches a new matrix, sort by (length, word).
     """
     ident = _identity(datum.rank)
-    reflections = [datum.reflection_matrix(i) for i in range(datum.num_simple)]
+    reflections = [reflection_matrix(datum, i) for i in range(datum.num_simple)]
     seen = {ident: ()}
     frontier = [ident]
     while frontier:
@@ -242,11 +242,13 @@ def _reflection_by_columns(datum, alpha):
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
 def test_weyl_elements_match_matrix_bfs(datum):
+    # the tests' enumeration of W, against the matrix search
     oracle = _matrix_bfs(datum)
-    elts = datum.weyl_elements
-    assert [w.word for w in elts] == [word for word, _ in oracle]
-    assert [w.matrix for w in elts] == [m for _, m in oracle]
-    assert datum.weyl_order == len(elts) == len(oracle)
+    weyl = weyl_tables(datum)
+    assert list(weyl.words) == [word for word, _ in oracle]
+    assert [weyl.matrix(k) for k in range(weyl.order)] == \
+        [m for _, m in oracle]
+    assert datum.weyl_order == weyl.order == len(oracle)
 
 
 def test_weyl_order_from_root_heights():
@@ -258,68 +260,72 @@ def test_weyl_order_from_root_heights():
 
 
 def test_weyl_enumeration_guard_fires_before_bfs():
+    # the library enumerates no Weyl group; the tests' tables refuse a
+    # group that would take minutes, before the search starts
     gl9 = build_standard("GL", 9)
     assert gl9.weyl_order > MAX_WEYL_ORDER
     with pytest.raises(ResourceLimitError, match="100000"):
-        gl9.weyl_elements
-    assert "weyl_index" not in vars(gl9)  # nothing was enumerated
+        WeylTables(gl9)
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
 def test_weyl_mul_matches_matrix_product(datum):
-    elts = datum.weyl_elements
-    assert elts[0].matrix == _identity(datum.rank)
-    mats = [w.matrix for w in elts]
-    for a in range(datum.weyl_order):
-        for b in range(datum.weyl_order):
-            assert mats[datum.weyl_mul(a, b)] == mat_mul(mats[a], mats[b])
+    weyl = weyl_tables(datum)
+    mats = [weyl.matrix(k) for k in range(weyl.order)]
+    assert mats[0] == _identity(datum.rank)
+    for a in range(weyl.order):
+        for b in range(weyl.order):
+            assert mats[weyl.mul(a, b)] == mat_mul(mats[a], mats[b])
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
 def test_weyl_index_tables(datum):
-    elts = datum.weyl_elements
+    weyl = weyl_tables(datum)
     x0 = datum.two_rho_hat
-    assert len(datum.weyl_index) == datum.weyl_order
-    for point, k in datum.weyl_index.items():
-        # point is w_k^{-1} x0
-        assert _mat_vec(elts[k].matrix, point) == x0
-    for k, w in enumerate(elts):
-        inv = datum.weyl_inverse[k]
-        assert datum.weyl_mul(k, inv) == 0 and datum.weyl_mul(inv, k) == 0
-        assert len(datum.weyl_inversions[k]) == w.length
+    assert len(weyl.index) == weyl.order
+    for point, k in weyl.index.items():
+        # point is w_k^{-1} x0, and w_k x0 names w_k
+        assert _mat_vec(weyl.matrix(k), point) == x0
+        assert weyl.by_point(weyl.act(k, x0)) == k
+    for k, word in enumerate(weyl.words):
+        m = weyl.matrix(k)
+        inv = weyl.inverse[k]
+        assert weyl.mul(k, inv) == 0 and weyl.mul(inv, k) == 0
+        assert len(weyl.inversions[k]) == len(word)
         for i in range(datum.num_simple):
-            s_i = datum.reflection_matrix(i)
-            assert elts[datum.weyl_right[k][i]].matrix == mat_mul(w.matrix, s_i)
-            s_i_w = datum.weyl_mul(datum.weyl_right[0][i], k)
-            assert elts[s_i_w].matrix == mat_mul(s_i, w.matrix)
+            s_i = reflection_matrix(datum, i)
+            assert weyl.matrix(weyl.right[k][i]) == mat_mul(m, s_i)
+            s_i_w = weyl.mul(weyl.right[0][i], k)
+            assert weyl.matrix(s_i_w) == mat_mul(s_i, m)
         lam = tuple(range(1, datum.rank + 1))
-        assert datum.act(k, lam) == datum.act(w, lam) == _mat_vec(w.matrix, lam)
+        assert weyl.act(k, lam) == _mat_vec(m, lam)
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
 def test_weyl_inversions_against_matrices(datum):
     # w^{-1} alpha is the dual vector alpha^T m for w's matrix m
-    for k, w in enumerate(datum.weyl_elements):
-        m = w.matrix
+    weyl = weyl_tables(datum)
+    for k in range(weyl.order):
+        m = weyl.matrix(k)
         expected = {alpha for alpha in datum.positive_roots
-                    if not datum.is_positive_root(tuple(
+                    if not is_positive_root(datum, tuple(
                         sum(alpha[r] * m[r][c] for r in range(datum.rank))
                         for c in range(datum.rank)))}
-        assert datum.weyl_inversions[k] == expected
+        assert weyl.inversions[k] == expected
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=TABLE_IDS)
 def test_reflection_index(datum):
+    weyl = weyl_tables(datum)
     theta = datum.highest_root
-    k = datum.reflection_index(theta)
-    assert datum.weyl_elements[k].matrix == _reflection_by_columns(datum, theta)
+    k = weyl.reflection_index(theta)
+    assert weyl.matrix(k) == _reflection_by_columns(datum, theta)
     for i, alpha in enumerate(datum.simple_roots):
-        assert datum.reflection_index(alpha) == datum.weyl_right[0][i]
-        assert datum.weyl_inversions[datum.weyl_right[0][i]] == {alpha}
+        assert weyl.reflection_index(alpha) == weyl.right[0][i]
+        assert weyl.inversions[weyl.right[0][i]] == {alpha}
     for alpha in datum.positive_roots:
-        k = datum.reflection_index(alpha)
-        assert datum.weyl_elements[k].matrix == _reflection_by_columns(datum,
-                                                                       alpha)
+        k = weyl.reflection_index(alpha)
+        assert weyl.matrix(k) == _reflection_by_columns(datum, alpha)
 
 
 def test_json_roundtrip_and_validation():
@@ -374,7 +380,7 @@ def test_root_coordinates_match_the_rational_solve(family, n):
         alpha_v, _, c_v = datum._root_table[alpha]
         assert c_v == solve_integer_combination(list(datum.simple_coroots),
                                                 alpha_v)
-        if datum.is_positive_root(alpha):
+        if is_positive_root(datum, alpha):
             steps.add((tuple(datum.pairing(a, alpha_v)
                              for a in datum.simple_roots), c_v))
     assert datum.coroot_steps == tuple(sorted(steps))
