@@ -15,9 +15,9 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   |<alpha, lam> - 1| when w^{-1} alpha < 0, else |<alpha, lam>|; and
   w^{-1} alpha < 0 exactly when <alpha, p> < 0;
 * reduced words come from left descents, x = s_{i_1} ... s_{i_m} pi
-  with ell(pi) = 0.  A length-zero pi = (mu, p) acts on coset labels
-  through w: the reflections that take p down to 2 rho^vee spell
-  w^{-1}, whose lattice matrix is built from them once per p;
+  with ell(pi) = 0.  A length-zero pi = (mu, p) sends the coset label
+  lam to mu + w lam, and w lam is read off p's descent: the simple
+  reflections that take p down to 2 rho^vee spell w^{-1};
 * quadratic relation: T_s^2 = (q - 1) T_s + q with q = v^2, hence
   T_s^{-1} = q^{-1} T_s - (1 - q^{-1});
 * coefficients: inside the engine a coefficient in Z[v, v^-1] is a
@@ -42,10 +42,12 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   ell(x_lam) = ell_min(lam) = sum over positive roots alpha of
   |<alpha, lam>|, less one for each alpha with <alpha, lam> > 0.  An
   affine simple s sends lam to s lam = mu + lam - <alpha, lam> alpha^vee,
-  and T_s v_lam is q v_lam if s lam = lam, v_{s lam} if
-  ell_min(s lam) > ell_min(lam), and (q - 1) v_lam + q v_{s lam}
-  otherwise; a length-zero element relabels lam.  Each theta_lam E
-  follows reduced words of t_{-lam1} and t_{-lam2};
+  and T_s^{-1} v_lam is q^{-1} v_lam if s lam = lam, v_{s lam} if
+  ell_min(s lam) < ell_min(lam), and q^{-1} v_{s lam} + (q^{-1} - 1)
+  v_lam otherwise; a length-zero element relabels lam.  The Bernstein
+  elements commute, and theta_lam1 E is one coset vector for dominant
+  lam1, so theta_lam E = theta_{-lam2} theta_lam1 E starts at one label
+  and follows one reduced word, that of t_{-lam2};
 * satake_transform inverts satake_inverse by stripping the highest
   label, as ``KostkaFoulkesTable.decompose`` does: the image of m_lam
   lies on the dominant mu <= lam, with a unit coefficient at lam.
@@ -71,8 +73,7 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE
 from .characters import (DEFAULT_MAX_SUPPORT, SymmetricFunction,
                          WeightMultiset, orbit_character)
-from .root_data import (BasedRootDatum, Coweight, _identity,
-                        solve_integer_combination)
+from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
 AffKey = tuple[Coweight, Coweight]
 
@@ -127,7 +128,6 @@ class AffineHeckeAlgebra:
         self._length_memo: dict[AffKey, int] = {}
         self._coset_length_memo: dict[Coweight, int] = {}
         self._word_memo: dict[AffKey, tuple[AffKey, tuple[int, ...]]] = {}
-        self._unwind_memo: dict[Coweight, tuple] = {}
         self._image_memo: dict[Coweight, dict[Coweight, LaurentHalf]] = {}
         self._gens = self._build_generators()
         # per generator: lam -> _step(idx, lam)
@@ -214,24 +214,20 @@ class AffineHeckeAlgebra:
                 raise ConsistencyError("element of positive length has no descent")
         return cur, tuple(word)
 
-    def _unwind(self, p: Coweight) -> tuple:
-        """w^{-1} for the orbit point p = w 2 rho^vee, as sparse rows of
-        (column, entry), memoized: the simple reflections that take p
-        down to 2 rho^vee spell w^{-1}, and are applied to the basis once.
-        Only length-zero elements ask, and there are few."""
-        got = self._unwind_memo.get(p)
-        if got is None:
-            datum = self.datum
-            point, columns = p, _identity(datum.rank)
-            while not datum.is_dominant(point):
-                i = next(i for i, alpha in enumerate(datum.simple_roots)
-                         if datum.pairing(alpha, point) < 0)
-                point = datum.reflect(i, point)
-                columns = [datum.reflect(i, col) for col in columns]
-            got = self._unwind_memo[p] = tuple(
-                tuple((j, col[r]) for j, col in enumerate(columns) if col[r])
-                for r in range(datum.rank))
-        return got
+    def _act_by_point(self, p: Coweight, lam: Coweight) -> Coweight:
+        """w lam for the orbit point p = w 2 rho^vee.  The simple
+        reflections s_{i_1}, ..., s_{i_k} that take p down to 2 rho^vee
+        spell w^{-1} = s_{i_k} ... s_{i_1}, so they act on lam last first."""
+        datum = self.datum
+        descent = []
+        while not datum.is_dominant(p):
+            i = next(i for i, alpha in enumerate(datum.simple_roots)
+                     if datum.pairing(alpha, p) < 0)
+            p = datum.reflect(i, p)
+            descent.append(i)
+        for i in reversed(descent):
+            lam = datum.reflect(i, lam)
+        return lam
 
     def _guard(self, terms: dict, stage: str):
         if len(terms) > self.max_support:
@@ -322,18 +318,14 @@ class AffineHeckeAlgebra:
             memo[lam] = cached
         return cached
 
-    def _module_gen(self, idx: int, coeffs: dict, stage: str,
-                    inverse: bool = False) -> dict:
-        """T_s, or T_s^{-1} if inverse, on sum a_lam v_lam in H E, in one
-        pass: with s lam = mu + lam - <alpha, lam> alpha^vee,
-        T_s v_lam = q v_lam if s lam = lam, v_{s lam} if
-        ell_min(s lam) > ell_min(lam), else (q - 1) v_lam + q v_{s lam};
+    def _module_gen(self, idx: int, coeffs: dict) -> dict:
+        """T_s^{-1} on sum a_lam v_lam in H E, in one pass: with
+        s lam = mu + lam - <alpha, lam> alpha^vee,
         T_s^{-1} v_lam = q^{-1} v_lam if s lam = lam, v_{s lam} if
         ell_min(s lam) < ell_min(lam), else
         q^{-1} v_{s lam} + (q^{-1} - 1) v_lam.
         """
         acc = self._acc
-        shift = -2 if inverse else 2
         steps = self._step_memo[idx]
         out: dict[Coweight, dict[int, int]] = {}
         for lam, c in coeffs.items():
@@ -342,19 +334,19 @@ class AffineHeckeAlgebra:
                 step = steps[lam] = self._step(idx, lam)
             slam, rises = step
             if rises is None:
-                acc(out, lam, c, shift)
-            elif rises != inverse:
+                acc(out, lam, c, -2)
+            elif not rises:
                 acc(out, slam, c)
             else:
-                acc(out, slam, c, shift)
-                # out[lam] += (v^shift - 1) c, in one walk of c
+                acc(out, slam, c, -2)
+                # out[lam] += (q^{-1} - 1) c, in one walk of c
                 cur = out.setdefault(lam, {})
                 for e, x in c.items():
-                    y = cur.get(e + shift, 0) + x
+                    y = cur.get(e - 2, 0) + x
                     if y:
-                        cur[e + shift] = y
+                        cur[e - 2] = y
                     else:
-                        del cur[e + shift]
+                        del cur[e - 2]
                     y = cur.get(e, 0) - x
                     if y:
                         cur[e] = y
@@ -362,7 +354,7 @@ class AffineHeckeAlgebra:
                         del cur[e]
                 if not cur:
                     del out[lam]
-        self._guard(out, stage)
+        self._guard(out, "theta")
         return out
 
     def _step(self, idx: int, lam: Coweight) -> tuple:
@@ -376,31 +368,26 @@ class AffineHeckeAlgebra:
         return slam, self._coset_length(slam) > self._coset_length(lam)
 
     def _theta_on_e(self, lam: Coweight) -> dict:
-        """theta_lam E = v^{ell(t_lam2) - ell(t_lam1)} T_{t_lam1}
-        T_{t_lam2}^{-1} E in H E.
+        """theta_lam E = theta_{-lam2} theta_lam1 E in H E, for
+        lam = lam1 - lam2 with both parts dominant.
 
-        t_{-lam} = s_{i_1} ... s_{i_m} pi with pi = (mu, p) gives
-        t_lam = pi^{-1} s_{i_m} ... s_{i_1}.  So T_{t_lam2}^{-1} E starts
-        at T_pi E = v_mu and applies T_{s_i}^{-1} for i = i_m, ..., i_1,
-        and T_{t_lam1} applies T_{s_i} for i = i_1, ..., i_m, then pi^{-1},
-        which relabels nu as w^{-1} (nu - mu).
+        t_lam1 = x_lam1 u with u in W and lengths adding, so
+        T_{t_lam1} E = q^{ell(t_lam1) - ell_min(lam1)} v_lam1, with
+        ell(t_lam1) = <2 rho, lam1>.  t_{-lam2} = s_{i_1} ... s_{i_m} pi
+        with pi = (mu, p) = t_mu w gives T_{t_lam2}^{-1} =
+        T_{s_{i_1}}^{-1} ... T_{s_{i_m}}^{-1} T_pi, and T_pi v_lam1 =
+        v_{mu + w lam1}.  So the walk starts at that one label, with
+        coefficient v^{ell(t_lam2) + <2 rho, lam1> - 2 ell_min(lam1)}, and
+        applies T_{s_i}^{-1} for i = i_m, ..., i_1.
         """
         lam1, lam2 = self._dominant_decomposition(lam)
-        (mu2, _), word2 = self.reduced_word(
+        (mu, p), word = self.reduced_word(
             self.translation_key(tuple(-x for x in lam2)))
-        pi, word1 = self.reduced_word(
-            self.translation_key(tuple(-x for x in lam1)))
-        cur = {mu2: {len(word2) - len(word1): 1}}
-        for idx in reversed(word2):
-            cur = self._module_gen(idx, cur, "theta", inverse=True)
-        for idx in word1:
-            cur = self._module_gen(idx, cur, "theta")
-        if pi != self.identity_key():
-            mu, p = pi
-            rows = self._unwind(p)
-            cur = {tuple(sum(r * (nu[j] - mu[j]) for j, r in row)
-                         for row in rows): c
-                   for nu, c in cur.items()}
+        label = tuple(m + x for m, x in zip(mu, self._act_by_point(p, lam1)))
+        cur = {label: {len(word) + self.datum.rho_pairing_exponent(lam1)
+                       - 2 * self._coset_length(lam1): 1}}
+        for idx in reversed(word):
+            cur = self._module_gen(idx, cur)
         return cur
 
     def satake_inverse(self, f: SymmetricFunction) -> SphericalCosetVector:

@@ -54,8 +54,11 @@ def solve_integer_combination(columns: list[Coweight], target) -> tuple | None:
     """Solve sum_i c_i * columns[i] = target exactly over Q.
 
     Returns the coefficient tuple (Fractions) or None when the system
-    is inconsistent.  The columns are assumed linearly independent,
-    which holds for simple roots and simple coroots.
+    is inconsistent.  The columns may be dependent: ``iwahori`` passes
+    the lattice coordinates of the simple roots as columns, and for
+    GL_n these are n columns of rank n - 1.  Then the solution returned
+    is the one whose free (non-pivot) coordinates are 0, and the
+    residual check confirms that it is exact.
     """
     if not columns:
         return () if all(t == 0 for t in target) else None
@@ -87,7 +90,7 @@ def solve_integer_combination(columns: list[Coweight], target) -> tuple | None:
     coeffs = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         coeffs[col] = aug[r][ncols]
-    # columns independent => every column is a pivot unless ncols > rank
+    # free coordinates stay 0; the residual confirms the solution
     residual = [sum(coeffs[j] * columns[j][i] for j in range(ncols)) - target[i]
                 for i in range(nrows)]
     if any(residual):

@@ -329,6 +329,35 @@ def test_verify_satake_pgl4_window_is_pinned(capsys):
         "e4f064a5a8bebae82396f685e771aa0b6f099e0a66a84065e70a9680e050f309")
 
 
+def test_verify_satake_gl8_window_is_pinned(capsys):
+    # stdout recorded while theta_lam E followed the reduced words of both
+    # t_{-lam1} and t_{-lam2}, which needed about 25 s here
+    code, out, _ = _run_within(10.0, ["verify", "satake", "--family", "GL",
+                                      "--rank", "8", "--max-norm", "1"],
+                               capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "69d74c5c74bc355b067546d6ed40481361fd714e1edc8666bbc61028c071f420")
+
+
+def test_verify_satake_gl9_window_passes(capsys):
+    # with both words, one intermediate of theta_lam E held 21177 cosets,
+    # so this window exited 3 at the theta guard after 20-35 s
+    code, out, err = _run_within(10.0, ["verify", "satake", "--family", "GL",
+                                        "--rank", "9", "--max-norm", "1"],
+                                 capsys)
+    assert code == 0 and err == ""
+    schema = _schema("verify")
+    reports = [json.loads(line) for line in out.strip().split("\n")]
+    for obj in reports:
+        jsonschema.validate(obj, schema)
+        assert obj["passed"]
+    # one report per minuscule coweight (1^k, 0^(9-k)), the triangular
+    # one and the summary
+    assert [obj["check"] for obj in reports] == \
+        ["satake-minuscule"] * 10 + ["satake-triangular", "summary"]
+
+
 @pytest.mark.parametrize("family,rank", [("GL", 3), ("PGL", 3), ("Sp", 4),
                                          ("GL", 4)])
 def test_engine_memos_do_not_depend_on_the_order_of_use(family, rank):

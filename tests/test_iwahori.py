@@ -422,8 +422,10 @@ def test_satake_transform_rejects_a_non_dominant_label():
 
 
 def test_resource_guard():
-    tiny = AffineHeckeAlgebra(GL3, max_support=5)
-    with pytest.raises(ResourceLimitError, match="^theta: .*max_support=5$"):
+    # the theta_w E of the terms of m_(2,1,0) reach 5 cosets, their sum 6
+    tiny = AffineHeckeAlgebra(GL3, max_support=4)
+    with pytest.raises(ResourceLimitError,
+                       match="^theta: support 5 exceeds max_support=4$"):
         tiny.satake_inverse(orbit_character(GL3, (2, 1, 0)))
     # theta_(1,1) E and theta_(2,2) E are one coset each; their sum is two
     f = orbit_character(GL2, (1, 1)) + orbit_character(GL2, (2, 2))
@@ -669,11 +671,14 @@ def test_engine_reduced_words_multiply_back_by_the_group_law(family, rank,
         for idx in word:
             prod = oracle.mul_aff(prod, oracle._gens[idx])
         assert oracle.mul_aff(prod, as_oracle(pi)) == as_oracle(x), x
-        # pi relabels through w^{-1}, read off p's way down to 2 rho^vee
-        rows = engine._unwind(pi[1])
-        assert tuple(tuple(dict(row).get(j, 0) for j in range(datum.rank))
-                     for row in rows) == \
-            weyl.matrix(weyl.inverse[weyl.by_point(pi[1])])
         relabels += pi != engine.identity_key()
     # SL's and Sp's lattices are the coroot lattice: no length-zero pi
     assert (relabels > 0) == (family in ("GL", "PGL"))
+    # a length-zero (mu, p) sends a label lam to mu + w lam, and w lam is
+    # read off p's way down to 2 rho^vee; every p, on every basis vector
+    for p in points:
+        matrix = weyl.matrix(weyl.by_point(p))
+        for j in range(datum.rank):
+            basis = tuple(int(k == j) for k in range(datum.rank))
+            assert engine._act_by_point(p, basis) == \
+                tuple(row[j] for row in matrix), (p, j)

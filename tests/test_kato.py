@@ -27,6 +27,9 @@ GL3 = build_standard("GL", 3)
 WINDOWS = [("GL", 2, 2), ("GL", 3, 2), ("SL", 3, 2), ("PGL", 3, 2),
            ("Sp", 4, 2), ("GL", 4, 2), ("PGL", 4, 2)]
 WINDOW_IDS = [f"{f}{n}" for f, n, _ in WINDOWS]
+# larger windows, for the engine comparison alone
+ENGINE_WINDOWS = [("SL", 4, 2), ("GL", 5, 2), ("Sp", 6, 2), ("GL", 8, 1),
+                  ("PGL", 5, 1)]
 
 
 def _window(datum, max_norm):
@@ -148,7 +151,8 @@ def test_dominant_walk_matches_the_bfs_oracle(datum, max_norm):
         datum.dominant_walk(tuple(-x for x in datum.two_rho_hat))
 
 
-@pytest.mark.parametrize("family,rank,max_norm", WINDOWS, ids=WINDOW_IDS)
+@pytest.mark.parametrize("family,rank,max_norm", WINDOWS + ENGINE_WINDOWS,
+                         ids=[f"{f}{n}" for f, n, _ in WINDOWS + ENGINE_WINDOWS])
 def test_coset_coordinates_match_the_engine(family, rank, max_norm):
     datum = build_standard(family, rank)
     algebra = AffineHeckeAlgebra(datum)
