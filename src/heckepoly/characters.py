@@ -373,6 +373,33 @@ def decompose(datum: BasedRootDatum,
                               ).decompose(f)
 
 
+def strip_highest(datum: BasedRootDatum, work: dict[Coweight, LaurentHalf],
+                  image) -> dict[Coweight, LaurentHalf]:
+    """Coefficients c_lam with work = sum c_lam image(lam), where
+    image(lam) is a {mu: coefficient} map on mu <= lam with a unit
+    coefficient at lam.
+
+    The highest label lam by (<2 rho, lam>, lam) takes c_lam, its
+    coefficient over that unit, and c_lam times the rest of its image is
+    subtracted.  Each step removes the highest label and adds lower ones.
+    """
+    work = dict(work)
+    out: dict[Coweight, LaurentHalf] = {}
+    while work:
+        lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
+        terms = image(lam)
+        c = out[lam] = work.pop(lam) * terms[lam].monomial_inverse()
+        for mu, a in terms.items():
+            if mu == lam:
+                continue
+            rest = work.get(mu, LaurentHalf.zero()) - c * a
+            if rest.is_zero():
+                work.pop(mu, None)
+            else:
+                work[mu] = rest
+    return out
+
+
 def _add_shifted(acc: list[int], poly: list[int], k: int, sign: int = 1):
     """acc += sign * t^k * poly, in place; polynomials are coefficient
     lists in increasing degree."""
@@ -485,26 +512,17 @@ class KostkaFoulkesTable:
     def decompose(self, f: SymmetricFunction) -> dict[Coweight, LaurentHalf]:
         """Coefficients c_lam with f = sum c_lam chi_lam.
 
-        A W-invariant f is fixed by its dominant terms, so the highest one
-        lam by <2 rho, .> strips c_lam times the dominant multiplicities
-        K_{lam mu}(1) of chi_lam.  Each step removes the highest term and
-        adds lower ones.
+        A W-invariant f is fixed by its dominant terms, and
+        ``strip_highest`` strips them against the dominant multiplicities
+        K_{lam mu}(1) of each chi_lam.
         """
         datum = self.datum
         moved = _moving_reflection(datum, f.weights.terms)
         if moved is not None:
             raise ConsistencyError(
                 f"cannot decompose: input is not invariant under s_{moved}")
-        work = {w: c for w, c in f.weights.terms.items()
-                if datum.is_dominant(w)}
-        out: dict[Coweight, LaurentHalf] = {}
-        while work:
-            lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
-            c = out[lam] = work[lam]
-            for mu, k in self.kostka_foulkes(lam).items():
-                rest = work.get(mu, LaurentHalf.zero()) - c * sum(k)
-                if rest.is_zero():
-                    work.pop(mu, None)
-                else:
-                    work[mu] = rest
-        return out
+        return strip_highest(
+            datum, {w: c for w, c in f.weights.terms.items()
+                    if datum.is_dominant(w)},
+            lambda lam: {mu: LaurentHalf.from_int(sum(k))
+                         for mu, k in self.kostka_foulkes(lam).items()})

@@ -108,6 +108,8 @@ def _check_options(args: argparse.Namespace) -> argparse.Namespace:
         raise ValidationError("--max-support must be >= 1")
     if getattr(args, "max_norm", 0) < 0:
         raise ValidationError("--max-norm must be >= 0")
+    if getattr(args, "basis", "satake") not in ("satake", "double-coset"):
+        raise ValidationError(f"unknown basis {args.basis!r}")
     return args
 
 
@@ -208,8 +210,6 @@ def cmd_poly(args) -> tuple[list[str], int]:
                  for c in h.coefficients]
         payload["coset_coefficients"] = [vec.to_json() for vec in coset]
         payload["rendering"] = _render_coset_poly(h.degree, coset)
-    elif args.basis != "satake":
-        raise ValidationError(f"unknown basis {args.basis!r}")
     return [_dump(payload)], EXIT_OK
 
 

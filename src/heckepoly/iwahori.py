@@ -11,13 +11,13 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   multiplies on the left by a generator t_mu s_alpha (a simple
   reflection, or s_0 = t_{theta^vee} s_theta):
   x -> (mu + s_alpha lam, s_alpha p), two reflections;
-* length: ell(t_lam w) = sum over positive roots alpha of
-  |<alpha, lam> - 1| when w^{-1} alpha < 0, else |<alpha, lam>|; and
-  w^{-1} alpha < 0 exactly when <alpha, p> < 0;
+* affine roots: the generator s has the affine root a_s, <alpha_i, .>
+  for s_i and 1 - <theta, .> for s_0, positive on the base alcove.  s
+  shortens x = (lam, p) exactly when its wall separates the base alcove
+  from x's, that is when a_s(lam + eps p) < 0 for small eps > 0
+  (Iwahori-Matsumoto);
 * reduced words come from left descents, x = s_{i_1} ... s_{i_m} pi
-  with ell(pi) = 0.  A length-zero pi = (mu, p) sends the coset label
-  lam to mu + w lam, and w lam is read off p's descent: the simple
-  reflections that take p down to 2 rho^vee spell w^{-1};
+  with ell(pi) = 0, each letter the first descent in index order;
 * quadratic relation: T_s^2 = (q - 1) T_s + q with q = v^2, hence
   T_s^{-1} = q^{-1} T_s - (1 - q^{-1});
 * coefficients: inside the engine a coefficient in Z[v, v^-1] is a
@@ -39,18 +39,18 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
   v_lam = T_{x_lam} E per right coset t_lam W = {(lam, v) : v in W},
   x_lam minimal in it; v_lam = sum_v T_{x_lam v} because lengths add,
   so the coefficient a_lam of v_lam is that of every T_(lam, v).  Here
-  ell(x_lam) = ell_min(lam) = sum over positive roots alpha of
-  |<alpha, lam>|, less one for each alpha with <alpha, lam> > 0.  An
-  affine simple s sends lam to s lam = mu + lam - <alpha, lam> alpha^vee,
-  and T_s^{-1} v_lam is q^{-1} v_lam if s lam = lam, v_{s lam} if
-  ell_min(s lam) < ell_min(lam), and q^{-1} v_{s lam} + (q^{-1} - 1)
-  v_lam otherwise; a length-zero element relabels lam.  The Bernstein
-  elements commute, and theta_lam1 E is one coset vector for dominant
-  lam1, so theta_lam E = theta_{-lam2} theta_lam1 E starts at one label
-  and follows one reduced word, that of t_{-lam2};
+  ell(x_lam) = ell_min(lam).  An affine simple s sends lam to
+  s lam = mu + lam - <alpha, lam> alpha^vee, and T_s^{-1} v_lam is
+  q^{-1} v_lam if s lam = lam, v_{s lam} if a_s(lam) < 0 (ell_min
+  drops), and q^{-1} v_{s lam} + (q^{-1} - 1) v_lam if a_s(lam) > 0.
+  The Bernstein elements commute, and theta_lam1 E is one coset vector
+  for dominant lam1, so theta_lam E = theta_{-lam2} theta_lam1 E starts
+  at one label, lam moved by the letters of the word of t_{-lam2}, and
+  follows that one reduced word back;
 * satake_transform inverts satake_inverse by stripping the highest
-  label, as ``KostkaFoulkesTable.decompose`` does: the image of m_lam
-  lies on the dominant mu <= lam, with a unit coefficient at lam.
+  label (``characters.strip_highest``, as ``KostkaFoulkesTable.decompose``
+  does): the image of m_lam lies on the dominant mu <= lam, with a unit
+  coefficient at lam.
 
 Supports grow quickly with |lam|.  satake_inverse counts cosets against
 a configurable bound and raises ResourceLimitError, naming the stage:
@@ -72,7 +72,7 @@ from math import lcm
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE
 from .characters import (DEFAULT_MAX_SUPPORT, SymmetricFunction,
-                         WeightMultiset, orbit_character)
+                         WeightMultiset, orbit_character, strip_highest)
 from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
 AffKey = tuple[Coweight, Coweight]
@@ -113,8 +113,8 @@ class AffineHeckeAlgebra:
     """Engine for one based root datum.
 
     The Satake transform and its inverse are methods here so that
-    datum-derived tables (lengths, reduced words, each generator's step
-    on each coset label, the images of the orbit sums) are shared.
+    datum-derived tables (reduced words, each generator's step on each
+    coset label, the images of the orbit sums) are shared.
     """
 
     def __init__(self, datum: BasedRootDatum,
@@ -125,8 +125,6 @@ class AffineHeckeAlgebra:
         self.datum = datum
         self.max_support = max_support
         self._zero_vec = tuple(0 for _ in range(datum.rank))
-        self._length_memo: dict[AffKey, int] = {}
-        self._coset_length_memo: dict[Coweight, int] = {}
         self._word_memo: dict[AffKey, tuple[AffKey, tuple[int, ...]]] = {}
         self._image_memo: dict[Coweight, dict[Coweight, LaurentHalf]] = {}
         self._gens = self._build_generators()
@@ -162,36 +160,12 @@ class AffineHeckeAlgebra:
     def translation_key(self, lam: Coweight) -> AffKey:
         return (tuple(lam), self.datum.two_rho_hat)
 
-    def _left_gen(self, idx: int, x: AffKey) -> AffKey:
-        """s x = (mu + s_alpha lam, s_alpha p) for the generator
-        s = t_mu s_alpha."""
-        mu, alpha, alpha_v = self._gens[idx]
-        lam, p = x
-        k = sum(a * b for a, b in zip(alpha, lam))
-        j = sum(a * b for a, b in zip(alpha, p))
-        return (tuple(m + a - k * b for m, a, b in zip(mu, lam, alpha_v)),
-                tuple(a - j * b for a, b in zip(p, alpha_v)))
-
-    def length(self, x: AffKey) -> int:
-        memo = self._length_memo
-        cached = memo.get(x)
-        if cached is None:
-            lam, p = x
-            cached = 0
-            for alpha in self.datum.positive_roots:
-                k = sum(a * b for a, b in zip(alpha, lam))
-                if sum(a * b for a, b in zip(alpha, p)) < 0:
-                    k -= 1
-                cached += abs(k)
-            memo[x] = cached
-        return cached
-
     def reduced_word(self, x: AffKey) -> tuple[AffKey, tuple[int, ...]]:
         """Write x = s_{i_1} ... s_{i_m} * pi with ell(pi) = 0, m = ell(x);
         memoized per x.
 
-        Each letter is the first generator, in index order, whose left
-        multiplication shortens what is left.
+        Each letter is the first generator, in index order, that is a
+        left descent of what is left.
         """
         got = self._word_memo.get(x)
         if got is None:
@@ -200,34 +174,34 @@ class AffineHeckeAlgebra:
 
     def _descend(self, x: AffKey) -> tuple[AffKey, tuple[int, ...]]:
         word: list[int] = []
-        cur = x
-        length = self.length(cur)
-        while length > 0:
+        while True:
             for idx in self.generator_indices:
-                y = self._left_gen(idx, cur)
-                if self.length(y) < length:
-                    cur = y
-                    length -= 1
+                y = self._shorten(idx, x)
+                if y is not None:
+                    x = y
                     word.append(idx)
                     break
             else:
-                raise ConsistencyError("element of positive length has no descent")
-        return cur, tuple(word)
+                return x, tuple(word)
 
-    def _act_by_point(self, p: Coweight, lam: Coweight) -> Coweight:
-        """w lam for the orbit point p = w 2 rho^vee.  The simple
-        reflections s_{i_1}, ..., s_{i_k} that take p down to 2 rho^vee
-        spell w^{-1} = s_{i_k} ... s_{i_1}, so they act on lam last first."""
-        datum = self.datum
-        descent = []
-        while not datum.is_dominant(p):
-            i = next(i for i, alpha in enumerate(datum.simple_roots)
-                     if datum.pairing(alpha, p) < 0)
-            p = datum.reflect(i, p)
-            descent.append(i)
-        for i in reversed(descent):
-            lam = datum.reflect(i, lam)
-        return lam
+    def _shorten(self, idx: int, x: AffKey) -> AffKey | None:
+        """s x = (mu + s_alpha lam, s_alpha p) if the generator
+        s = t_mu s_alpha is a left descent of x = (lam, p), else None.
+
+        s shortens x exactly when its wall separates the base alcove from
+        x's, that is when the affine root a_s, which is <alpha_i, .> for
+        s_i and 1 - <theta, .> for s_0, is negative at lam + eps p for
+        small eps > 0 (p is regular, so a tie at lam is broken by p).
+        """
+        mu, alpha, alpha_v = self._gens[idx]
+        lam, p = x
+        k = sum(a * b for a, b in zip(alpha, lam))
+        j = sum(a * b for a, b in zip(alpha, p))
+        a_s, slope = (k, j) if idx else (1 - k, -j)
+        if a_s < 0 or (a_s == 0 and slope < 0):
+            return (tuple(m + a - k * b for m, a, b in zip(mu, lam, alpha_v)),
+                    tuple(a - j * b for a, b in zip(p, alpha_v)))
+        return None
 
     def _guard(self, terms: dict, stage: str):
         if len(terms) > self.max_support:
@@ -304,20 +278,6 @@ class AffineHeckeAlgebra:
 
     # -- spherical module H E ----------------------------------------------
 
-    def _coset_length(self, lam: Coweight) -> int:
-        """ell_min(lam), the length of the minimal element x_lam of the
-        right coset t_lam W: sum over positive roots alpha of
-        |<alpha, lam>|, less one for each alpha with <alpha, lam> > 0."""
-        memo = self._coset_length_memo
-        cached = memo.get(lam)
-        if cached is None:
-            cached = 0
-            for alpha in self.datum.positive_roots:
-                k = sum(a * x for a, x in zip(alpha, lam))
-                cached += k - 1 if k > 0 else -k
-            memo[lam] = cached
-        return cached
-
     def _module_gen(self, idx: int, coeffs: dict) -> dict:
         """T_s^{-1} on sum a_lam v_lam in H E, in one pass: with
         s lam = mu + lam - <alpha, lam> alpha^vee,
@@ -329,10 +289,7 @@ class AffineHeckeAlgebra:
         steps = self._step_memo[idx]
         out: dict[Coweight, dict[int, int]] = {}
         for lam, c in coeffs.items():
-            step = steps.get(lam)
-            if step is None:
-                step = steps[lam] = self._step(idx, lam)
-            slam, rises = step
+            slam, rises = steps.get(lam) or self._step(idx, lam)
             if rises is None:
                 acc(out, lam, c, -2)
             elif not rises:
@@ -359,13 +316,19 @@ class AffineHeckeAlgebra:
 
     def _step(self, idx: int, lam: Coweight) -> tuple:
         """(s lam, ell_min(s lam) > ell_min(lam)) for the generator s,
-        with None in place of the comparison when s lam = lam."""
-        mu, alpha, alpha_v = self._gens[idx]
-        k = sum(a * x for a, x in zip(alpha, lam))
-        slam = tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v))
-        if slam == lam:
-            return lam, None
-        return slam, self._coset_length(slam) > self._coset_length(lam)
+        memoized, with None in place of the comparison when s lam = lam.
+        Otherwise ell_min rises exactly when the affine root a_s is
+        positive at lam: <alpha_i, lam> > 0 for s_i, <theta, lam> < 1
+        for s_0."""
+        steps = self._step_memo[idx]
+        got = steps.get(lam)
+        if got is None:
+            mu, alpha, alpha_v = self._gens[idx]
+            k = sum(a * x for a, x in zip(alpha, lam))
+            slam = tuple(m + x - k * y for m, x, y in zip(mu, lam, alpha_v))
+            got = steps[lam] = ((lam, None) if slam == lam
+                                else (slam, (k if idx else 1 - k) > 0))
+        return got
 
     def _theta_on_e(self, lam: Coweight) -> dict:
         """theta_lam E = theta_{-lam2} theta_lam1 E in H E, for
@@ -373,19 +336,30 @@ class AffineHeckeAlgebra:
 
         t_lam1 = x_lam1 u with u in W and lengths adding, so
         T_{t_lam1} E = q^{ell(t_lam1) - ell_min(lam1)} v_lam1, with
-        ell(t_lam1) = <2 rho, lam1>.  t_{-lam2} = s_{i_1} ... s_{i_m} pi
-        with pi = (mu, p) = t_mu w gives T_{t_lam2}^{-1} =
+        ell(t_lam1) = <2 rho, lam1> and, lam1 being dominant,
+        ell_min(lam1) = <2 rho, lam1> - #{alpha > 0 : <alpha, lam1> > 0}.
+        t_{-lam2} = s_{i_1} ... s_{i_m} pi gives T_{t_lam2}^{-1} =
         T_{s_{i_1}}^{-1} ... T_{s_{i_m}}^{-1} T_pi, and T_pi v_lam1 =
-        v_{mu + w lam1}.  So the walk starts at that one label, with
-        coefficient v^{ell(t_lam2) + <2 rho, lam1> - 2 ell_min(lam1)}, and
-        applies T_{s_i}^{-1} for i = i_m, ..., i_1.
+        v_{pi lam1}, where pi lam1 = s_{i_m} ... s_{i_1} t_{-lam2} lam1 is
+        lam stepped through i_1, ..., i_m.  So the walk starts at that one
+        label, with coefficient v^{ell(t_lam2) + <2 rho, lam1> -
+        2 ell_min(lam1)}, and applies T_{s_i}^{-1} for i = i_m, ..., i_1.
         """
+        datum = self.datum
         lam1, lam2 = self._dominant_decomposition(lam)
-        (mu, p), word = self.reduced_word(
+        _, word = self.reduced_word(
             self.translation_key(tuple(-x for x in lam2)))
-        label = tuple(m + x for m, x in zip(mu, self._act_by_point(p, lam1)))
-        cur = {label: {len(word) + self.datum.rho_pairing_exponent(lam1)
-                       - 2 * self._coset_length(lam1): 1}}
+        if len(word) != datum.rho_pairing_exponent(lam2):
+            raise ConsistencyError(
+                f"reduced word of t_-lam2, lam2 = {lam2}, has length "
+                f"{len(word)}, not <2 rho, lam2>")
+        label = tuple(lam)
+        for idx in word:
+            label = self._step(idx, label)[0]
+        two_rho = datum.rho_pairing_exponent(lam1)
+        ell_min = two_rho - sum(datum.pairing(alpha, lam1) > 0
+                                for alpha in datum.positive_roots)
+        cur = {label: {len(word) + two_rho - 2 * ell_min: 1}}
         for idx in reversed(word):
             cur = self._module_gen(idx, cur)
         return cur
@@ -442,34 +416,14 @@ class AffineHeckeAlgebra:
         return self.satake_transform(SphericalCosetVector({tuple(lam): ONE}))
 
     def satake_transform(self, vec: SphericalCosetVector) -> SymmetricFunction:
-        """Inverse of satake_inverse, by stripping.
-
-        The highest label lam by (<2 rho, lam>, lam) takes c m_lam, with c
-        the coordinate at lam over the unit coefficient of the image of
-        m_lam there, and c times that image is subtracted.  Each step
-        removes the highest label and adds lower ones.
-        """
+        """Inverse of satake_inverse: ``strip_highest`` against the
+        images of the orbit sums m_lam."""
         datum = self.datum
         for lam in vec.coords:
             if not datum.is_dominant(lam):
                 raise ValidationError(
                     f"satake_transform: {lam} is not dominant")
-        work = dict(vec.coords)
-        out: dict[Coweight, LaurentHalf] = {}
-        while work:
-            lam = max(work, key=lambda w: (datum.rho_pairing_exponent(w), w))
-            image = self._orbit_sum_image(lam)
-            # popped, not subtracted: the rest of the image is strictly
-            # lower, so each step ends with lam gone
-            c = out[lam] = work.pop(lam) * image[lam].monomial_inverse()
-            for mu, a in image.items():
-                if mu == lam:
-                    continue
-                rest = work.get(mu, LaurentHalf.zero()) - c * a
-                if rest.is_zero():
-                    work.pop(mu, None)
-                else:
-                    work[mu] = rest
+        out = strip_highest(datum, vec.coords, self._orbit_sum_image)
         # the orbits of distinct dominant labels are disjoint
         return SymmetricFunction(datum, WeightMultiset(
             {w: c for lam, c in out.items() for w in datum.weyl_orbit(lam)}),

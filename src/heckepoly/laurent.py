@@ -175,10 +175,6 @@ class LaurentHalf:
             k >>= 1
         return result
 
-    def shift(self, e: int) -> "LaurentHalf":
-        """Multiply by v**e."""
-        return LaurentHalf({e0 + e: c for e0, c in self._terms.items()})
-
     def is_unit(self) -> bool:
         """Units of Z[v, v^-1] are +-v^e."""
         if len(self._terms) != 1:

@@ -111,6 +111,20 @@ def test_poly_non_minuscule_exits_2(capsys):
     assert "minuscule" in json.loads(err)["error"]["message"]
 
 
+def test_poly_unknown_basis_is_rejected_before_the_polynomial(capsys,
+                                                              monkeypatch):
+    def refused(*args):
+        raise AssertionError("poly built a polynomial for an unknown basis")
+
+    monkeypatch.setattr(cli, "hecke_polynomial", refused)
+    code, out, err = _run(["poly", "--family", "GL", "--rank", "6",
+                           "--mu", "1,1,1,0,0,0", "--basis", "foo"], capsys)
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["message"] == "unknown basis 'foo'"
+
+
 def test_poly_resource_guard_exits_3(capsys):
     code, _, err = _run(["poly", "--family", "GL", "--rank", "3",
                          "--mu", "1,0,0", "--basis", "double-coset",
@@ -525,7 +539,7 @@ def test_affine_engine_public_methods_are_pinned():
     # the T-basis product lives in the tests' oracles, not here
     assert {name for name in dir(AffineHeckeAlgebra)
             if not name.startswith("_")} == {
-        "generator_indices", "identity_key", "length", "reduced_word",
+        "generator_indices", "identity_key", "reduced_word",
         "satake_inverse", "satake_of_indicator", "satake_transform",
         "translation_key"}
 

@@ -505,16 +505,21 @@ def test_satake_inverse_matches_the_central_element_oracle(algebra):
                                          ("Sp", 6)])
 def test_coset_length_is_the_minimal_length_in_the_coset(family, rank):
     # the engine's keys (lam, p) run over the orbit points p of 2 rho^vee;
-    # the oracle descends by its Weyl tables
+    # the oracle descends by its Weyl tables.  ell_min(lam) is the sum
+    # over positive roots alpha of |<alpha, lam>|, less one for each
+    # alpha with <alpha, lam> > 0: the engine's start exponent reads it
+    # for dominant lam, its coset steps compare it by one affine root
     datum = build_standard(family, rank)
-    algebra = AffineHeckeAlgebra(datum)
     oracle = TBasisAlgebra(datum)
+    by_point = oracle.weyl.by_point
     points = datum.weyl_orbit(datum.two_rho_hat)
     assert len(points) == datum.weyl_order
     for lam in itertools.product(range(-2, 3), repeat=datum.rank):
-        lengths = [algebra.length((lam, p)) for p in points]
-        assert algebra._coset_length(lam) == min(lengths) == \
-            min_coset_length(oracle, (lam, 0)), lam
+        lengths = [oracle.length((lam, by_point(p))) for p in points]
+        pairings = [datum.pairing(alpha, lam)
+                    for alpha in datum.positive_roots]
+        assert min(lengths) == min_coset_length(oracle, (lam, 0)) == \
+            sum(map(abs, pairings)) - sum(k > 0 for k in pairings), lam
 
 
 def test_satake_inverse_rejects_a_non_central_element():
@@ -665,8 +670,8 @@ def test_engine_reduced_words_multiply_back_by_the_group_law(family, rank,
     relabels = 0
     for x in sorted(keys):
         pi, word = engine.reduced_word(x)
-        assert len(word) == engine.length(x) == oracle.length(as_oracle(x))
-        assert engine.length(pi) == 0
+        assert len(word) == oracle.length(as_oracle(x))
+        assert oracle.length(as_oracle(pi)) == 0
         prod = oracle.identity_key()
         for idx in word:
             prod = oracle.mul_aff(prod, oracle._gens[idx])
@@ -674,11 +679,92 @@ def test_engine_reduced_words_multiply_back_by_the_group_law(family, rank,
         relabels += pi != engine.identity_key()
     # SL's and Sp's lattices are the coroot lattice: no length-zero pi
     assert (relabels > 0) == (family in ("GL", "PGL"))
-    # a length-zero (mu, p) sends a label lam to mu + w lam, and w lam is
-    # read off p's way down to 2 rho^vee; every p, on every basis vector
-    for p in points:
+    # theta_lam E starts at pi lam1 = mu + w lam1, for lam = lam1 - lam2
+    # and t_{-lam2} = s_{i_1} ... s_{i_m} pi with pi = (mu, p) = t_mu w
+    starts = _start_only(datum)
+    for lam in sorted({nu for lam in _window_labels(datum, max_norm)
+                       for nu in datum.weyl_orbit(lam)}):
+        lam1, lam2 = engine._dominant_decomposition(lam)
+        (mu, p), _ = engine.reduced_word(
+            engine.translation_key(tuple(-x for x in lam2)))
         matrix = weyl.matrix(weyl.by_point(p))
-        for j in range(datum.rank):
-            basis = tuple(int(k == j) for k in range(datum.rank))
-            assert engine._act_by_point(p, basis) == \
-                tuple(row[j] for row in matrix), (p, j)
+        label = tuple(m + sum(r * x for r, x in zip(row, lam1))
+                      for m, row in zip(mu, matrix))
+        assert set(starts._theta_on_e(lam)) == {label}, lam
+
+
+def _start_only(datum):
+    """An engine whose theta_lam E stops at its one start vector: no
+    T_s^{-1} of the walk is applied."""
+    engine = AffineHeckeAlgebra(datum)
+    engine._module_gen = lambda idx, coeffs: coeffs
+    return engine
+
+
+SIGN_WINDOWS = [("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5), ("PGL", 3),
+                ("PGL", 4), ("SL", 3), ("SL", 4), ("Sp", 4), ("Sp", 6)]
+
+
+@pytest.mark.parametrize("family,rank", SIGN_WINDOWS,
+                         ids=[f"{f}{n}" for f, n in SIGN_WINDOWS])
+def test_affine_root_signs_give_descents_coset_steps_and_the_start(family,
+                                                                   rank):
+    # the engine reads each fact off the sign of one affine root; the
+    # oracle reads it off its lengths, over its Weyl tables
+    datum = build_standard(family, rank)
+    engine = AffineHeckeAlgebra(datum)
+    oracle = TBasisAlgebra(datum)
+    by_point = oracle.weyl.by_point
+    points = datum.weyl_orbit(datum.two_rho_hat)
+    theta = datum.highest_root
+    rng = random.Random(113)
+    ties = set()
+    for _ in range(60):
+        lam = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+        p = rng.choice(points)
+        x = (lam, by_point(p))
+        low = min_coset_length(oracle, (lam, 0))
+        for idx in engine.generator_indices:
+            # left descent: ell(s x) < ell(x)
+            sx = oracle.mul_aff(oracle._gens[idx], x)
+            shorter = oracle.length(sx) < oracle.length(x)
+            y = engine._shorten(idx, (lam, p))
+            assert (y is not None) == shorter, (idx, lam, p)
+            if y is not None:
+                assert (y[0], by_point(y[1])) == sx
+            pair = datum.pairing(datum.simple_roots[idx - 1] if idx
+                                 else theta, lam)
+            if pair == (0 if idx else 1):
+                ties.add((idx == 0, shorter))
+            # coset step: ell_min(s lam) against ell_min(lam)
+            slam, rises = engine._step(idx, lam)
+            assert slam == sx[0]
+            if slam == lam:
+                assert rises is None
+            else:
+                assert rises == (min_coset_length(oracle, (slam, 0)) > low)
+    # both tie-breaks were met, each way; Sp's theta = 2 e_1 pairs
+    # evenly with every coweight, so <theta, lam> = 1 never occurs there
+    met = {(False, False), (False, True)}
+    if family != "Sp":
+        met |= {(True, False), (True, True)}
+    assert ties == met
+    # the start of theta_lam E: label pi lam1 and exponent
+    # ell(t_lam2) + <2 rho, lam1> - 2 ell_min(lam1)
+    starts = _start_only(datum)
+    for _ in range(20):
+        lam = tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+        lam1, lam2 = engine._dominant_decomposition(lam)
+        pi, _ = oracle.reduced_word(
+            oracle.translation_key(tuple(-x for x in lam2)))
+        exponent = (oracle.length(oracle.translation_key(lam2))
+                    + datum.rho_pairing_exponent(lam1)
+                    - 2 * min_coset_length(oracle, (lam1, 0)))
+        assert starts._theta_on_e(lam) == \
+            {oracle._relabel(pi, lam1): {exponent: 1}}, lam
+    # a descent rule that stops early leaves a word shorter than
+    # ell(t_lam2) = <2 rho, lam2>, and the walk refuses it
+    stuck = AffineHeckeAlgebra(datum)
+    stuck._shorten = lambda idx, x: None
+    with pytest.raises(ConsistencyError, match="reduced word"):
+        stuck._theta_on_e(tuple(-x for x in datum.two_rho_hat))
