@@ -13,8 +13,8 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain,
                       validate_sqrt)
 from .root_data import BasedRootDatum, Coweight, build_standard
-from .characters import (SymmetricFunction, WeightMultiset, decompose,
-                         minuscule_weights, orbit_character, weyl_character)
+from .characters import (WeightMultiset, decompose, minuscule_weights,
+                         orbit_character, weyl_character)
 from .satake import (FormalTorusDomain, FrobeniusMatrix, SatakeParameter,
                      evaluate, frobenius_matrix, resolve_twist)
 from .hecke import (HeckePolynomial, RelationReport, cayley_hamilton_check,
@@ -28,7 +28,7 @@ __all__ = [
     "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
     "PrimeFieldWithV", "RationalWithV", "RelationReport", "ResourceLimitError",
     "SatakeParameter", "ScalarDomain", "SphericalCosetVector",
-    "SymmetricFunction", "ValidationError",
+    "ValidationError",
     "WeightMultiset", "build_standard",
     "cayley_hamilton_check", "decompose", "evaluate", "evaluate_coefficients",
     "excursion_values", "frobenius_matrix", "hecke_polynomial",

@@ -2,9 +2,11 @@
 
 Coweights of G are weights of the dual torus, so a virtual character of
 the dual group is a finitely supported map coweight -> Laurent
-coefficient (a WeightMultiset).  A SymmetricFunction is a Weyl-invariant
-WeightMultiset; these are the Satake coordinates of spherical Hecke
-elements.  The FormalTorusDomain makes weight multisets a scalar domain.
+coefficient (a WeightMultiset).  The W-invariant ones are the Satake
+coordinates of spherical Hecke elements (Gross 1998, "On the Satake
+isomorphism"); invariance is a property of a WeightMultiset, which
+``_moving_reflection`` checks where a consumer needs it, not a second
+type.  The FormalTorusDomain makes weight multisets a scalar domain.
 
 The i-th exterior-power character of weights lam_1..lam_d is e_i of
 the e^{lam_j}: ``elementary_symmetric`` in the formal domain, O(d^2),
@@ -246,93 +248,22 @@ class FormalTorusDomain(ScalarDomain):
         return f"FormalTorusDomain(rank={self.rank})"
 
 
-def _moving_reflection(datum: BasedRootDatum,
-                       terms: dict[Coweight, LaurentHalf]) -> int | None:
-    """The first simple reflection that moves terms, or None."""
+def _moving_reflection(datum: BasedRootDatum, terms: dict) -> int | None:
+    """The first simple reflection that moves terms, a map from
+    coweights to coefficients, or None.  The simple reflections generate
+    W, so None means terms is constant on every W-orbit."""
     for i in range(datum.num_simple):
         if {datum.reflect(i, w): c for w, c in terms.items()} != terms:
             return i
     return None
 
 
-class SymmetricFunction:
-    """Weyl-invariant WeightMultiset attached to a root datum."""
-
-    __slots__ = ("datum", "weights")
-
-    def __init__(self, datum: BasedRootDatum, weights: WeightMultiset,
-                 check: bool = True):
-        self.datum = datum
-        self.weights = weights
-        if check:
-            self._check_invariance()
-
-    def _check_invariance(self):
-        moved = _moving_reflection(self.datum, self.weights.terms)
-        if moved is not None:
-            raise ValidationError(
-                f"weight multiset is not invariant under s_{moved}")
-
-    @classmethod
-    def constant(cls, datum: BasedRootDatum, c) -> "SymmetricFunction":
-        if isinstance(c, int):
-            c = LaurentHalf.from_int(c)
-        zero = tuple(0 for _ in range(datum.rank))
-        wm = WeightMultiset({zero: c}) if not c.is_zero() else WeightMultiset()
-        return cls(datum, wm, check=False)
-
-    def is_zero(self) -> bool:
-        return self.weights.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, SymmetricFunction):
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self):
-        return hash(self.weights)
-
-    def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":
-        return SymmetricFunction(self.datum, self.weights + other.weights,
-                                 check=False)
-
-    def __sub__(self, other: "SymmetricFunction") -> "SymmetricFunction":
-        return SymmetricFunction(self.datum, self.weights - other.weights,
-                                 check=False)
-
-    def __neg__(self) -> "SymmetricFunction":
-        return SymmetricFunction(self.datum, -self.weights, check=False)
-
-    def __mul__(self, other):
-        if isinstance(other, SymmetricFunction):
-            return SymmetricFunction(self.datum, self.weights * other.weights,
-                                     check=False)
-        return SymmetricFunction(self.datum, self.weights.scale(other),
-                                 check=False)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "SymmetricFunction":
-        return SymmetricFunction(self.datum, self.weights.scale(c), check=False)
-
-    def __repr__(self):
-        return f"SymmetricFunction({self.weights!r})"
-
-    def to_json(self) -> list:
-        return self.weights.to_json()
-
-    @classmethod
-    def from_json(cls, datum: BasedRootDatum, obj: list) -> "SymmetricFunction":
-        return cls(datum, WeightMultiset.from_json(obj))
-
-
-def orbit_character(datum: BasedRootDatum, lam: Coweight) -> SymmetricFunction:
+def orbit_character(datum: BasedRootDatum, lam: Coweight) -> WeightMultiset:
     """Monomial symmetric function m_lam: orbit sum with coefficient 1."""
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise ValidationError(f"{lam} is not dominant")
-    terms = {w: ONE for w in datum.weyl_orbit(lam)}
-    return SymmetricFunction(datum, WeightMultiset(terms), check=False)
+    return WeightMultiset({w: ONE for w in datum.weyl_orbit(lam)})
 
 
 def minuscule_weights(datum: BasedRootDatum, mu: Coweight) -> tuple[Coweight, ...]:
@@ -346,7 +277,7 @@ def minuscule_weights(datum: BasedRootDatum, mu: Coweight) -> tuple[Coweight, ..
     return datum.weyl_orbit(mu)
 
 
-def weyl_character(datum: BasedRootDatum, lam: Coweight) -> SymmetricFunction:
+def weyl_character(datum: BasedRootDatum, lam: Coweight) -> WeightMultiset:
     """Character of the irreducible dual-group representation chi_lam.
 
     The dominant multiplicities are K_{lam mu}(1) from a
@@ -361,11 +292,11 @@ def weyl_character(datum: BasedRootDatum, lam: Coweight) -> SymmetricFunction:
     for mu, k in table.kostka_foulkes(lam).items():
         m = LaurentHalf.from_int(sum(k))
         terms.update((w, m) for w in datum.weyl_orbit(mu))
-    return SymmetricFunction(datum, WeightMultiset(terms), check=False)
+    return WeightMultiset(terms)
 
 
 def decompose(datum: BasedRootDatum,
-              f: SymmetricFunction) -> dict[Coweight, LaurentHalf]:
+              f: WeightMultiset) -> dict[Coweight, LaurentHalf]:
     """Coefficients c_lam with f = sum c_lam chi_lam, by
     ``KostkaFoulkesTable.decompose`` at DEFAULT_MAX_SUPPORT, so this may
     raise ResourceLimitError."""
@@ -509,7 +440,7 @@ class KostkaFoulkesTable:
         self._tables[lam] = out
         return out
 
-    def decompose(self, f: SymmetricFunction) -> dict[Coweight, LaurentHalf]:
+    def decompose(self, f: WeightMultiset) -> dict[Coweight, LaurentHalf]:
         """Coefficients c_lam with f = sum c_lam chi_lam.
 
         A W-invariant f is fixed by its dominant terms, and
@@ -517,12 +448,12 @@ class KostkaFoulkesTable:
         K_{lam mu}(1) of each chi_lam.
         """
         datum = self.datum
-        moved = _moving_reflection(datum, f.weights.terms)
+        moved = _moving_reflection(datum, f.terms)
         if moved is not None:
             raise ConsistencyError(
                 f"cannot decompose: input is not invariant under s_{moved}")
         return strip_highest(
-            datum, {w: c for w, c in f.weights.terms.items()
+            datum, {w: c for w, c in f.terms.items()
                     if datum.is_dominant(w)},
             lambda lam: {mu: LaurentHalf.from_int(sum(k))
                          for mu, k in self.kostka_foulkes(lam).items()})

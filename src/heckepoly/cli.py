@@ -26,12 +26,11 @@ import random
 import sys
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
-                      ScalarDomain, elementary_symmetric)
+from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
 from .root_data import BasedRootDatum, build_standard
 from .characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
                          orbit_character)
-from .satake import SatakeParameter, evaluate, frobenius_matrix
+from .satake import SatakeParameter, frobenius_matrix
 from .hecke import (cayley_hamilton_check, evaluate_coefficients,
                     excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
@@ -336,7 +335,7 @@ def verify_satake(args):
     # label.  An image outside its label's lower set never gets here:
     # the transform refuses it (exit 4).
     labels = sorted(closure, key=lambda l: (datum.rho_pairing_exponent(l), l))
-    diagonal = [algebra.satake_of_indicator(lam).weights.coeff(lam)
+    diagonal = [algebra.satake_of_indicator(lam).coeff(lam)
                 for lam in labels]
     reports.append({
         "check": "satake-triangular",
@@ -352,33 +351,25 @@ def verify_newton(args):
     datum = build_standard(args.family, args.rank)
     mu = _require_mu(args, datum)
     dom = parse_field(args.field, datum.rank)
-    # e_0..e_d at the generic parameter are the exterior-power characters
-    generic = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
-                               twist_exponent=0)
-    weights, d = generic.weights, generic.size
-    characters = elementary_symmetric(generic.domain, generic.diagonal)
+    h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
+    d = h.degree
     reports = []
     for k in range(args.trials):
         rng = _trial_rng(args.seed, k)
         s = SatakeParameter.random(dom, datum.rank, rng)
-        e_vals = [evaluate(c, s) for c in characters]
-        p_vals = [None]
-        for j in range(1, d + 1):
-            total = dom.zero()
-            for w in weights:
-                total = dom.add(total, s.power(tuple(j * x for x in w)))
-            p_vals.append(total)
-        ok = True
-        for kk in range(1, d + 1):
-            lhs = dom.mul(dom.from_int(kk), e_vals[kk])
-            rhs = dom.zero()
-            for j in range(1, kk + 1):
-                term = dom.mul(e_vals[kk - j], p_vals[j])
-                if j % 2 == 0:
-                    term = dom.neg(term)
-                rhs = dom.add(rhs, term)
-            if not dom.eq(lhs, rhs):
-                ok = False
+        c = evaluate_coefficients(h, s)
+        m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
+        # Newton's identities for det(X - M) = sum_i c_i X^{d-i}:
+        # i c_i + sum_{j=1..i} c_{i-j} p_j = 0, with p_j = tr M^j
+        p = [None]
+        power = [dom.one()] * d
+        for _ in range(d):
+            power = [dom.mul(x, a) for x, a in zip(power, m.diagonal)]
+            p.append(dom.sum(power))
+        ok = all(dom.is_zero(dom.sum(
+            [dom.mul(dom.from_int(i), c[i])]
+            + [dom.mul(c[i - j], p[j]) for j in range(1, i + 1)]))
+            for i in range(1, d + 1))
         reports.append({"check": "newton", "trial": k, "seed": args.seed,
                         "passed": ok,
                         "parameter": s.to_json()["entries"]})
@@ -413,24 +404,49 @@ _VERIFY = {"ch": verify_ch, "inertia": verify_inertia, "satake": verify_satake,
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_group_flags(p, need_mu=False):
-    p.add_argument("--family", default="GL", help="GL | SL | PGL | Sp")
-    p.add_argument("--rank", type=int, default=2,
-                   help="n for GL_n/SL_n/PGL_n/Sp_n (Sp: n even)")
-    if need_mu:
-        p.add_argument("--mu", help="coweight, e.g. 1,0")
+# every option, with its add_argument keywords
+_OPTIONS = {
+    "--family": {"default": "GL", "help": "GL | SL | PGL | Sp"},
+    "--rank": {"type": int, "default": 2,
+               "help": "n for GL_n/SL_n/PGL_n/Sp_n (Sp: n even)"},
+    "--mu": {"help": "coweight, e.g. 1,0"},
+    "--twist": {"default": "paper", "help": "paper|classical|exp=<int>"},
+    "--e-over-f": {"type": int, "default": 1},
+    "--field": {"default": "formal",
+                "help": "formal | rat:v=<q> | ell=<p>,v=<r>[,q=<r>]"},
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": int, "default": 10},
+    "--max-support": {"type": int, "default": DEFAULT_MAX_SUPPORT},
+    "--out": {"help": "write output to a file instead of stdout"},
+    "--basis": {"default": "satake", "help": "satake | double-coset"},
+    "--entries": {"help": "parameter entries, e.g. 2,7"},
+    "--d": {"type": int, "default": 2},
+    "--max-norm": {"type": int, "default": 2},
+}
 
+_POLYNOMIAL = ("--family", "--rank", "--mu", "--twist", "--e-over-f")
+_TRIALS = _POLYNOMIAL + ("--field", "--seed", "--trials", "--out")
 
-def _add_common_flags(p):
-    p.add_argument("--twist", default="paper", help="paper|classical|exp=<int>")
-    p.add_argument("--e-over-f", dest="e_over_f", type=int, default=1)
-    p.add_argument("--field", default="formal",
-                   help="formal | rat:v=<q> | ell=<p>,v=<r>[,q=<r>]")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--max-support", dest="max_support", type=int,
-                   default=DEFAULT_MAX_SUPPORT)
-    p.add_argument("--out", help="write output to a file instead of stdout")
+# command, or verify check -> the options it reads, in the order help
+# lists them; a registered option nothing reads would be a silent no-op
+_TAKES = {
+    "datum": ("--family", "--rank", "--out"),
+    "poly": _POLYNOMIAL + ("--max-support", "--out", "--basis"),
+    "eval": _POLYNOMIAL + ("--field", "--seed", "--out", "--entries"),
+    "ch": _TRIALS,
+    "inertia": ("--seed", "--trials", "--max-support", "--out", "--d"),
+    "modell": _TRIALS,
+    "newton": _TRIALS,
+    "satake": ("--family", "--rank", "--max-support", "--out", "--max-norm"),
+}
+
+# command -> help; the order is the one help and usage errors list
+_COMMANDS = {
+    "datum": "describe a root datum",
+    "poly": "the polynomial of a minuscule coweight",
+    "eval": "evaluate at one Satake parameter",
+    "verify": "seeded verification suites",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -440,43 +456,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _register_datum(p, argv):
-    _add_group_flags(p)
-    p.add_argument("--out")
-
-
-def _register_poly(p, argv):
-    _add_group_flags(p, need_mu=True)
-    _add_common_flags(p)
-    p.add_argument("--basis", default="satake", help="satake | double-coset")
-
-
-def _register_eval(p, argv):
-    _add_group_flags(p, need_mu=True)
-    _add_common_flags(p)
-    p.add_argument("--entries", help="parameter entries, e.g. 2,7")
-
-
-def _register_verify(p, argv):
-    vsub = p.add_subparsers(dest="check", required=True)
-    for name in _named(sorted(_VERIFY), argv, 1):
-        vp = vsub.add_parser(name)
-        _add_group_flags(vp, need_mu=(name in ("ch", "newton", "modell")))
-        _add_common_flags(vp)
-        if name == "inertia":
-            vp.add_argument("--d", type=int, default=2)
-        if name == "satake":
-            vp.add_argument("--max-norm", dest="max_norm", type=int, default=2)
-
-
-# command -> (help, registration of its options); the order is the one
-# help and usage errors list
-_COMMANDS = {
-    "datum": ("describe a root datum", _register_datum),
-    "poly": ("the polynomial of a minuscule coweight", _register_poly),
-    "eval": ("evaluate at one Satake parameter", _register_eval),
-    "verify": ("seeded verification suites", _register_verify),
-}
+def _register(p, name: str):
+    for flag in _TAKES[name]:
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def _named(names, argv, i: int) -> list:
@@ -498,8 +480,13 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         description="Exact Hecke polynomials and their matrix relations")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _named(_COMMANDS, argv, 0):
-        help_text, register = _COMMANDS[name]
-        register(sub.add_parser(name, help=help_text), argv)
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        if name != "verify":
+            _register(p, name)
+            continue
+        vsub = p.add_subparsers(dest="check", required=True)
+        for check in _named(sorted(_VERIFY), argv, 1):
+            _register(vsub.add_parser(check), check)
     return parser
 
 

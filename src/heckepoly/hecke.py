@@ -37,7 +37,7 @@ from math import comb
 from .errors import ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
                       ScalarDomain, elementary_symmetric)
-from .characters import SymmetricFunction, WeightMultiset, minuscule_weights
+from .characters import WeightMultiset, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
 from .satake import (FrobeniusMatrix, SatakeParameter, evaluate,
                      frobenius_matrix, resolve_twist)
@@ -106,7 +106,7 @@ class HeckePolynomial:
     datum: BasedRootDatum
     mu: Coweight
     degree: int
-    coefficients: list[SymmetricFunction]
+    coefficients: list[WeightMultiset]
     twist_exponent: int
     twist_preset: str | None = None
     e_over_f: int = 1
@@ -134,15 +134,14 @@ def hecke_polynomial(datum: BasedRootDatum, mu: Coweight, twist="paper",
     Rejects non-minuscule mu.  The coefficients are those of det(X - M)
     with M the Frobenius matrix at the generic parameter: e_i of the
     negated diagonal.  The diagonal is a Weyl orbit, so each e_i is
-    invariant by construction and is not checked again.
+    W-invariant by construction, and no check runs here.
     """
     mu = tuple(mu)
     t = resolve_twist(datum, mu, twist, e_over_f)
     m = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
                          twist_exponent=t)
     dom = m.domain
-    coeffs = [SymmetricFunction(datum, c, check=False) for c in
-              elementary_symmetric(dom, [dom.neg(a) for a in m.diagonal])]
+    coeffs = elementary_symmetric(dom, [dom.neg(a) for a in m.diagonal])
     return HeckePolynomial(
         datum=datum, mu=mu, degree=m.size, coefficients=coeffs,
         twist_exponent=t, e_over_f=e_over_f,
@@ -311,12 +310,9 @@ def reduce_mod_ell(h: HeckePolynomial, dom: PrimeFieldWithV) -> HeckePolynomial:
         raise ValidationError("reduction needs a prime-field domain")
     if h.coeff_domain is not None:
         raise ValidationError("polynomial is already reduced")
-    reduced = []
-    for c in h.coefficients:
-        terms = {w: LaurentHalf.from_int(dom.reduce(coeff))
-                 for w, coeff in c.weights.terms.items()}
-        reduced.append(SymmetricFunction(h.datum, WeightMultiset(terms),
-                                         check=False))
+    reduced = [WeightMultiset({w: LaurentHalf.from_int(dom.reduce(coeff))
+                               for w, coeff in c.terms.items()})
+               for c in h.coefficients]
     return HeckePolynomial(
         datum=h.datum, mu=h.mu, degree=h.degree, coefficients=reduced,
         twist_exponent=h.twist_exponent, twist_preset=h.twist_preset,

@@ -71,8 +71,8 @@ from math import lcm
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE
-from .characters import (DEFAULT_MAX_SUPPORT, SymmetricFunction,
-                         WeightMultiset, orbit_character, strip_highest)
+from .characters import (DEFAULT_MAX_SUPPORT, WeightMultiset,
+                         _moving_reflection, orbit_character, strip_highest)
 from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
 AffKey = tuple[Coweight, Coweight]
@@ -364,7 +364,7 @@ class AffineHeckeAlgebra:
             cur = self._module_gen(idx, cur)
         return cur
 
-    def satake_inverse(self, f: SymmetricFunction) -> SphericalCosetVector:
+    def satake_inverse(self, f: WeightMultiset) -> SphericalCosetVector:
         """Double-coset coordinates of z_f * e_K.
 
         z_f E, with E = sum_w T_w, lies in the module H E, whose basis
@@ -373,26 +373,24 @@ class AffineHeckeAlgebra:
         lengths add.  So z_f E = sum_lam a_lam v_lam is summed over the
         terms of f, one theta_lam E at a time, and never formed in the T
         basis.  The a_lam must be constant on each double coset
-        W t_lam W; the constants are the public coordinates (normalized
-        so that f = 1 maps to 1_K).
+        W t_lam W, that is invariant under every simple reflection; the
+        values at the dominant labels are the public coordinates
+        (normalized so that f = 1 maps to 1_K).
         """
-        if not isinstance(f, SymmetricFunction):
-            raise ValidationError("satake_inverse needs a W-invariant function")
         coeffs: dict[Coweight, dict[int, int]] = {}
-        for w, c in f.weights.terms.items():
+        for w, c in f.terms.items():
             for lam, coeff in self._theta_on_e(w).items():
                 for e, n in c.terms.items():
                     self._acc(coeffs, lam, coeff, e, n)
             self._guard(coeffs, "central element")
-        coords: dict[Coweight, LaurentHalf] = {}
-        for dom in {self.datum.dominant_representative(lam) for lam in coeffs}:
-            value = coeffs.get(dom, {})
-            if any(coeffs.get(lam, {}) != value
-                   for lam in self.datum.weyl_orbit(dom)):
-                raise ConsistencyError(
-                    f"coset W t_{dom} W has non-constant coefficients")
-            coords[dom] = LaurentHalf(value)
-        return SphericalCosetVector(coords)
+        moved = _moving_reflection(self.datum, coeffs)
+        if moved is not None:
+            raise ConsistencyError(
+                f"coefficients are non-constant on a double coset: s_{moved} "
+                "moves them")
+        return SphericalCosetVector({lam: LaurentHalf(c)
+                                     for lam, c in coeffs.items()
+                                     if self.datum.is_dominant(lam)})
 
     def _orbit_sum_image(self, lam: Coweight) -> dict[Coweight, LaurentHalf]:
         """Coordinates of satake_inverse(m_lam), memoized, once they are
@@ -411,11 +409,11 @@ class AffineHeckeAlgebra:
             self._image_memo[lam] = image
         return image
 
-    def satake_of_indicator(self, lam: Coweight) -> SymmetricFunction:
+    def satake_of_indicator(self, lam: Coweight) -> WeightMultiset:
         """S(1_{K lam K}) expressed in monomial symmetric functions."""
         return self.satake_transform(SphericalCosetVector({tuple(lam): ONE}))
 
-    def satake_transform(self, vec: SphericalCosetVector) -> SymmetricFunction:
+    def satake_transform(self, vec: SphericalCosetVector) -> WeightMultiset:
         """Inverse of satake_inverse: ``strip_highest`` against the
         images of the orbit sums m_lam."""
         datum = self.datum
@@ -425,6 +423,5 @@ class AffineHeckeAlgebra:
                     f"satake_transform: {lam} is not dominant")
         out = strip_highest(datum, vec.coords, self._orbit_sum_image)
         # the orbits of distinct dominant labels are disjoint
-        return SymmetricFunction(datum, WeightMultiset(
-            {w: c for lam, c in out.items() for w in datum.weyl_orbit(lam)}),
-            check=False)
+        return WeightMultiset({w: c for lam, c in out.items()
+                               for w in datum.weyl_orbit(lam)})

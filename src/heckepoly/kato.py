@@ -7,10 +7,12 @@ coordinates (Kato 1982, Invent. Math. 66; Lusztig 1983, Asterisque
     chi_lam = sum over dominant mu <= lam of
               v^{-<2 rho, mu>} K_{lam mu}(q^{-1}) 1_{K mu K}.
 
-One ``characters.KostkaFoulkesTable`` per call splits a general
-W-invariant f as f = sum a_lam chi_lam and supplies the Kostka-Foulkes
-polynomials; each K_{lam .} is computed once, while stripping, and read
-again here.  The table's working set is bounded by ``max_support``.
+A spherical element f in Satake coordinates is a W-invariant
+WeightMultiset.  One ``characters.KostkaFoulkesTable`` per call splits
+it as f = sum a_lam chi_lam, refusing a non-invariant f with a
+ConsistencyError, and supplies the Kostka-Foulkes polynomials; each
+K_{lam .} is computed once, while stripping, and read again here.  The
+table's working set is bounded by ``max_support``.
 
 This path never builds an affine Hecke algebra element;
 ``AffineHeckeAlgebra.satake_inverse`` computes the same coordinates
@@ -20,21 +22,18 @@ check.
 
 from __future__ import annotations
 
-from .errors import ValidationError
 from .laurent import LaurentHalf
 from .characters import (DEFAULT_MAX_SUPPORT, KostkaFoulkesTable,
-                         SymmetricFunction)
+                         WeightMultiset)
 from .root_data import BasedRootDatum, Coweight
 from .iwahori import SphericalCosetVector
 
 
-def coset_coordinates(datum: BasedRootDatum, f: SymmetricFunction,
+def coset_coordinates(datum: BasedRootDatum, f: WeightMultiset,
                       max_support: int = DEFAULT_MAX_SUPPORT
                       ) -> SphericalCosetVector:
     """Double-coset coordinates of f; equals
     ``AffineHeckeAlgebra(datum).satake_inverse(f)``."""
-    if not isinstance(f, SymmetricFunction):
-        raise ValidationError("coset_coordinates needs a W-invariant function")
     table = KostkaFoulkesTable(datum, max_support, "Kato coordinates")
     coords: dict[Coweight, LaurentHalf] = {}
     for lam, a in table.decompose(f).items():

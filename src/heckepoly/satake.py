@@ -2,9 +2,9 @@
 
 The spherical Hecke algebra in Satake coordinates is the ring of
 W-invariant Laurent polynomials on the dual torus, so a spherical
-element is just a SymmetricFunction.  A SatakeParameter is a point of
-the dual torus: one invertible scalar per lattice basis vector, in a
-chosen scalar domain.  Evaluation sends sum c_lam e^lam to
+element is just a W-invariant WeightMultiset.  A SatakeParameter is a
+point of the dual torus: one invertible scalar per lattice basis
+vector, in a chosen scalar domain.  Evaluation sends sum c_lam e^lam to
 sum c_lam s^lam with s^lam = prod s_j^{lam_j}.
 
 The generic (symbolic) parameter lives in the FormalTorusDomain (defined
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
-from .characters import (FormalTorusDomain, SymmetricFunction,
-                         minuscule_weights)
+from .characters import FormalTorusDomain, WeightMultiset, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
 
 TWIST_PRESETS = ("paper", "classical")
@@ -95,18 +94,17 @@ class SatakeParameter:
         return cls(dom, tuple(dom.parse_scalar(t) for t in obj["entries"]))
 
 
-def evaluate(f, s: SatakeParameter):
-    """Evaluate a spherical element (or bare WeightMultiset) at s.
+def evaluate(f: WeightMultiset, s: SatakeParameter):
+    """Evaluate a spherical element, or any WeightMultiset, at s.
 
     Terms are grouped by coefficient, so each distinct coefficient is
     reduced once and multiplied into the sum of s^w over its weights: a
     twisted coefficient v^t * n costs one power of v, not one per weight.
     The grouping is made on the first evaluation of f and reused after.
     """
-    weights = f.weights if isinstance(f, SymmetricFunction) else f
     dom = s.domain
     return dom.sum(dom.mul(dom.reduce(c), dom.sum(s.power(w) for w in ws))
-                   for c, ws in weights.by_coefficient())
+                   for c, ws in f.by_coefficient())
 
 
 def resolve_twist(datum: BasedRootDatum, mu: Coweight, twist,

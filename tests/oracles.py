@@ -17,7 +17,7 @@ from heckepoly.errors import (ConsistencyError, ResourceLimitError,
                               ValidationError)
 from heckepoly.laurent import LaurentHalf, ONE, elementary_symmetric
 from heckepoly.characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
-                                  SymmetricFunction, WeightMultiset)
+                                  WeightMultiset, _moving_reflection)
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
 from heckepoly.root_data import _dot, _identity, solve_integer_combination
 from heckepoly.satake import SatakeParameter
@@ -451,12 +451,12 @@ class TBasisAlgebra:
         # a fresh terms dict, so no caller's edit reaches the memo
         return AffineHeckeElement(dict(cached.terms))
 
-    def central_element(self, f: SymmetricFunction) -> AffineHeckeElement:
+    def central_element(self, f: WeightMultiset) -> AffineHeckeElement:
         """z_f = f(theta); commutes with every T_s and theta_nu."""
-        if not isinstance(f, SymmetricFunction):
+        if _moving_reflection(self.datum, f.terms) is not None:
             raise ValidationError("central_element needs a W-invariant function")
         total = {}
-        for w, c in f.weights.terms.items():
+        for w, c in f.terms.items():
             for key, coeff in self.theta(w).terms.items():
                 for e, n in c.terms.items():
                     self._acc(total, key, coeff.terms, e, n)
@@ -487,13 +487,14 @@ def ext_power_character(datum, weights, i):
         raise ValidationError(f"exterior power index {i} outside 0..{d}")
     e = elementary_symmetric(FormalTorusDomain(datum.rank),
                              [WeightMultiset.monomial(w) for w in weights])
-    return SymmetricFunction(datum, e[i])
+    assert _moving_reflection(datum, e[i].terms) is None
+    return e[i]
 
 
 def dimension(datum, f):
     """Evaluate at the all-ones parameter: sum of all coefficients."""
     total = LaurentHalf.zero()
-    for c in f.weights.terms.values():
+    for c in f.terms.values():
         total = total + c
     return total
 

@@ -174,7 +174,7 @@ def test_criterion_07_satake_calibration_and_triangularity():
     labels = sorted(GL2.dominants_below((2, 0)),
                     key=lambda l: (GL2.rho_pairing_exponent(l), l))
     assert labels == [(1, 1), (2, 0)]
-    low, high = (algebra.satake_of_indicator(lam).weights for lam in labels)
+    low, high = (algebra.satake_of_indicator(lam) for lam in labels)
     assert low.coeff((1, 1)) == V(0) and high.coeff((2, 0)) == V(2)
     assert low.coeff((2, 0)).is_zero()
     _report(7, "S(1_{K mu K}) = v^<2rho,mu> m_mu for all minuscule dominant "

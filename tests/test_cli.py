@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import heckepoly
 from heckepoly import cli, kato
-from heckepoly.characters import (SymmetricFunction, WeightMultiset,
-                                  orbit_character)
+from heckepoly.characters import WeightMultiset, orbit_character
 from heckepoly.cli import main
 from heckepoly.errors import ConsistencyError
 from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
@@ -311,6 +310,8 @@ _DELETED_WEYL_NAMES = {
     "weyl_elements", "weyl_index", "weyl_right", "weyl_mul", "weyl_inverse",
     "weyl_inversions", "reflection_index", "act", "WeylElement",
     "MAX_WEYL_ORDER"}
+# the wrapper type of W-invariant functions, which are plain WeightMultisets
+_DELETED_TYPE_NAMES = {"SymmetricFunction"}
 
 
 def test_src_enumerates_no_weyl_group():
@@ -327,7 +328,7 @@ def test_src_enumerates_no_weyl_group():
                 name = node.asname or node.name
             else:
                 continue
-            if name in _DELETED_WEYL_NAMES:
+            if name in _DELETED_WEYL_NAMES | _DELETED_TYPE_NAMES:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
@@ -430,6 +431,28 @@ def test_verify_newton_and_modell(capsys):
         assert json.loads(out.strip().split("\n")[-1])["passed"]
 
 
+def test_verify_newton_checks_the_polynomial_it_is_given(capsys,
+                                                         monkeypatch):
+    # newton reads hecke_polynomial with the command line's twist and
+    # [E:F], so one wrong coefficient fails every trial
+    argv = ["verify", "newton", "--family", "GL", "--rank", "3", "--mu",
+            "1,1,0", "--field", "ell=1000003,v=5", "--twist", "paper",
+            "--e-over-f", "2", "--trials", "3"]
+    assert _run(argv, capsys)[0] == 0
+    build = cli.hecke_polynomial
+
+    def wrong(*args):
+        h = build(*args)
+        h.coefficients[1] = h.coefficients[1].scale(2)
+        return h
+
+    monkeypatch.setattr(cli, "hecke_polynomial", wrong)
+    code, out, _ = _run(argv, capsys)
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().split("\n")]
+    assert [line["passed"] for line in lines] == [False] * 4
+
+
 def test_verify_modell_needs_prime_field(capsys):
     code, _, err = _run(["verify", "modell", "--family", "GL", "--rank", "2",
                          "--mu", "1,0", "--field", "rat:v=3"], capsys)
@@ -474,11 +497,11 @@ def test_unwritable_out_exits_2(target, tmp_path, capsys):
     (["--help"],
      "5c13bfc786d617f3357b63637d94dfa75c8471299b575a0a2f908cb3e77b7657"),
     (["poly", "--help"],
-     "f59d47fb446b3140bfab213f55e5140d30d53d51caa423181e7bd32273a26a66"),
+     "96d09bb9f06892d0d4a9689e48f192ba1501971838d65cc50ab57dd65a84ee42"),
     (["verify", "--help"],
      "1c86c0916ad6a4c9237c3608ab87a5687e146a581fc363e41ec918ccf2194a6f"),
     (["verify", "satake", "--help"],
-     "92bf682d227b19013ebf8a5a823320295d2085c6b3f3583ceb2bee281b8703f0"),
+     "7fb79648a1e75d42335ed5837b988e3119aeb7ed411391e78eb3fc8e9b0a65b8"),
 ], ids=["heckepoly", "poly", "verify", "verify-satake"])
 def test_help_bytes_pinned(argv, digest, capsys, monkeypatch):
     # argparse wraps help to the terminal width, which COLUMNS sets; the
@@ -505,6 +528,23 @@ def test_unknown_command_errors_are_pinned(argv, message, capsys):
                                          "message": message}}
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["poly", "--mu", "1,0", "--field", "ell=7,v=3"], "--field ell=7,v=3"),
+    (["eval", "--mu", "1,0", "--max-support", "5"], "--max-support 5"),
+    (["verify", "ch", "--mu", "1,0", "--max-support", "5"],
+     "--max-support 5"),
+    (["verify", "inertia", "--family", "GL"], "--family GL"),
+    (["verify", "satake", "--field", "ell=7,v=3"], "--field ell=7,v=3"),
+], ids=["poly", "eval", "verify-ch", "verify-inertia", "verify-satake"])
+def test_a_flag_the_command_does_not_read_exits_2(argv, flag, capsys):
+    # a registered flag that nothing reads would be a silent no-op
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {
+        "kind": "validation",
+        "message": f"heckepoly: unrecognized arguments: {flag}"}}
+
+
 @pytest.mark.parametrize("argv", [
     ["datum", "--family", "Sp", "--rank", "4"],
     ["verify", "satake", "--family", "GL", "--rank", "2", "--max-norm", "1"],
@@ -523,7 +563,7 @@ def test_public_names_are_exactly_the_supported_surface():
         "HeckePolynomial", "LaurentHalf",
         "PrimeFieldWithV", "RationalWithV", "RelationReport",
         "ResourceLimitError", "SatakeParameter", "ScalarDomain",
-        "SphericalCosetVector", "SymmetricFunction", "ValidationError",
+        "SphericalCosetVector", "ValidationError",
         "WeightMultiset", "build_standard", "cayley_hamilton_check",
         "decompose", "evaluate", "evaluate_coefficients",
         "excursion_values", "frobenius_matrix",
@@ -812,8 +852,7 @@ def test_non_invariant_coefficient_exits_4(capsys, monkeypatch):
 
     def lopsided(*args):
         h = build(*args)
-        h.coefficients[1] = SymmetricFunction(
-            h.datum, WeightMultiset({(1, 0): 1, (0, 1): 2}), check=False)
+        h.coefficients[1] = WeightMultiset({(1, 0): 1, (0, 1): 2})
         return h
 
     monkeypatch.setattr(cli, "hecke_polynomial", lopsided)
@@ -844,25 +883,22 @@ def _small_int(lo, hi):
     return st.one_of(st.integers(lo, hi), st.text(max_size=6).filter(_not_int))
 
 
-# (subcommand words, flags it takes beyond --family and --rank)
+_POLYNOMIAL = ["--family", "--rank", "--mu", "--twist", "--e-over-f"]
+_TRIALS = _POLYNOMIAL + ["--field", "--seed", "--trials", "--out"]
+# (subcommand words, the flags it takes)
 _COMMANDS = [
     ([], []),
     (["verify"], []),
-    (["datum"], []),
-    (["poly"], ["--mu", "--twist", "--field", "--trials", "--basis",
-                 "--max-support", "--e-over-f", "--out"]),
-    (["eval"], ["--mu", "--twist", "--field", "--trials", "--entries",
-                "--max-support", "--e-over-f", "--out"]),
-    (["verify", "ch"], ["--mu", "--twist", "--field", "--trials",
-                        "--max-support", "--e-over-f", "--out"]),
-    (["verify", "newton"], ["--mu", "--twist", "--field", "--trials",
-                            "--max-support", "--e-over-f", "--out"]),
-    (["verify", "modell"], ["--mu", "--twist", "--field", "--trials",
-                            "--max-support", "--e-over-f", "--out"]),
-    (["verify", "inertia"], ["--twist", "--field", "--trials", "--d",
-                             "--max-support"]),
-    (["verify", "satake"], ["--twist", "--field", "--trials", "--max-norm",
-                            "--max-support"]),
+    (["datum"], ["--family", "--rank", "--out"]),
+    (["poly"], _POLYNOMIAL + ["--max-support", "--out", "--basis"]),
+    (["eval"], _POLYNOMIAL + ["--field", "--seed", "--out", "--entries"]),
+    (["verify", "ch"], _TRIALS),
+    (["verify", "newton"], _TRIALS),
+    (["verify", "modell"], _TRIALS),
+    (["verify", "inertia"], ["--seed", "--trials", "--max-support", "--out",
+                             "--d"]),
+    (["verify", "satake"], ["--family", "--rank", "--max-support", "--out",
+                            "--max-norm"]),
 ]
 _VALUES = {
     "--family": _free("GL", "SL", "PGL", "Sp"),
@@ -877,6 +913,7 @@ _VALUES = {
                      "ell=2305843009213693951,v=3",
                      "ell=3317044064679887385961981,v=2"),
     "--entries": _free("2,7", "2,7,3", "0,1", "[]", "1/2,3"),
+    "--seed": _small_int(-1, 3),
     "--trials": _small_int(-1, 2),
     "--d": st.one_of(st.sampled_from([400, 10 ** 6]), _small_int(-1, 4)),
     "--max-norm": st.one_of(st.sampled_from([-1, 0, 10 ** 6]),
@@ -889,7 +926,9 @@ _VALUES = {
     "--bogus": st.text(max_size=4),
 }
 # flags some command does not take, so argparse itself must reject them
-_STRAY = ["--entries", "--d", "--max-norm", "--basis", "--twist", "--bogus"]
+_STRAY = ["--family", "--rank", "--twist", "--e-over-f", "--field", "--seed",
+          "--trials", "--max-support", "--entries", "--d", "--max-norm",
+          "--basis", "--bogus"]
 
 
 @st.composite
@@ -897,7 +936,7 @@ def _argv(draw):
     words, flags = draw(st.sampled_from(_COMMANDS))
     argv = list(words)
     extra = draw(st.lists(st.sampled_from(_STRAY), max_size=1))
-    for flag in ["--family", "--rank"] + flags + extra:
+    for flag in flags + extra:
         if draw(st.booleans()):
             # --flag=value, so a value that starts with "-" stays a value
             argv.append(f"{flag}={draw(_VALUES[flag])}")
