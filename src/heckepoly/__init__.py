@@ -17,7 +17,7 @@ from .characters import (WeightMultiset, decompose, minuscule_weights,
                          orbit_character, weyl_character)
 from .satake import (FormalTorusDomain, FrobeniusMatrix, SatakeParameter,
                      evaluate, frobenius_matrix, resolve_twist)
-from .hecke import (HeckePolynomial, RelationReport, cayley_hamilton_check,
+from .hecke import (HeckePolynomial, cayley_hamilton_check,
                     evaluate_coefficients, excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
 from .iwahori import AffineHeckeAlgebra, SphericalCosetVector
@@ -26,7 +26,7 @@ __all__ = [
     "AffineHeckeAlgebra", "BasedRootDatum", "ConsistencyError", "Coweight",
     "FormalTorusDomain",
     "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
-    "PrimeFieldWithV", "RationalWithV", "RelationReport", "ResourceLimitError",
+    "PrimeFieldWithV", "RationalWithV", "ResourceLimitError",
     "SatakeParameter", "ScalarDomain", "SphericalCosetVector",
     "ValidationError",
     "WeightMultiset", "build_standard",

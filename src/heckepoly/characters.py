@@ -174,14 +174,6 @@ class WeightMultiset:
         return [{"weight": list(w), "coeff": c.serialize()}
                 for w, c in sorted(self._terms.items(), reverse=True)]
 
-    @classmethod
-    def from_json(cls, obj: list) -> "WeightMultiset":
-        terms = {}
-        for item in obj:
-            w = tuple(int(x) for x in item["weight"])
-            terms[w] = terms.get(w, LaurentHalf.zero()) + LaurentHalf.parse(item["coeff"])
-        return cls(terms)
-
 
 class FormalTorusDomain(ScalarDomain):
     """Symbolic scalars: Laurent-coefficient functions on the torus.
@@ -237,9 +229,6 @@ class FormalTorusDomain(ScalarDomain):
 
     def scalar_str(self, a) -> str:
         return json.dumps(a.to_json(), sort_keys=True)
-
-    def parse_scalar(self, text: str) -> WeightMultiset:
-        return WeightMultiset.from_json(json.loads(text))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rank": self.rank}

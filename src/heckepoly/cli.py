@@ -132,11 +132,8 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 def cmd_datum(args) -> tuple[list[str], int]:
     datum = build_standard(args.family, args.rank)
     payload = {
+        **datum.to_json(),
         "command": "datum",
-        "family": datum.family,
-        "rank": datum.rank,
-        "simple_roots": [list(a) for a in datum.simple_roots],
-        "simple_coroots": [list(a) for a in datum.simple_coroots],
         "weyl_order": datum.weyl_order,
         "positive_roots": [list(a) for a in datum.positive_roots],
         "two_rho": list(datum.two_rho),
@@ -254,10 +251,9 @@ def _verify_lines(reports) -> tuple[list[str], int]:
     lines = []
     failures = 0
     for rep in reports:
-        obj = rep.to_json() if hasattr(rep, "to_json") else rep
-        obj.setdefault("command", "verify")
-        failures += 0 if obj["passed"] else 1
-        lines.append(_dump(obj))
+        rep.setdefault("command", "verify")
+        failures += 0 if rep["passed"] else 1
+        lines.append(_dump(rep))
     summary = {"command": "verify", "check": "summary",
                "passed": failures == 0, "trials": len(lines),
                "failures": failures}
@@ -277,7 +273,7 @@ def verify_ch(args):
         values = evaluate_coefficients(h, s)
         m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
         rep = cayley_hamilton_check(h, m, values, dom, s)
-        rep.extra.update({"trial": k, "seed": args.seed})
+        rep.update({"trial": k, "seed": args.seed})
         reports.append(rep)
     return _verify_lines(reports)
 
@@ -298,13 +294,13 @@ def verify_inertia(args):
         rng = _trial_rng(args.seed, k)
         m = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
         rep = inertia_relation_check(d, m)
-        rep.extra.update({"trial": k, "seed": args.seed, "matrix": m})
+        rep.update({"trial": k, "seed": args.seed, "matrix": m})
         reports.append(rep)
     jordan = [[1 if i == j or j == i + 1 else 0 for j in range(d)]
               for i in range(d)]
     rep = inertia_relation_check(d, jordan, require_nilpotent=True)
-    rep.extra.update({"trial": args.trials, "seed": args.seed,
-                      "matrix": jordan, "mode": "unipotent-jordan"})
+    rep.update({"trial": args.trials, "seed": args.seed,
+                "matrix": jordan, "mode": "unipotent-jordan"})
     reports.append(rep)
     return _verify_lines(reports)
 

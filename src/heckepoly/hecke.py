@@ -25,13 +25,15 @@ The verification operations are exact matrix identities:
   sum_i (-1)^i C(d,i) M^i = (I - M)^d, with (M - I)^d = 0 reported for
   unipotent M.
 
-Reports render every scalar exactly; pass means the residual is the
-zero matrix, never "small".
+Each check returns its report as the plain JSON object that ``verify``
+prints.  Reports render every scalar exactly; pass means the residual
+is the zero matrix, never "small".  No timing is kept, so reports with
+a fixed seed are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .errors import ValidationError
@@ -175,47 +177,11 @@ def excursion_values(datum: BasedRootDatum, mu: Coweight,
     return elementary_symmetric(m.domain, m.diagonal)
 
 
-# -- reports ------------------------------------------------------------------
-
-@dataclass
-class RelationReport:
-    """Outcome of one exact matrix identity check.
-
-    ``passed`` is the check's verdict: a zero residual matrix, and for
-    ``cayley-hamilton`` also ``charpoly_match``.  No timing is kept, so
-    reports with a fixed seed are byte-identical.
-    """
-
-    check: str
-    passed: bool
-    residual: list[list[str]]
-    group: dict | None = None
-    mu: list | None = None
-    twist: dict | None = None
-    domain: dict | None = None
-    parameter: list | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {"check": self.check, "passed": self.passed,
-               "residual": self.residual}
-        if self.group is not None:
-            out["group"] = self.group
-        if self.mu is not None:
-            out["mu"] = self.mu
-        if self.twist is not None:
-            out["twist"] = self.twist
-        if self.domain is not None:
-            out["domain"] = self.domain
-        if self.parameter is not None:
-            out["parameter"] = self.parameter
-        out.update(self.extra)
-        return out
-
+# -- relation checks ----------------------------------------------------------
 
 def cayley_hamilton_check(h: HeckePolynomial, m: FrobeniusMatrix,
                           coeff_values: list, domain: ScalarDomain,
-                          parameter: SatakeParameter | None = None) -> RelationReport:
+                          parameter: SatakeParameter | None = None) -> dict:
     """Exact residual of the evaluated polynomial at a Frobenius matrix.
 
     ``coeff_values[i]`` is the value of the coefficient of X^{d-i}; the
@@ -249,20 +215,22 @@ def cayley_hamilton_check(h: HeckePolynomial, m: FrobeniusMatrix,
                                     [domain.neg(a) for a in m.diagonal])
     charpoly_match = all(domain.eq(x, y)
                          for x, y in zip(coeff_values, charpoly))
-    passed = mat_is_zero(domain, residual) and charpoly_match
-    return RelationReport(
-        check="cayley-hamilton", passed=passed,
-        residual=mat_strings(domain, residual),
-        group={"family": h.datum.family, "rank": h.datum.rank},
-        mu=list(h.mu),
-        twist={"preset": h.twist_preset, "exponent": h.twist_exponent},
-        domain=domain.to_json(),
-        parameter=parameter.to_json()["entries"] if parameter else None,
-        extra={"charpoly_match": charpoly_match})
+    report = {
+        "check": "cayley-hamilton",
+        "passed": mat_is_zero(domain, residual) and charpoly_match,
+        "residual": mat_strings(domain, residual),
+        "group": {"family": h.datum.family, "rank": h.datum.rank},
+        "mu": list(h.mu),
+        "twist": {"preset": h.twist_preset, "exponent": h.twist_exponent},
+        "domain": domain.to_json(),
+        "charpoly_match": charpoly_match}
+    if parameter is not None:
+        report["parameter"] = parameter.to_json()["entries"]
+    return report
 
 
 def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
-                           require_nilpotent: bool = False) -> RelationReport:
+                           require_nilpotent: bool = False) -> dict:
     """Degenerate relation at an inertia element.
 
     Verifies sum_i (-1)^i C(d,i) M^i = (I - M)^d exactly (the excursion
@@ -295,13 +263,12 @@ def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
         [domain.neg(x) for x in row] for row in rhs]
     nilpotent = mat_is_zero(domain, nilpotent_power)
     residual = nilpotent_power if require_nilpotent else binomial_residual
-    passed = nilpotent if require_nilpotent else binomial_ok
-    return RelationReport(
-        check="inertia", passed=passed,
-        residual=mat_strings(domain, residual),
-        domain=domain.to_json(),
-        extra={"binomial_identity": binomial_ok, "unipotent_depth_d": nilpotent,
-               "d": d})
+    return {"check": "inertia",
+            "passed": nilpotent if require_nilpotent else binomial_ok,
+            "residual": mat_strings(domain, residual),
+            "domain": domain.to_json(),
+            "binomial_identity": binomial_ok, "unipotent_depth_d": nilpotent,
+            "d": d}
 
 
 def reduce_mod_ell(h: HeckePolynomial, dom: PrimeFieldWithV) -> HeckePolynomial:

@@ -103,11 +103,6 @@ class SphericalCosetVector:
         return [{"lambda": list(k), "coeff": c.serialize()}
                 for k, c in sorted(self.coords.items(), reverse=True)]
 
-    @classmethod
-    def from_json(cls, obj: list) -> "SphericalCosetVector":
-        return cls({tuple(item["lambda"]): LaurentHalf.parse(item["coeff"])
-                    for item in obj})
-
 
 class AffineHeckeAlgebra:
     """Engine for one based root datum.

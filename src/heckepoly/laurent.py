@@ -25,7 +25,7 @@ matrices and power sums all go through it.
 
 The canonical string form of a LaurentHalf is ``"c*v^e"`` terms joined
 by ``"+"``, exponents ascending, e.g. ``"-1*v^-2+3*v^0+1*v^2"``; the
-zero polynomial prints as ``"0"``.  ``LaurentHalf.parse`` inverts it.
+zero polynomial prints as ``"0"``.
 """
 
 from __future__ import annotations
@@ -64,24 +64,6 @@ class LaurentHalf:
     @classmethod
     def v_power(cls, e: int, coeff: int = 1) -> "LaurentHalf":
         return cls({e: coeff})
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentHalf":
-        """Parse the canonical ``c*v^e`` serialization."""
-        text = text.strip()
-        if text in ("", "0"):
-            return cls.zero()
-        terms: dict[int, int] = {}
-        for tok in text.split("+"):
-            tok = tok.strip()
-            try:
-                c_str, e_str = tok.split("*v^")
-                e = int(e_str)
-                c = int(c_str)
-            except ValueError as exc:
-                raise ValidationError(f"bad Laurent term {tok!r}") from exc
-            terms[e] = terms.get(e, 0) + c
-        return cls(terms)
 
     # -- views -------------------------------------------------------
 
@@ -201,7 +183,6 @@ class LaurentHalf:
         return total % ell
 
 
-ZERO = LaurentHalf.zero()
 ONE = LaurentHalf.from_int(1)
 V = LaurentHalf.v_power(1)
 Q = LaurentHalf.v_power(2)

@@ -22,8 +22,9 @@ it.
 Builders cover GL_n (lattice Z^n, roots e_i - e_j), SL_n (lattice =
 coroot lattice, coroots the standard basis), PGL_n (lattice = coweight
 lattice, roots the standard dual basis) and Sp_n for even n (type
-C_{n/2}).  Custom data can be loaded from JSON and are validated
-against the Cartan and braid axioms.
+C_{n/2}).  A custom datum is built directly from its simple roots and
+coroots, and the constructor validates it against the Cartan and braid
+axioms.
 """
 
 from __future__ import annotations
@@ -397,15 +398,6 @@ class BasedRootDatum:
             "simple_roots": [list(a) for a in self.simple_roots],
             "simple_coroots": [list(a) for a in self.simple_coroots],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BasedRootDatum":
-        try:
-            return cls(str(obj["family"]), int(obj["rank"]),
-                       [tuple(a) for a in obj["simple_roots"]],
-                       [tuple(a) for a in obj["simple_coroots"]])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed datum JSON: {exc}") from exc
 
     def __repr__(self):
         return f"BasedRootDatum({self.family}, rank={self.rank})"

@@ -31,23 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
+from .laurent import LaurentHalf, ScalarDomain
 from .characters import FormalTorusDomain, WeightMultiset, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
 
 TWIST_PRESETS = ("paper", "classical")
-
-
-def domain_from_json(obj: dict) -> ScalarDomain:
-    kind = obj.get("kind")
-    if kind == FormalTorusDomain.kind:
-        return FormalTorusDomain(int(obj["rank"]))
-    if kind == RationalWithV.kind:
-        return RationalWithV(obj["v_value"])
-    if kind == PrimeFieldWithV.kind:
-        return PrimeFieldWithV(int(obj["ell"]), int(obj["v_image"]),
-                               int(obj["q_residue"]) if "q_residue" in obj else None)
-    raise ValidationError(f"unknown domain kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +75,6 @@ class SatakeParameter:
     def to_json(self) -> dict:
         return {"domain": self.domain.to_json(),
                 "entries": [self.domain.scalar_str(e) for e in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SatakeParameter":
-        dom = domain_from_json(obj["domain"])
-        return cls(dom, tuple(dom.parse_scalar(t) for t in obj["entries"]))
 
 
 def evaluate(f: WeightMultiset, s: SatakeParameter):

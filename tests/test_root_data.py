@@ -191,10 +191,8 @@ def test_sp4_structure():
 # -- the tests' Weyl tables (oracle: lattice matrices) --------------------------------
 
 # G2 on its coroot lattice: coroots are the standard basis, roots the
-# Cartan rows; loaded the way a custom datum arrives
-G2 = BasedRootDatum.from_json({"family": "G2", "rank": 2,
-                               "simple_roots": [[2, -1], [-3, 2]],
-                               "simple_coroots": [[1, 0], [0, 1]]})
+# Cartan rows; built directly, the way a custom datum is
+G2 = BasedRootDatum("G2", 2, [(2, -1), (-3, 2)], [(1, 0), (0, 1)])
 GL5 = build_standard("GL", 5)
 
 TABLE_DATA = [GL3, SL3, PGL3, SP4, GL4, GL5, G2]
@@ -329,7 +327,11 @@ def test_reflection_index(datum):
 
 
 def test_json_roundtrip_and_validation():
-    datum = BasedRootDatum.from_json(GL3.to_json())
+    assert GL3.to_json() == {"family": "GL", "rank": 3,
+                             "simple_roots": [[1, -1, 0], [0, 1, -1]],
+                             "simple_coroots": [[1, -1, 0], [0, 1, -1]]}
+    # the written fields are the constructor's arguments
+    datum = BasedRootDatum(**GL3.to_json())
     assert datum.simple_roots == GL3.simple_roots
     assert datum.weyl_order == 6
     # G2 Cartan product 3 is fine; product 4 must be rejected

