@@ -20,15 +20,14 @@ from .satake import (FormalTorusDomain, FrobeniusMatrix, SatakeParameter,
 from .hecke import (HeckePolynomial, cayley_hamilton_check,
                     evaluate_coefficients, excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
-from .iwahori import AffineHeckeAlgebra, SphericalCosetVector
+from .iwahori import AffineHeckeAlgebra
 
 __all__ = [
     "AffineHeckeAlgebra", "BasedRootDatum", "ConsistencyError", "Coweight",
     "FormalTorusDomain",
     "FrobeniusMatrix", "HeckePolynomial", "LaurentHalf",
     "PrimeFieldWithV", "RationalWithV", "ResourceLimitError",
-    "SatakeParameter", "ScalarDomain", "SphericalCosetVector",
-    "ValidationError",
+    "SatakeParameter", "ScalarDomain", "ValidationError",
     "WeightMultiset", "build_standard",
     "cayley_hamilton_check", "decompose", "evaluate", "evaluate_coefficients",
     "excursion_values", "frobenius_matrix", "hecke_polynomial",

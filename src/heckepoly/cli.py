@@ -171,7 +171,7 @@ def _render_coset_poly(degree: int, coset_coeffs) -> str:
     for i, vec in enumerate(coset_coeffs):
         power = degree - i
         x_part = "" if power == 0 else ("X" if power == 1 else f"X^{power}")
-        for lam, c in sorted(vec.coords.items(), reverse=True):
+        for lam, c in sorted(vec.items(), reverse=True):
             if zero_vec is None:
                 zero_vec = tuple(0 for _ in lam)
             if lam == zero_vec and c == LaurentHalf.from_int(1):
@@ -204,7 +204,10 @@ def cmd_poly(args) -> tuple[list[str], int]:
         from .kato import coset_coordinates
         coset = [coset_coordinates(datum, c, args.max_support)
                  for c in h.coefficients]
-        payload["coset_coefficients"] = [vec.to_json() for vec in coset]
+        payload["coset_coefficients"] = [
+            [{"lambda": list(lam), "coeff": c.serialize()}
+             for lam, c in sorted(vec.items(), reverse=True)]
+            for vec in coset]
         payload["rendering"] = _render_coset_poly(h.degree, coset)
     return [_dump(payload)], EXIT_OK
 

@@ -23,7 +23,8 @@ identity S(1_{K mu K}) = v^{<2 rho, mu>} m_mu):
 * coefficients: inside the engine a coefficient in Z[v, v^-1] is a
   plain {exponent: int} dict, accumulated in place, so multiplying by q
   or q^{-1} is an exponent shift.  LaurentHalf appears only in the
-  SphericalCosetVector returned by satake_inverse;
+  coordinates returned by satake_inverse, a plain {lam: LaurentHalf}
+  dict on the dominant lam with no zero value;
 * Bernstein elements: theta_lam = v^{-ell(t_lam)} T_{t_lam} for
   dominant lam, extended by theta_lam = v^{-ell(t_lam1) + ell(t_lam2)}
   T_{t_lam1} T_{t_lam2}^{-1} for any decomposition lam = lam1 - lam2
@@ -65,7 +66,6 @@ basis is not part of the library: the tests keep it as their reference,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -76,32 +76,6 @@ from .characters import (DEFAULT_MAX_SUPPORT, WeightMultiset,
 from .root_data import BasedRootDatum, Coweight, solve_integer_combination
 
 AffKey = tuple[Coweight, Coweight]
-
-
-@dataclass
-class SphericalCosetVector:
-    """Coordinates in the double-coset basis 1_{K lam K}, lam dominant."""
-
-    coords: dict[Coweight, LaurentHalf]
-
-    def __post_init__(self):
-        self.coords = {tuple(k): c for k, c in self.coords.items()
-                       if not c.is_zero()}
-
-    def coeff(self, lam: Coweight) -> LaurentHalf:
-        return self.coords.get(tuple(lam), LaurentHalf.zero())
-
-    def support(self) -> tuple[Coweight, ...]:
-        return tuple(sorted(self.coords, reverse=True))
-
-    def __eq__(self, other):
-        if not isinstance(other, SphericalCosetVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def to_json(self) -> list:
-        return [{"lambda": list(k), "coeff": c.serialize()}
-                for k, c in sorted(self.coords.items(), reverse=True)]
 
 
 class AffineHeckeAlgebra:
@@ -359,7 +333,8 @@ class AffineHeckeAlgebra:
             cur = self._module_gen(idx, cur)
         return cur
 
-    def satake_inverse(self, f: WeightMultiset) -> SphericalCosetVector:
+    def satake_inverse(self, f: WeightMultiset
+                       ) -> dict[Coweight, LaurentHalf]:
         """Double-coset coordinates of z_f * e_K.
 
         z_f E, with E = sum_w T_w, lies in the module H E, whose basis
@@ -383,9 +358,9 @@ class AffineHeckeAlgebra:
             raise ConsistencyError(
                 f"coefficients are non-constant on a double coset: s_{moved} "
                 "moves them")
-        return SphericalCosetVector({lam: LaurentHalf(c)
-                                     for lam, c in coeffs.items()
-                                     if self.datum.is_dominant(lam)})
+        # _acc drops emptied keys, so no coordinate is zero
+        return {lam: LaurentHalf(c) for lam, c in coeffs.items()
+                if self.datum.is_dominant(lam)}
 
     def _orbit_sum_image(self, lam: Coweight) -> dict[Coweight, LaurentHalf]:
         """Coordinates of satake_inverse(m_lam), memoized, once they are
@@ -394,7 +369,7 @@ class AffineHeckeAlgebra:
         image = self._image_memo.get(lam)
         if image is None:
             datum = self.datum
-            image = self.satake_inverse(orbit_character(datum, lam)).coords
+            image = self.satake_inverse(orbit_character(datum, lam))
             if not set(datum.dominants_below(lam)).issuperset(image):
                 raise ConsistencyError(
                     f"image of m_{lam} is supported outside its lower set")
@@ -406,17 +381,19 @@ class AffineHeckeAlgebra:
 
     def satake_of_indicator(self, lam: Coweight) -> WeightMultiset:
         """S(1_{K lam K}) expressed in monomial symmetric functions."""
-        return self.satake_transform(SphericalCosetVector({tuple(lam): ONE}))
+        return self.satake_transform({tuple(lam): ONE})
 
-    def satake_transform(self, vec: SphericalCosetVector) -> WeightMultiset:
+    def satake_transform(self, vec: dict[Coweight, LaurentHalf]
+                         ) -> WeightMultiset:
         """Inverse of satake_inverse: ``strip_highest`` against the
-        images of the orbit sums m_lam."""
+        images of the orbit sums m_lam.  A zero coordinate is skipped."""
         datum = self.datum
-        for lam in vec.coords:
+        vec = {lam: c for lam, c in vec.items() if not c.is_zero()}
+        for lam in vec:
             if not datum.is_dominant(lam):
                 raise ValidationError(
                     f"satake_transform: {lam} is not dominant")
-        out = strip_highest(datum, vec.coords, self._orbit_sum_image)
+        out = strip_highest(datum, vec, self._orbit_sum_image)
         # the orbits of distinct dominant labels are disjoint
         return WeightMultiset({w: c for lam, c in out.items()
                                for w in datum.weyl_orbit(lam)})

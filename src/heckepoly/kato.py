@@ -14,10 +14,11 @@ ConsistencyError, and supplies the Kostka-Foulkes polynomials; each
 K_{lam .} is computed once, while stripping, and read again here.  The
 table's working set is bounded by ``max_support``.
 
-This path never builds an affine Hecke algebra element;
-``AffineHeckeAlgebra.satake_inverse`` computes the same coordinates
-in the affine Hecke algebra's module H e_K and stays as its independent
-check.
+The coordinates are a plain {lam: LaurentHalf} dict on the dominant
+lam, without the labels whose sum cancels.  This path never builds an
+affine Hecke algebra element and imports nothing from ``iwahori``;
+``AffineHeckeAlgebra.satake_inverse`` computes the same dict in the
+affine Hecke algebra's module H e_K and stays as its independent check.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from .laurent import LaurentHalf
 from .characters import (DEFAULT_MAX_SUPPORT, KostkaFoulkesTable,
                          WeightMultiset)
 from .root_data import BasedRootDatum, Coweight
-from .iwahori import SphericalCosetVector
 
 
 def coset_coordinates(datum: BasedRootDatum, f: WeightMultiset,
                       max_support: int = DEFAULT_MAX_SUPPORT
-                      ) -> SphericalCosetVector:
+                      ) -> dict[Coweight, LaurentHalf]:
     """Double-coset coordinates of f; equals
     ``AffineHeckeAlgebra(datum).satake_inverse(f)``."""
     table = KostkaFoulkesTable(datum, max_support, "Kato coordinates")
@@ -41,4 +41,4 @@ def coset_coordinates(datum: BasedRootDatum, f: WeightMultiset,
             e = datum.rho_pairing_exponent(mu)
             c = a * LaurentHalf({-e - 2 * j: x for j, x in enumerate(k)})
             coords[mu] = coords[mu] + c if mu in coords else c
-    return SphericalCosetVector(coords)
+    return {mu: c for mu, c in coords.items() if not c.is_zero()}

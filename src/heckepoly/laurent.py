@@ -375,8 +375,10 @@ class RationalWithV(ScalarDomain):
         """x at v = v_value; an int when the value is integral."""
         if x.terms:
             v = self.v_value
-            bits = max(map(abs, x.terms)) * max(v.numerator.bit_length(),
-                                                 v.denominator.bit_length())
+            # bits of |v|^e: one when |v| = 1, else at most |e| times
+            # those of v's longer part
+            bits = 1 if abs(v) == 1 else max(map(abs, x.terms)) * max(
+                v.numerator.bit_length(), v.denominator.bit_length())
             if bits > MAX_POWER_BITS:
                 raise ResourceLimitError(
                     f"rational evaluation: a power of v needs up to {bits} "

@@ -125,15 +125,10 @@ class FrobeniusMatrix:
 
 
 def frobenius_matrix(datum: BasedRootDatum, mu: Coweight, s: SatakeParameter,
-                     twist_exponent: int | None = None,
-                     e_over_f: int = 1) -> FrobeniusMatrix:
-    """Diagonal entries v^twist * s^{lam_j} over the canonical weight order.
-
-    The default twist is [E:F] * d.
-    """
+                     twist_exponent: int) -> FrobeniusMatrix:
+    """Diagonal entries v^twist * s^{lam_j} over the canonical weight order;
+    ``resolve_twist`` turns a preset into ``twist_exponent``."""
     weights = minuscule_weights(datum, mu)
-    if twist_exponent is None:
-        twist_exponent = e_over_f * len(weights)
     if s.rank != datum.rank:
         raise ValidationError("parameter rank does not match the datum")
     dom = s.domain

@@ -18,7 +18,7 @@ from heckepoly.errors import (ConsistencyError, ResourceLimitError,
 from heckepoly.laurent import LaurentHalf, ONE, elementary_symmetric
 from heckepoly.characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
                                   WeightMultiset, _moving_reflection)
-from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
+from heckepoly.iwahori import AffineHeckeAlgebra
 from heckepoly.root_data import _dot, _identity, solve_integer_combination
 from heckepoly.satake import SatakeParameter
 
@@ -541,7 +541,7 @@ def satake_inverse_by_central_element(algebra, f):
     z_f = sum theta_lam with its |W| keys per coset, then give right
     coset t_lam W the coefficient a_lam = sum_w c_(lam, w)
     q^{ell(lam, w) - ell_min(lam)}, which must be constant on each
-    double coset."""
+    double coset.  Labels whose coefficient is zero are left out."""
     z = algebra.central_element(f)
     coeffs, low = {}, {}
     for x, c in z.terms.items():
@@ -559,8 +559,9 @@ def satake_inverse_by_central_element(algebra, f):
                for lam in datum.weyl_orbit(dom)):
             raise ConsistencyError(
                 f"coset W t_{dom} W has non-constant coefficients")
-        coords[dom] = value
-    return SphericalCosetVector(coords)
+        if not value.is_zero():
+            coords[dom] = value
+    return coords
 
 
 def small_minuscule_dominants_by_product(datum):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.resources
 import itertools
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from heckepoly import cli, kato
 from heckepoly.characters import WeightMultiset, orbit_character
 from heckepoly.cli import main
 from heckepoly.errors import ConsistencyError
-from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
+from heckepoly.iwahori import AffineHeckeAlgebra
 from heckepoly.laurent import LaurentHalf, ONE
 from heckepoly.root_data import build_standard
 
@@ -278,7 +279,7 @@ def test_verify_satake_refuses_an_image_outside_its_lower_set(capsys,
     def planted(self, f):
         image = engine(self, f)
         if f == top:
-            image = SphericalCosetVector({**image.coords, (1, 0): ONE})
+            image = {**image, (1, 0): ONE}
         return image
 
     monkeypatch.setattr(AffineHeckeAlgebra, "satake_inverse", planted)
@@ -310,8 +311,10 @@ _DELETED_WEYL_NAMES = {
     "weyl_elements", "weyl_index", "weyl_right", "weyl_mul", "weyl_inverse",
     "weyl_inversions", "reflection_index", "act", "WeylElement",
     "MAX_WEYL_ORDER"}
-# the wrapper type of W-invariant functions, which are plain WeightMultisets
-_DELETED_TYPE_NAMES = {"SymmetricFunction"}
+# the wrapper types of W-invariant functions, which are plain
+# WeightMultisets, and of double-coset coordinates, which are plain
+# {lam: LaurentHalf} dicts
+_DELETED_TYPE_NAMES = {"SymmetricFunction", "SphericalCosetVector"}
 # the report type of the relation checks, which return plain JSON objects,
 # and the JSON readers: the library writes JSON and never reads it back
 _DELETED_READER_NAMES = {"RelationReport", "from_json", "domain_from_json",
@@ -336,6 +339,19 @@ def test_src_enumerates_no_weyl_group():
                         | _DELETED_READER_NAMES):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_kato_imports_nothing_from_the_affine_engine():
+    # poly --basis double-coset runs Kato's formula; the engine is its check
+    names = []
+    for node in ast.walk(ast.parse((SRC / "kato.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += (node.module or "").split(".")
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [part for alias in node.names
+                      for part in alias.name.split(".")]
+    assert "laurent" in names and "iwahori" not in names
 
 
 def test_verify_satake_pgl4_window_is_pinned(capsys):
@@ -561,14 +577,24 @@ def test_main_without_argv_reads_sys_argv(argv, capsys, monkeypatch):
     assert _run(None, capsys) == expected
 
 
+def test_readme_library_example_runs_as_written(capsys):
+    # the single Python block of README.md; the comment on each print
+    # line is what it prints
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split("#", 1)[1].strip() for line in block.splitlines()
+               if line.startswith("print(")]
+    assert printed and capsys.readouterr().out.splitlines() == printed
+
+
 def test_public_names_are_exactly_the_supported_surface():
     assert set(heckepoly.__all__) == {
         "AffineHeckeAlgebra", "BasedRootDatum", "ConsistencyError",
         "Coweight", "FormalTorusDomain", "FrobeniusMatrix",
         "HeckePolynomial", "LaurentHalf",
         "PrimeFieldWithV", "RationalWithV", "ResourceLimitError",
-        "SatakeParameter", "ScalarDomain",
-        "SphericalCosetVector", "ValidationError",
+        "SatakeParameter", "ScalarDomain", "ValidationError",
         "WeightMultiset", "build_standard", "cayley_hamilton_check",
         "decompose", "evaluate", "evaluate_coefficients",
         "excursion_values", "frobenius_matrix",
@@ -716,6 +742,33 @@ def test_numeric_extremes_exit_fast_with_a_json_error(flags, code, fragment,
     jsonschema.validate(obj, _schema("error"))
     assert obj["error"]["kind"] == ("validation" if code == 2 else "resource")
     assert fragment in obj["error"]["message"]
+
+
+@pytest.mark.parametrize("argv,diagonal", [
+    (_GL2_EVAL + ["--field", "rat:v=1", "--twist", "exp=40000",
+                  "--entries", "1,1"], ["1", "1"]),
+    (_GL2_EVAL + ["--field", "rat:v=-1", "--twist", "exp=40001",
+                  "--entries", "2,3"], ["-2", "-3"]),
+    (_GL2_EVAL + ["--field", "rat:v=-1", "--twist", "exp=-1000000000000",
+                  "--entries", "2,3"], ["2", "3"]),
+    (["verify", "ch", "--family", "GL", "--rank", "2", "--mu", "1,0",
+      "--field", "rat:v=1", "--twist", "exp=40000"], None),
+], ids=["eval-v1", "eval-v-1-odd", "eval-v-1-negative", "ch-v1"])
+def test_power_guard_passes_a_unit_v(argv, diagonal, capsys):
+    # v^e = +-1 has one bit, however large e is
+    start = time.perf_counter()
+    code, out, _ = _run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    objs = [json.loads(line) for line in out.splitlines()]
+    if diagonal is None:
+        assert objs[-1]["passed"] and objs[-1]["failures"] == 0
+        return
+    (obj,) = objs
+    assert obj["frobenius"]["diagonal"] == diagonal
+    # X^2 - (a + b) X + a b for the diagonal (a, b)
+    a, b = map(int, diagonal)
+    assert obj["coefficient_values"] == [str(x) for x in (1, -a - b, a * b)]
 
 
 # -- Weyl enumeration guard ----------------------------------------------------

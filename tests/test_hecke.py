@@ -10,7 +10,8 @@ from heckepoly.characters import (WeightMultiset, _moving_reflection,
                                   minuscule_weights)
 from heckepoly.root_data import build_standard
 from heckepoly.satake import (FormalTorusDomain, FrobeniusMatrix,
-                              SatakeParameter, frobenius_matrix)
+                              SatakeParameter, frobenius_matrix,
+                              resolve_twist)
 from heckepoly.hecke import (cayley_hamilton_check, evaluate_coefficients,
                              excursion_values, hecke_polynomial,
                              inertia_relation_check, mat_identity,
@@ -216,7 +217,8 @@ def test_ch_worked_f11_example():
     s = SatakeParameter(F11, (2, 7))
     values = evaluate_coefficients(h, s)
     assert values == [1, 10, 9]
-    m = frobenius_matrix(GL2, (1, 0), s)
+    m = frobenius_matrix(GL2, (1, 0), s,
+                         twist_exponent=resolve_twist(GL2, (1, 0), "paper"))
     assert list(m.diagonal) == [10, 2]
     # frozen oracle: 10^2 + 10*10 + 9 = 209 = 19*11, 2^2 + 10*2 + 9 = 33
     assert (10 * 10 + 10 * 10 + 9) % 11 == 0
@@ -241,7 +243,8 @@ def test_ch_symbolic_gl2():
     s = SatakeParameter.generic(2)
     h = hecke_polynomial(GL2, (1, 0), "paper")
     values = evaluate_coefficients(h, s)
-    m = frobenius_matrix(GL2, (1, 0), s)
+    m = frobenius_matrix(GL2, (1, 0), s,
+                         twist_exponent=resolve_twist(GL2, (1, 0), "paper"))
     rep = cayley_hamilton_check(h, m, values, s.domain, s)
     assert rep["passed"]
 
@@ -281,7 +284,8 @@ def test_ch_catches_wrong_polynomial_with_repeated_eigenvalue():
     dom = PrimeFieldWithV(11, 4)
     s = SatakeParameter(dom, (2, 2, 7))
     h = hecke_polynomial(GL3, (1, 0, 0), "paper")
-    m = frobenius_matrix(GL3, (1, 0, 0), s)
+    m = frobenius_matrix(GL3, (1, 0, 0), s,
+                         twist_exponent=resolve_twist(GL3, (1, 0, 0), "paper"))
     a, _, b = m.diagonal
     assert m.diagonal == (a, a, b) and a != b
     true_values = evaluate_coefficients(h, s)
@@ -317,7 +321,8 @@ def test_ch_detects_wrong_coefficients():
     values = evaluate_coefficients(h, s)
     bad = list(values)
     bad[1] = (bad[1] + 1) % 11
-    m = frobenius_matrix(GL2, (1, 0), s)
+    m = frobenius_matrix(GL2, (1, 0), s,
+                         twist_exponent=resolve_twist(GL2, (1, 0), "paper"))
     rep = cayley_hamilton_check(h, m, bad, F11, s)
     assert not rep["passed"]
 
@@ -418,8 +423,9 @@ def test_reduce_then_evaluate_equals_evaluate_then_reduce():
 def test_report_json_shape():
     h = hecke_polynomial(GL2, (1, 0), "paper")
     s = SatakeParameter(F11, (2, 7))
-    rep = cayley_hamilton_check(h, frobenius_matrix(GL2, (1, 0), s),
-                                evaluate_coefficients(h, s), F11, s)
+    m = frobenius_matrix(GL2, (1, 0), s,
+                         twist_exponent=resolve_twist(GL2, (1, 0), "paper"))
+    rep = cayley_hamilton_check(h, m, evaluate_coefficients(h, s), F11, s)
     assert set(rep) == {"check", "passed", "residual", "group", "mu",
                         "twist", "domain", "parameter", "charpoly_match"}
     assert rep["check"] == "cayley-hamilton"
@@ -427,7 +433,7 @@ def test_report_json_shape():
     assert rep["parameter"] == ["2", "7"]
     # without a parameter the key is left out, not written as null
     assert "parameter" not in cayley_hamilton_check(
-        h, frobenius_matrix(GL2, (1, 0), s), evaluate_coefficients(h, s), F11)
+        h, m, evaluate_coefficients(h, s), F11)
     assert set(inertia_relation_check(2, [[1, 1], [0, 1]])) == {
         "check", "passed", "residual", "domain", "binomial_identity",
         "unipotent_depth_d", "d"}

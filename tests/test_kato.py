@@ -15,7 +15,7 @@ from heckepoly.characters import (KostkaFoulkesTable, WeightMultiset,
                                   decompose, orbit_character, weyl_character)
 from heckepoly.root_data import BasedRootDatum, Coweight, build_standard
 from heckepoly.hecke import hecke_polynomial
-from heckepoly.iwahori import AffineHeckeAlgebra, SphericalCosetVector
+from heckepoly.iwahori import AffineHeckeAlgebra
 from heckepoly.kato import coset_coordinates
 from oracles import dominance_leq, weyl_tables
 
@@ -198,12 +198,22 @@ def test_coset_coordinates_gl2_examples():
     # chi_(2,0) = q^{-1} 1_(2,0) + q^{-1} 1_(1,1), from
     # S(1_{K(2,0)K}) = q m_(2,0) + (q-1) m_(1,1)
     chi = orbit_character(GL2, (2, 0)) + orbit_character(GL2, (1, 1))
-    assert coset_coordinates(GL2, chi) == SphericalCosetVector(
-        {(2, 0): LaurentHalf.v_power(-2), (1, 1): LaurentHalf.v_power(-2)})
+    assert coset_coordinates(GL2, chi) == {
+        (2, 0): LaurentHalf.v_power(-2), (1, 1): LaurentHalf.v_power(-2)}
     assert coset_coordinates(GL2, WeightMultiset({(0, 0): 1})) == \
-        SphericalCosetVector({(0, 0): ONE})
-    assert coset_coordinates(GL2, WeightMultiset()) == \
-        SphericalCosetVector({})
+        {(0, 0): ONE}
+    assert coset_coordinates(GL2, WeightMultiset()) == {}
+
+
+def test_a_label_whose_sum_cancels_is_left_out():
+    # f = m_(2,0) + (1 - q^{-1}) m_(1,1) = chi_(2,0) - q^{-1} chi_(1,1):
+    # at (1,1), q^{-1} from chi_(2,0) and -q^{-1} from -q^{-1} chi_(1,1)
+    # cancel
+    f = orbit_character(GL2, (2, 0)) + orbit_character(GL2, (1, 1)).scale(
+        ONE - LaurentHalf.v_power(-2))
+    expected = {(2, 0): LaurentHalf.v_power(-2)}
+    assert coset_coordinates(GL2, f) == expected
+    assert AffineHeckeAlgebra(GL2).satake_inverse(f) == expected
 
 
 def test_non_invariant_input_is_a_consistency_error():
@@ -224,7 +234,7 @@ def test_guard_counts_orbit_points_and_memo_entries():
                              r"max_support=1$"):
         coset_coordinates(GL3, f, max_support=1)
     assert coset_coordinates(GL3, f, max_support=2) == \
-        SphericalCosetVector({(1, 0, 0): LaurentHalf.v_power(-2)})
+        {(1, 0, 0): LaurentHalf.v_power(-2)}
     # (3,0,0) keeps 2 of its 6 orbit points, and the walk's own guard
     # counts those before any memo entry exists
     with pytest.raises(ResourceLimitError,

@@ -88,7 +88,8 @@ def test_twist_presets():
 
 def test_frobenius_matrix_generic():
     s = SatakeParameter.generic(2)
-    m = frobenius_matrix(GL2, (1, 0), s)  # default twist = d = 2
+    m = frobenius_matrix(GL2, (1, 0), s,
+                         twist_exponent=resolve_twist(GL2, (1, 0), "paper"))
     assert m.twist_exponent == 2
     assert m.weights == ((1, 0), (0, 1))
     assert m.diagonal[0] == WeightMultiset({(1, 0): LaurentHalf.v_power(2)})
