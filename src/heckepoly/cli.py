@@ -24,13 +24,14 @@ import itertools
 import json
 import random
 import sys
+from math import comb
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
 from .root_data import BasedRootDatum, build_standard
 from .characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
                          orbit_character)
-from .satake import SatakeParameter, frobenius_matrix
+from .satake import SatakeParameter, evaluate, frobenius_matrix
 from .hecke import (cayley_hamilton_check, evaluate_coefficients,
                     excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
@@ -232,7 +233,6 @@ def cmd_eval(args) -> tuple[list[str], int]:
     h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
     values = evaluate_coefficients(h, s)
     m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
-    exc = excursion_values(datum, mu, s, args.twist, args.e_over_f)
     payload = {
         "command": "eval",
         "group": {"family": datum.family, "rank": datum.rank},
@@ -242,8 +242,10 @@ def cmd_eval(args) -> tuple[list[str], int]:
         "parameter": s.to_json()["entries"],
         "coefficient_values": [dom.scalar_str(x) for x in values],
         "frobenius": m.to_json(),
-        "excursion_frobenius": [dom.scalar_str(e) for e in exc],
-        "excursion_inertia": excursion_values(datum, mu, frobenius=False),
+        "excursion_frobenius": [dom.scalar_str(e)
+                                for e in excursion_values(m)],
+        # an inertia element of an unramified parameter acts trivially
+        "excursion_inertia": [comb(h.degree, i) for i in range(h.degree + 1)],
     }
     return [_dump(payload)], EXIT_OK
 
@@ -382,13 +384,13 @@ def verify_modell(args):
     if not isinstance(dom, PrimeFieldWithV):
         raise ValidationError("verify modell needs a prime-field domain")
     h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
-    h_red = reduce_mod_ell(h, dom)
+    reduced_coefficients = reduce_mod_ell(h, dom)
     reports = []
     for k in range(args.trials):
         rng = _trial_rng(args.seed, k)
         s = SatakeParameter.random(dom, datum.rank, rng)
         direct = evaluate_coefficients(h, s)
-        reduced = evaluate_coefficients(h_red, s)
+        reduced = [evaluate(c, s) for c in reduced_coefficients]
         ok = all(dom.eq(a, b) for a, b in zip(direct, reduced))
         reports.append({"check": "modell", "trial": k, "seed": args.seed,
                         "passed": ok,
@@ -489,6 +491,19 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv) -> list[str]:
+    """argv with ``--mu -1,0`` as ``--mu=-1,0``, for any option or its
+    abbreviation: argparse takes "-1,0", not a plain number, for a flag."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1][2:] and word[:1] == "-" and word[1:2].isdigit() \
+                and any(flag.startswith(out[-1]) for flag in _OPTIONS):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _fail(kind: str, code: int, exc: Exception) -> int:
     print(_dump({"error": {"kind": kind, "message": str(exc)}}),
           file=sys.stderr)
@@ -496,8 +511,7 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
         args = _check_options(build_parser(argv).parse_args(argv))
         if args.command == "datum":

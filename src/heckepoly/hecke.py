@@ -23,7 +23,9 @@ The verification operations are exact matrix identities:
   is singular iff some a_j is zero;
 * ``inertia_relation_check``: the degenerate binomial relation
   sum_i (-1)^i C(d,i) M^i = (I - M)^d, with (M - I)^d = 0 reported for
-  unipotent M.
+  unipotent M, on an int or Fraction matrix.  ``reduce_mod_ell`` gives
+  the coefficients in F_ell for ``verify modell``, and
+  ``excursion_values`` the traces tr(wedge^i M) at a FrobeniusMatrix.
 
 Each check returns its report as the plain JSON object that ``verify``
 prints.  Reports render every scalar exactly; pass means the residual
@@ -39,7 +41,7 @@ from math import comb
 from .errors import ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
                       ScalarDomain, elementary_symmetric)
-from .characters import WeightMultiset, minuscule_weights
+from .characters import WeightMultiset
 from .root_data import BasedRootDatum, Coweight
 from .satake import (FrobeniusMatrix, SatakeParameter, evaluate,
                      frobenius_matrix, resolve_twist)
@@ -47,45 +49,22 @@ from .satake import (FrobeniusMatrix, SatakeParameter, evaluate,
 
 # -- small exact matrix kit --------------------------------------------------
 
-def mat_identity(dom: ScalarDomain, n: int) -> list[list]:
-    return [[dom.one() if i == j else dom.zero() for j in range(n)]
-            for i in range(n)]
+def mat_mul(a, b) -> list[list]:
+    """a b over ints and Fractions, with Python's own operators."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
 
-def mat_add(dom: ScalarDomain, a, b) -> list[list]:
-    return [[dom.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_sub(dom: ScalarDomain, a, b) -> list[list]:
-    return [[dom.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_scale(dom: ScalarDomain, c, a) -> list[list]:
-    return [[dom.mul(c, x) for x in row] for row in a]
-
-def mat_mul(dom: ScalarDomain, a, b) -> list[list]:
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = dom.zero()
-            for t in range(k):
-                acc = dom.add(acc, dom.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-def mat_pow(dom: ScalarDomain, a, k: int) -> list[list]:
+def mat_pow(a, k: int) -> list[list]:
     """a^k by square-and-multiply: at most 2 log2(k) products."""
     out = None
     while k:
         if k & 1:
-            out = ([list(row) for row in a] if out is None
-                   else mat_mul(dom, out, a))
+            out = [list(row) for row in a] if out is None else mat_mul(out, a)
         k >>= 1
         if k:
-            a = mat_mul(dom, a, a)
-    return mat_identity(dom, len(a)) if out is None else out
+            a = mat_mul(a, a)
+    return out or [[int(i == j) for j in range(len(a))]
+                   for i in range(len(a))]
 
 def mat_is_zero(dom: ScalarDomain, a) -> bool:
     return all(dom.is_zero(x) for row in a for x in row)
@@ -101,8 +80,7 @@ class HeckePolynomial:
     """Monic degree-d polynomial with spherical coefficients.
 
     coefficients[i] is the coefficient of X^{d-i}; coefficients[0] is
-    the constant function 1.  ``coeff_domain`` is None for the generic
-    integral form and a PrimeFieldWithV after mod-ell reduction.
+    the constant function 1.
     """
 
     datum: BasedRootDatum
@@ -112,11 +90,10 @@ class HeckePolynomial:
     twist_exponent: int
     twist_preset: str | None = None
     e_over_f: int = 1
-    coeff_domain: ScalarDomain | None = None
 
     def to_json(self) -> dict:
         twist = {"preset": self.twist_preset, "exponent": self.twist_exponent}
-        out = {
+        return {
             "group": {"family": self.datum.family, "rank": self.datum.rank},
             "mu": list(self.mu),
             "twist": twist,
@@ -124,9 +101,6 @@ class HeckePolynomial:
             "degree": self.degree,
             "coefficients": [c.to_json() for c in self.coefficients],
         }
-        if self.coeff_domain is not None:
-            out["coefficient_domain"] = self.coeff_domain.to_json()
-        return out
 
 
 def hecke_polynomial(datum: BasedRootDatum, mu: Coweight, twist="paper",
@@ -156,24 +130,9 @@ def evaluate_coefficients(h: HeckePolynomial, s: SatakeParameter) -> list:
 
 # -- excursion values ---------------------------------------------------------
 
-def excursion_values(datum: BasedRootDatum, mu: Coweight,
-                     s: SatakeParameter | None = None, twist="paper",
-                     e_over_f: int = 1,
-                     frobenius: bool = True) -> list:
-    """Excursion traces at a Frobenius lift or at an inertia element.
-
-    Frobenius mode: value_i = tr(wedge^i M) at the twisted Frobenius
-    matrix of s.  Inertia mode (unramified parameter): the element acts
-    trivially, so value_i = dim wedge^i = C(d, i).
-    """
-    weights = minuscule_weights(datum, mu)
-    d = len(weights)
-    if not frobenius:
-        return [comb(d, i) for i in range(d + 1)]
-    if s is None:
-        raise ValidationError("frobenius mode needs a parameter")
-    t = resolve_twist(datum, mu, twist, e_over_f)
-    m = frobenius_matrix(datum, mu, s, twist_exponent=t)
+def excursion_values(m: FrobeniusMatrix) -> list:
+    """Excursion traces at a Frobenius lift: value_i = tr(wedge^i M),
+    e_i of the diagonal of M, in M's domain."""
     return elementary_symmetric(m.domain, m.diagonal)
 
 
@@ -229,8 +188,7 @@ def cayley_hamilton_check(h: HeckePolynomial, m: FrobeniusMatrix,
     return report
 
 
-def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
-                           require_nilpotent: bool = False) -> dict:
+def inertia_relation_check(d: int, m, require_nilpotent: bool = False) -> dict:
     """Degenerate relation at an inertia element.
 
     Verifies sum_i (-1)^i C(d,i) M^i = (I - M)^d exactly (the excursion
@@ -239,48 +197,45 @@ def inertia_relation_check(d: int, m, domain: ScalarDomain | None = None,
     (M - I)^d, so pass means M is unipotent of the right depth.  The
     left side sums the explicit powers M^i and the right side is a
     square-and-multiply power, so the identity compares two independent
-    computations; (M - I)^d is (-1)^d (I - M)^d.  With no domain the
-    check runs over the rationals, where an integer matrix stays on ints.
+    computations; (M - I)^d is (-1)^d (I - M)^d.  The entries are ints
+    or Fractions, an integer matrix stays on ints, and the report renders
+    them as rationals.
     """
     if d < 1:
         raise ValidationError("d must be >= 1")
-    if domain is None:
-        domain = RationalWithV(1)
+    rationals = RationalWithV(1)
     matrix = [list(row) for row in m]
     if len(matrix) != d or any(len(row) != d for row in matrix):
         raise ValidationError(f"matrix must be {d}x{d}")
-    ident = mat_identity(domain, d)
-    lhs = mat_scale(domain, domain.from_int(comb(d, 0)), ident)
-    power = ident
+    lhs = [[int(i == j) for j in range(d)] for i in range(d)]
     for i in range(1, d + 1):
-        power = matrix if i == 1 else mat_mul(domain, power, matrix)
-        coeff = domain.from_int((-1) ** i * comb(d, i))
-        lhs = mat_add(domain, lhs, mat_scale(domain, coeff, power))
-    rhs = mat_pow(domain, mat_sub(domain, ident, matrix), d)
-    binomial_residual = mat_sub(domain, lhs, rhs)
-    binomial_ok = mat_is_zero(domain, binomial_residual)
-    nilpotent_power = rhs if d % 2 == 0 else [
-        [domain.neg(x) for x in row] for row in rhs]
-    nilpotent = mat_is_zero(domain, nilpotent_power)
+        power = matrix if i == 1 else mat_mul(power, matrix)
+        c = (-1) ** i * comb(d, i)
+        lhs = [[x + c * y for x, y in zip(rl, rp)]
+               for rl, rp in zip(lhs, power)]
+    rhs = mat_pow([[int(i == j) - x for j, x in enumerate(row)]
+                   for i, row in enumerate(matrix)], d)
+    binomial_residual = [[x - y for x, y in zip(rl, rr)]
+                         for rl, rr in zip(lhs, rhs)]
+    binomial_ok = mat_is_zero(rationals, binomial_residual)
+    nilpotent_power = rhs if d % 2 == 0 else [[-x for x in row]
+                                              for row in rhs]
+    nilpotent = mat_is_zero(rationals, nilpotent_power)
     residual = nilpotent_power if require_nilpotent else binomial_residual
     return {"check": "inertia",
             "passed": nilpotent if require_nilpotent else binomial_ok,
-            "residual": mat_strings(domain, residual),
-            "domain": domain.to_json(),
+            "residual": mat_strings(rationals, residual),
+            "domain": rationals.to_json(),
             "binomial_identity": binomial_ok, "unipotent_depth_d": nilpotent,
             "d": d}
 
 
-def reduce_mod_ell(h: HeckePolynomial, dom: PrimeFieldWithV) -> HeckePolynomial:
-    """Coefficientwise reduction; evaluation then commutes with it."""
+def reduce_mod_ell(h: HeckePolynomial,
+                   dom: PrimeFieldWithV) -> list[WeightMultiset]:
+    """The coefficients of h with their Laurent coefficients reduced into
+    F_ell; evaluation over dom commutes with the reduction."""
     if not isinstance(dom, PrimeFieldWithV):
         raise ValidationError("reduction needs a prime-field domain")
-    if h.coeff_domain is not None:
-        raise ValidationError("polynomial is already reduced")
-    reduced = [WeightMultiset({w: LaurentHalf.from_int(dom.reduce(coeff))
-                               for w, coeff in c.terms.items()})
-               for c in h.coefficients]
-    return HeckePolynomial(
-        datum=h.datum, mu=h.mu, degree=h.degree, coefficients=reduced,
-        twist_exponent=h.twist_exponent, twist_preset=h.twist_preset,
-        e_over_f=h.e_over_f, coeff_domain=dom)
+    return [WeightMultiset({w: LaurentHalf.from_int(dom.reduce(coeff))
+                            for w, coeff in c.terms.items()})
+            for c in h.coefficients]

@@ -374,11 +374,12 @@ class RationalWithV(ScalarDomain):
     def reduce(self, x: LaurentHalf) -> int | Fraction:
         """x at v = v_value; an int when the value is integral."""
         if x.terms:
-            v = self.v_value
-            # bits of |v|^e: one when |v| = 1, else at most |e| times
-            # those of v's longer part
-            bits = 1 if abs(v) == 1 else max(map(abs, x.terms)) * max(
-                v.numerator.bit_length(), v.denominator.bit_length())
+            n = max(abs(self.v_value.numerator), self.v_value.denominator)
+            e = max(map(abs, x.terms))
+            # n < 2^b and n <= 2^c, with b and c the bit lengths of n and
+            # n - 1, so for e >= 1 n^e has at most e b and e c + 1 bits;
+            # the second is exact for a power of two, and 1 when |v| = 1
+            bits = min(e * n.bit_length(), e * (n - 1).bit_length() + 1)
             if bits > MAX_POWER_BITS:
                 raise ResourceLimitError(
                     f"rational evaluation: a power of v needs up to {bits} "

@@ -5,11 +5,15 @@ Each helper repeats one computation by the direct route: one e_k call,
 a sum over the finite Weyl group (enumerated here, in ``WeylTables``,
 and nowhere in the library), the whole candidate window, every
 reflection of every orbit point, a rational solve, or the product in
-the T basis of the affine Hecke algebra (``TBasisAlgebra``).
+the T basis of the affine Hecke algebra (``TBasisAlgebra``), or
+charge on semistandard tableaux.  ``_within`` is the wall-clock alarm
+that the slow tests run under.
 """
 
+import contextlib
 import functools
 import itertools
+import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +27,22 @@ from heckepoly.root_data import _dot, _identity, solve_integer_combination
 from heckepoly.satake import SatakeParameter
 
 PRODUCT = "T-basis product"
+
+
+@contextlib.contextmanager
+def _within(seconds, what):
+    """A wall-clock alarm: a hang fails the test instead of stalling the
+    suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # Largest Weyl group that WeylTables enumerates (GL8 has 40320).
 MAX_WEYL_ORDER = 100_000
@@ -598,3 +618,84 @@ def dominance_leq(datum, mu, lam):
     if coeffs is None:
         return False
     return all(c >= 0 and c.denominator == 1 for c in coeffs)
+
+
+def _horizontal_strips(inner, outer, size):
+    """Every partition nu with inner <= nu <= outer row by row, such
+    that nu / inner is a horizontal strip of size boxes: no two of its
+    boxes share a column, so nu_r <= inner_{r-1}."""
+    def walk(r, left):
+        if r == len(inner):
+            if left == 0:
+                yield ()
+            return
+        cap = outer[r] if r == 0 else min(outer[r], inner[r - 1])
+        for x in range(inner[r], min(cap, inner[r] + left) + 1):
+            for rest in walk(r + 1, left - (x - inner[r])):
+                yield (x,) + rest
+    return walk(0, size)
+
+
+def semistandard_tableaux(shape, content):
+    """Every semistandard tableau of a partition shape and a content, as
+    a tuple of rows: the letter k + 1 fills a horizontal strip of
+    content[k] boxes around the tableau of the letters up to k."""
+    def fill(k, nu, rows):
+        if k == len(content):
+            if nu == shape:
+                yield rows
+            return
+        for new in _horizontal_strips(nu, shape, content[k]):
+            yield from fill(k + 1, new, tuple(
+                row + (k + 1,) * (b - a)
+                for row, a, b in zip(rows, nu, new)))
+    return fill(0, (0,) * len(shape), ((),) * len(shape))
+
+
+def charge(word):
+    """The charge of a word whose content is a partition
+    (Lascoux-Schutzenberger; Macdonald, Symmetric Functions, III.6).
+
+    Split the word into standard subwords: read leftwards from the end
+    for a 1, then on from there, wrapping round the end, for a 2, a 3,
+    and so on while the word has the letter; take those letters out and
+    repeat.  In a subword the 1 has index 0, and each next letter has
+    the index of the one before, plus one if the reading wrapped round
+    to reach it.  The charge is the sum of all the indices.
+    """
+    w = list(word)
+    total = 0
+    while w:
+        pos, index, letter, picked = len(w), 0, 1, []
+        while letter in w:
+            left = [i for i in range(pos - 1, -1, -1) if w[i] == letter]
+            if left:
+                pos = left[0]
+            else:
+                pos = max(i for i, x in enumerate(w) if x == letter)
+                index += 1
+            total += index
+            picked.append(pos)
+            letter += 1
+        for i in sorted(picked, reverse=True):
+            del w[i]
+    return total
+
+
+def kostka_foulkes_by_charge(lam, mu):
+    """K_{lam mu}(t) on GL_n as a coefficient list by degree with no
+    trailing zeros: the sum of t^charge over the semistandard tableaux
+    of shape lam and content mu, read row by row from the bottom row
+    up.  A common power of det is shifted away first, which changes
+    neither side; returns (polynomial, number of tableaux)."""
+    shift = -lam[-1]
+    shape = tuple(x + shift for x in lam)
+    content = tuple(x + shift for x in mu)
+    poly = []
+    count = 0
+    for rows in semistandard_tableaux(shape, content):
+        c = charge([x for row in reversed(rows) for x in row])
+        poly.extend([0] * (c + 1 - len(poly)))
+        poly[c] += 1
+        count += 1
+    return poly, count

@@ -18,7 +18,7 @@ from heckepoly.laurent import LaurentHalf, ONE, Q, PrimeFieldWithV, RationalWith
 from heckepoly.characters import (minuscule_weights, orbit_character,
                                   weyl_character)
 from heckepoly.root_data import build_standard
-from heckepoly.satake import SatakeParameter, frobenius_matrix
+from heckepoly.satake import SatakeParameter, evaluate, frobenius_matrix
 from heckepoly.hecke import (cayley_hamilton_check, evaluate_coefficients,
                              hecke_polynomial, inertia_relation_check,
                              reduce_mod_ell)
@@ -193,7 +193,7 @@ def test_criterion_08_mod_ell_functoriality():
                 index += 1
                 s = SatakeParameter.random(dom, datum.rank, rng)
                 assert evaluate_coefficients(h, s) == \
-                    evaluate_coefficients(red, s)
+                    [evaluate(c, s) for c in red]
                 cases += 1
     assert cases >= 50
     _report(8, f"reduce then evaluate equals evaluate then reduce over "

@@ -1,11 +1,9 @@
 import ast
-import contextlib
 import hashlib
 import importlib.resources
 import itertools
 import json
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -24,6 +22,7 @@ from heckepoly.errors import ConsistencyError
 from heckepoly.iwahori import AffineHeckeAlgebra
 from heckepoly.laurent import LaurentHalf, ONE
 from heckepoly.root_data import build_standard
+from oracles import _within
 
 SRC = Path(heckepoly.__file__).parent
 
@@ -37,21 +36,6 @@ def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextlib.contextmanager
-def _within(seconds, what):
-    """A wall-clock alarm: a hang fails the test instead of stalling the
-    suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"{what} ran past {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _run_within(seconds, argv, capsys):
@@ -190,6 +174,15 @@ def test_eval_command(capsys):
     assert obj["coefficient_values"] == ["1", "10", "9"]
     assert obj["frobenius"]["diagonal"] == ["10", "2"]
     assert obj["excursion_inertia"] == [1, 2, 1]
+
+
+def test_eval_excursion_inertia_is_the_binomial_row(capsys):
+    # an inertia element of an unramified parameter acts trivially, so
+    # tr(wedge^i) is dim wedge^i = C(d, i)
+    code, out, _ = _run(["eval", "--family", "GL", "--rank", "4",
+                         "--mu", "1,1,0,0", "--field", "ell=11,v=4"], capsys)
+    assert code == 0
+    assert json.loads(out)["excursion_inertia"] == [1, 6, 15, 20, 15, 6, 1]
 
 
 def test_verify_ch_stream(capsys):
@@ -627,6 +620,37 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 2
 
 
+# Benchmark tracer targets that the library no longer defines; the
+# tracer lists them as missing and skips them.  Every other target must
+# keep resolving, or its per-layer metrics read 0 without an error.
+_STALE_TRACER_TARGETS = {
+    "characters.ext_power_character", "hecke.mat_determinant",
+    "iwahori.AffineHeckeAlgebra.central_element",
+    "iwahori.AffineHeckeAlgebra.multiply",
+    "iwahori.AffineHeckeAlgebra.satake_matrix",
+    "iwahori.AffineHeckeAlgebra.satake_transform_matrix",
+    "iwahori.AffineHeckeAlgebra.theta",
+    "iwahori.AffineHeckeAlgebra.translation_inverse",
+    "root_data.BasedRootDatum.dominance_leq",
+    "root_data.BasedRootDatum.weyl_elements", "satake.trace_of"}
+
+
+def test_benchmark_tracer_targets_still_resolve():
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n"
+         f"sys.path[:0] = [{str(root / 'src')!r}, "
+         f"{str(root / 'perfbench')!r}]\n"
+         "import heckepoly.cli, tracing\n"
+         "print(json.dumps([tracing.install(mode, 0).missing\n"
+         "                  for mode in ('spans', 'counts')]))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spans, counts = json.loads(proc.stdout)
+    assert set(spans) <= _STALE_TRACER_TARGETS
+    assert counts == []
+
+
 def test_cli_import_leaves_kato_unloaded():
     # Kato's formula is imported inside the double-coset branch of poly,
     # so a fresh import of the CLI does not pay for it
@@ -702,10 +726,11 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     ["poly", "--mu=1,0", "--trials=x"],
     ["datum", "--mu=1,0"],
     ["verify"],
+    ["poly", "--mu", "--rank", "2"],
 ], ids=["mu-too-short", "field-v-without-value", "field-ell-not-int",
         "field-rat-not-rational", "entries-with-formal-field",
         "rank-not-int", "trials-not-int", "flag-of-another-command",
-        "missing-subcommand"])
+        "missing-subcommand", "option-for-a-value"])
 def test_malformed_input_exits_2(argv, capsys):
     code, out, err = _run(argv, capsys)
     assert code == 2 and out == ""
@@ -725,12 +750,15 @@ _GL2_EVAL = ["eval", "--family", "GL", "--rank", "2", "--mu", "1,0"]
     (["--field", "rat:v=2", "--twist", "exp=8000"], 3,
      f"rendering: a rational value has more than "
      f"max_digits={sys.get_int_max_str_digits()}"),
+    # 2^40000 has 40001 bits, inside max_bits=65536, so only rendering
+    # the value refuses it
+    (["--field", "rat:v=2", "--twist", "exp=20000"], 3, "rendering: "),
     (["--field", "rat:v=2", "--twist", "exp=1000000"], 3,
      "rational evaluation"),
     (["--field", "rat:v=2", "--twist", "exp=-1000000000000"], 3,
      "rational evaluation"),
 ], ids=["v-exponent", "entry-exponent", "v-length", "render-digits",
-        "power-bits", "power-bits-negative"])
+        "render-power-of-two", "power-bits", "power-bits-negative"])
 def test_numeric_extremes_exit_fast_with_a_json_error(flags, code, fragment,
                                                       capsys):
     start = time.perf_counter()
@@ -769,6 +797,41 @@ def test_power_guard_passes_a_unit_v(argv, diagonal, capsys):
     # X^2 - (a + b) X + a b for the diagonal (a, b)
     a, b = map(int, diagonal)
     assert obj["coefficient_values"] == [str(x) for x in (1, -a - b, a * b)]
+
+
+def test_power_guard_passes_an_exact_power_of_two(capsys):
+    # 2^40000 has 40001 bits, inside max_bits=65536
+    start = time.perf_counter()
+    code, out, _ = _run(["verify", "ch", "--family", "GL", "--rank", "2",
+                         "--mu", "1,0", "--field", "rat:v=2",
+                         "--twist", "exp=20000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["failures"] == 0
+
+
+# -- option values that start with "-" -----------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--family", "GL", "--rank", "2", "--mu", "-1,0"],
+    ["poly", "--family", "GL", "--rank", "3", "--mu", "-1,-1,0",
+     "--twist", "classical", "--basis", "double-coset"],
+    ["verify", "ch", "--family", "GL", "--rank", "2", "--mu", "-1,0",
+     "--field", "ell=11,v=4", "--trials", "2"],
+    _GL2_EVAL + ["--field", "ell=11,v=4", "--entries", "-1,2"],
+    _GL2_EVAL + ["--field", "rat:v=2", "--entries", "-1/2,3"],
+    _GL2_EVAL + ["--field", "ell=11,v=4", "--ent", "-1,2"],
+    _GL2_EVAL + ["--field", "ell=11,v=4", "--seed", "-5"],
+], ids=["poly", "poly-double-coset", "verify-ch", "eval-entries",
+        "eval-rational-entries", "abbreviated-option",
+        "plain-negative-number"])
+def test_a_value_may_start_with_a_minus_sign(argv, capsys):
+    # argparse reads "-1,0" as a flag; the CLI joins it to its option
+    i = next(i for i, word in enumerate(argv) if word[:2] in ("-1", "-5"))
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+    got = _run(argv, capsys)
+    assert got[0] == 0
+    assert got == _run(joined, capsys)
 
 
 # -- Weyl enumeration guard ----------------------------------------------------

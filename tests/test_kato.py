@@ -17,7 +17,8 @@ from heckepoly.root_data import BasedRootDatum, Coweight, build_standard
 from heckepoly.hecke import hecke_polynomial
 from heckepoly.iwahori import AffineHeckeAlgebra
 from heckepoly.kato import coset_coordinates
-from oracles import dominance_leq, weyl_tables
+from oracles import (_within, dominance_leq, kostka_foulkes_by_charge,
+                     weyl_tables)
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -192,6 +193,47 @@ def test_kostka_foulkes_gl3_examples():
     assert table.kostka_foulkes((2, 1, 0))[(1, 1, 1)] == [0, 1, 1]
     assert table.kostka_foulkes((3, 0, 0))[(1, 1, 1)] == [0, 0, 0, 1]
     assert table.kostka_foulkes((2, 0, 0))[(1, 1, 0)] == [0, 1]
+
+
+def test_charge_oracle_examples():
+    # Macdonald, III.6: K_{(3,1),(1^4)} = t^3 + t^4 + t^5,
+    # K_{(2,2),(1^4)} = t^2 + t^4, K_{(2,1),(2,1)} = 1, with a det shift
+    assert kostka_foulkes_by_charge((3, 1, 0, 0), (1, 1, 1, 1)) == (
+        [0, 0, 0, 1, 1, 1], 3)
+    assert kostka_foulkes_by_charge((2, 2, 0, 0), (1, 1, 1, 1)) == (
+        [0, 0, 1, 0, 1], 2)
+    assert kostka_foulkes_by_charge((1, 0, -1), (1, 0, -1)) == ([1], 1)
+
+
+# Wall-clock budget of one rung of the charge comparison; each takes
+# under 10 s on a 2-vCPU VM, most of it in building the tables.
+CHARGE_SECONDS = 40.0
+
+
+@pytest.mark.parametrize("rank,k,pairs,tableaux", [(6, 3, 1871, 19825),
+                                                   (7, 2, 902, 16758)],
+                         ids=["GL6-k3", "GL7-k2"])
+def test_kostka_foulkes_match_charge_on_the_double_coset_rungs(
+        rank, k, pairs, tableaux):
+    # every K_{lam mu}(t) that one table reads while decomposing the
+    # coefficients of the rung, against the sum of t^charge over the
+    # tableaux of shape lam and content mu, which shares nothing with P_t
+    datum = build_standard("GL", rank)
+    with _within(CHARGE_SECONDS, f"charge comparison on GL{rank} k={k}"):
+        table = KostkaFoulkesTable(datum, 10 ** 7)
+        for c in hecke_polynomial(
+                datum, (1,) * k + (0,) * (rank - k)).coefficients:
+            table.decompose(c)
+        seen = counted = 0
+        for lam, row in table._tables.items():
+            for mu, got in row.items():
+                expected, count = kostka_foulkes_by_charge(lam, mu)
+                while got and got[-1] == 0:
+                    got = got[:-1]
+                assert got == expected, (lam, mu)
+                seen += 1
+                counted += count
+    assert (seen, counted) == (pairs, tableaux)
 
 
 def test_coset_coordinates_gl2_examples():

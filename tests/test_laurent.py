@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import isqrt
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckepoly.errors import ValidationError
+from heckepoly import laurent
+from heckepoly.errors import ResourceLimitError, ValidationError
 from heckepoly.laurent import (PRIME_TEST_BOUND, LaurentHalf, PrimeFieldWithV,
                                RationalWithV, ScalarDomain, is_prime,
                                validate_sqrt)
@@ -75,6 +77,28 @@ def test_reduce_is_a_homomorphism(a, b):
     for dom in (F11, RAT):
         assert dom.reduce(a * b) == dom.mul(dom.reduce(a), dom.reduce(b))
         assert dom.reduce(a + b) == dom.add(dom.reduce(a), dom.reduce(b))
+
+
+@given(st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(1, 10 ** 6),
+       st.integers(-2000, 2000).filter(bool))
+@settings(max_examples=200)
+def test_power_bound_covers_the_power_of_v(num, den, e):
+    # with max_bits = 0 every power but v^0 = 1 is refused, and the
+    # message gives the bound: at least the bits of num^|e| and den^|e|,
+    # exact for 2^|e|, and never above the older bound |e| times the
+    # bits of the longer part
+    v = Fraction(num, den)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "MAX_POWER_BITS", 0)
+        with pytest.raises(ResourceLimitError) as info:
+            RationalWithV(v).reduce(LaurentHalf.v_power(e))
+    bits = int(re.search(r"up to (\d+) bits", str(info.value)).group(1))
+    assert bits >= (v.numerator ** abs(e)).bit_length()
+    assert bits >= (v.denominator ** abs(e)).bit_length()
+    n = max(abs(v.numerator), v.denominator)
+    assert bits <= abs(e) * n.bit_length()
+    if n == 2:
+        assert bits == abs(e) + 1
 
 
 def test_reduce_examples_mod_11():
