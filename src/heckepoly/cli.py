@@ -30,8 +30,9 @@ from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
 from .root_data import BasedRootDatum, build_standard
 from .characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
-                         orbit_character)
-from .satake import SatakeParameter, evaluate, frobenius_matrix
+                         minuscule_weights, orbit_character)
+from .satake import (SatakeParameter, evaluate_many, frobenius_matrices,
+                     frobenius_matrix)
 from .hecke import (cayley_hamilton_check, evaluate_coefficients,
                     excursion_values, hecke_polynomial,
                     inertia_relation_check, reduce_mod_ell)
@@ -126,6 +127,12 @@ def _require_mu(args, datum: BasedRootDatum) -> tuple[int, ...]:
 
 def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * _TRIAL_STRIDE + index)
+
+
+def _trial_points(args, dom: ScalarDomain, rank: int) -> list:
+    """Every trial's parameter, trial k drawn from its own rng."""
+    return [SatakeParameter.random(dom, rank, _trial_rng(args.seed, k))
+            for k in range(args.trials)]
 
 
 # -- commands ----------------------------------------------------------------
@@ -231,7 +238,7 @@ def cmd_eval(args) -> tuple[list[str], int]:
     else:
         s = SatakeParameter.random(dom, datum.rank, _trial_rng(args.seed, 0))
     h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
-    values = evaluate_coefficients(h, s)
+    (values,) = evaluate_coefficients(h, [s])
     m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
     payload = {
         "command": "eval",
@@ -271,12 +278,11 @@ def verify_ch(args):
     mu = _require_mu(args, datum)
     dom = parse_field(args.field, datum.rank)
     h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
+    points = _trial_points(args, dom, datum.rank)
+    matrices = frobenius_matrices(datum, mu, points, h.twist_exponent)
     reports = []
-    for k in range(args.trials):
-        rng = _trial_rng(args.seed, k)
-        s = SatakeParameter.random(dom, datum.rank, rng)
-        values = evaluate_coefficients(h, s)
-        m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
+    for k, (s, values, m) in enumerate(
+            zip(points, evaluate_coefficients(h, points), matrices)):
         rep = cayley_hamilton_check(h, m, values, dom, s)
         rep.update({"trial": k, "seed": args.seed})
         reports.append(rep)
@@ -352,14 +358,23 @@ def verify_newton(args):
     datum = build_standard(args.family, args.rank)
     mu = _require_mu(args, datum)
     dom = parse_field(args.field, datum.rank)
+    if isinstance(dom, PrimeFieldWithV):
+        d = len(minuscule_weights(datum, mu))
+        if dom.ell <= d:
+            # the identities fix c_i only where i is invertible: at
+            # i = ell the term i*c_i vanishes, and a wrong c_d passes
+            # every trial when ell divides d
+            raise ValidationError(
+                f"verify newton over F_ell needs ell > d: ell={dom.ell}, "
+                f"d={d}, and the identity at i={dom.ell} loses its "
+                f"i*c_i term")
     h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
     d = h.degree
+    points = _trial_points(args, dom, datum.rank)
+    matrices = frobenius_matrices(datum, mu, points, h.twist_exponent)
     reports = []
-    for k in range(args.trials):
-        rng = _trial_rng(args.seed, k)
-        s = SatakeParameter.random(dom, datum.rank, rng)
-        c = evaluate_coefficients(h, s)
-        m = frobenius_matrix(datum, mu, s, twist_exponent=h.twist_exponent)
+    for k, (s, c, m) in enumerate(
+            zip(points, evaluate_coefficients(h, points), matrices)):
         # Newton's identities for det(X - M) = sum_i c_i X^{d-i}:
         # i c_i + sum_{j=1..i} c_{i-j} p_j = 0, with p_j = tr M^j
         p = [None]
@@ -385,12 +400,11 @@ def verify_modell(args):
         raise ValidationError("verify modell needs a prime-field domain")
     h = hecke_polynomial(datum, mu, args.twist, args.e_over_f)
     reduced_coefficients = reduce_mod_ell(h, dom)
+    points = _trial_points(args, dom, datum.rank)
     reports = []
-    for k in range(args.trials):
-        rng = _trial_rng(args.seed, k)
-        s = SatakeParameter.random(dom, datum.rank, rng)
-        direct = evaluate_coefficients(h, s)
-        reduced = [evaluate(c, s) for c in reduced_coefficients]
+    for k, (s, direct, reduced) in enumerate(zip(
+            points, evaluate_coefficients(h, points),
+            evaluate_many(reduced_coefficients, points))):
         ok = all(dom.eq(a, b) for a, b in zip(direct, reduced))
         reports.append({"check": "modell", "trial": k, "seed": args.seed,
                         "passed": ok,

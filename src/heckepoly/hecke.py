@@ -43,7 +43,7 @@ from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
                       ScalarDomain, elementary_symmetric)
 from .characters import WeightMultiset
 from .root_data import BasedRootDatum, Coweight
-from .satake import (FrobeniusMatrix, SatakeParameter, evaluate,
+from .satake import (FrobeniusMatrix, SatakeParameter, evaluate_many,
                      frobenius_matrix, resolve_twist)
 
 
@@ -124,8 +124,9 @@ def hecke_polynomial(datum: BasedRootDatum, mu: Coweight, twist="paper",
         twist_preset=twist if isinstance(twist, str) else None)
 
 
-def evaluate_coefficients(h: HeckePolynomial, s: SatakeParameter) -> list:
-    return [evaluate(c, s) for c in h.coefficients]
+def evaluate_coefficients(h: HeckePolynomial, points) -> list[list]:
+    """The values of h's coefficients at each point, one list per point."""
+    return evaluate_many(h.coefficients, points)
 
 
 # -- excursion values ---------------------------------------------------------

@@ -19,9 +19,13 @@ Scalar domains fix a numeric meaning for v:
 The generic (symbolic) torus domain lives in ``heckepoly.characters``
 because its scalars are lattice group-algebra elements rather than
 plain numbers.  ``elementary_symmetric`` is the one e_k recurrence of
-the package; it runs in any domain.  ``ScalarDomain.monomial`` is the
-one product-of-powers kernel, prod s_j^{w_j}: evaluation, Frobenius
-matrices and power sums all go through it.
+the package; it runs in any domain.  ``ScalarDomain.monomials`` is the
+one product-of-powers kernel: it returns prod s_j^{w_j} for every
+weight w of a ``MonomialLayout``, and evaluation and Frobenius matrices
+both go through it.  Its default folds ``ScalarDomain.monomial`` once
+per weight, which is the formal and rational path; over F_ell it builds
+one table of powers per entry, over the exponent range of that entry's
+column, and multiplies the weights column by column.
 
 The canonical string form of a LaurentHalf is ``"c*v^e"`` terms joined
 by ``"+"``, exponents ascending, e.g. ``"-1*v^-2+3*v^0+1*v^2"``; the
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 from .errors import ResourceLimitError, ValidationError
@@ -262,8 +267,8 @@ class ScalarDomain:
         return self.add(a, self.neg(b))
 
     def sum(self, items):
-        """Sum of an iterable of scalars; a domain whose add copies its
-        operands overrides this with one accumulator."""
+        """Sum of an iterable of scalars; a domain overrides this fold of
+        ``add`` where one accumulator is cheaper."""
         total = self.zero()
         for a in items:
             total = self.add(total, a)
@@ -299,6 +304,12 @@ class ScalarDomain:
                 result = self.mul(result, self.pow(a, k))
         return result
 
+    def monomials(self, entries, layout: "MonomialLayout"):
+        """prod_j entries[j]**w[j] for each weight w of the layout, in its
+        order, as an iterable read once.  This default folds ``monomial``
+        one weight at a time, so no more than one value is held."""
+        return (self.monomial(entries, w) for w in layout.weights)
+
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -322,6 +333,30 @@ class ScalarDomain:
 
     def __hash__(self):
         return hash(tuple(sorted(self.to_json().items())))
+
+
+class MonomialLayout:
+    """A list of weights laid out once for ``ScalarDomain.monomials``.
+
+    ``lengths`` is the set of weight lengths.  ``columns`` is built on
+    first use: one (j, low, high, shifted) per coordinate j that some
+    weight moves, with low <= 0 <= high the range of the w[j] widened to
+    0, and shifted[k] = weights[k][j] - low, an index into a table of
+    the powers a^low .. a^high.
+    """
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.lengths = frozenset(map(len, weights))
+
+    @cached_property
+    def columns(self) -> tuple:
+        columns = []
+        for j, col in enumerate(zip(*self.weights)):
+            low, high = min(0, min(col)), max(0, max(col))
+            if low < high:
+                columns.append((j, low, high, tuple(e - low for e in col)))
+        return tuple(columns)
 
 
 def elementary_symmetric(dom: ScalarDomain, values) -> list:
@@ -486,17 +521,37 @@ class PrimeFieldWithV(ScalarDomain):
             raise ValidationError("division by zero")
         return pow(a, k, self.ell)
 
-    def monomial(self, entries, w):
-        """prod_j entries[j]**w[j] in one int loop of modular powers."""
+    def sum(self, items):
+        return sum(items) % self.ell
+
+    def monomials(self, entries, layout: MonomialLayout) -> list[int]:
+        """One table of powers per moved coordinate, over its column's
+        range, then one product per column: a weight costs one lookup
+        and one modular product per coordinate, and no ``pow``."""
         ell = self.ell
-        result = 1
-        try:
-            for a, k in zip(entries, w):
-                if k:
-                    result = result * pow(a, k, ell) % ell
-        except ValueError:  # pow of a non-unit to a negative exponent
-            raise ValidationError("division by zero") from None
-        return result
+        values = None
+        for j, low, high, shifted in layout.columns:
+            table = self._powers(entries[j] % ell, low, high)
+            values = (list(map(table.__getitem__, shifted)) if values is None
+                      else [x * table[i] % ell
+                            for x, i in zip(values, shifted)])
+        return [1] * len(layout.weights) if values is None else values
+
+    def _powers(self, a: int, low: int, high: int) -> list[int]:
+        """[a^low, ..., a^high] for low <= 0 <= high; the negative powers
+        are powers of the inverse of a."""
+        ell = self.ell
+        up = [1]
+        for _ in range(high):
+            up.append(up[-1] * a % ell)
+        if not low:
+            return up
+        if a == 0:
+            raise ValidationError("division by zero")
+        down = [pow(a, -1, ell)]
+        for _ in range(-low - 1):
+            down.append(down[-1] * down[0] % ell)
+        return down[::-1] + up
 
     def is_zero(self, a) -> bool:
         return a % self.ell == 0

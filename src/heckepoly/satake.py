@@ -5,7 +5,11 @@ W-invariant Laurent polynomials on the dual torus, so a spherical
 element is just a W-invariant WeightMultiset.  A SatakeParameter is a
 point of the dual torus: one invertible scalar per lattice basis
 vector, in a chosen scalar domain.  Evaluation sends sum c_lam e^lam to
-sum c_lam s^lam with s^lam = prod s_j^{lam_j}.
+sum c_lam s^lam with s^lam = prod s_j^{lam_j}.  ``evaluate_many`` does
+this for a list of functions at a list of points: it lays the weights of
+every function out once, as a ``MonomialLayout``, and takes each point's
+monomials from one ``ScalarDomain.monomials`` call.  ``evaluate`` is
+its one-function, one-point case.
 
 The generic (symbolic) parameter lives in the FormalTorusDomain (defined
 in ``characters``), whose scalars are lattice group-algebra elements:
@@ -15,10 +19,12 @@ identities can be checked symbolically.
 
 A FrobeniusMatrix is the diagonal matrix of a minuscule representation
 at a parameter, with entries v^twist * s^{lam_j} over the canonical
-weight order.  It is kept as its diagonal alone: the traces of its
-exterior powers are e_i of the entries, and the Cayley-Hamilton check
-in ``hecke`` works on the entries.  The twist exponent is a configured
-integer power of v with two named presets:
+weight order; ``frobenius_matrices`` lays the weights out once for all
+the points of a command and takes the s^{lam_j} from the same kernel.
+It is kept as its diagonal alone: the traces of its exterior powers are
+e_i of the entries, and the Cayley-Hamilton check in ``hecke`` works on
+the entries.  The twist exponent is a configured integer power of v
+with two named presets:
 
 * ``paper``:     [E:F] * d      (so v^{[E:F] d} = q^{[E:F] d / 2});
 * ``classical``: <2 rho, mu>    (so v^{<2 rho, mu>} = q^{<rho, mu>}).
@@ -29,9 +35,10 @@ The two conventions disagree in general; both are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ValidationError
-from .laurent import LaurentHalf, ScalarDomain
+from .laurent import LaurentHalf, MonomialLayout, ScalarDomain
 from .characters import FormalTorusDomain, WeightMultiset, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
 
@@ -66,28 +73,48 @@ class SatakeParameter:
     def random(cls, domain: ScalarDomain, rank: int, rng) -> "SatakeParameter":
         return cls(domain, tuple(domain.random_unit(rng) for _ in range(rank)))
 
-    def power(self, lam: Coweight):
-        """s^lam = prod s_j^{lam_j}."""
-        if len(lam) != self.rank:
-            raise ValidationError("coweight length does not match parameter rank")
-        return self.domain.monomial(self.entries, lam)
-
     def to_json(self) -> dict:
         return {"domain": self.domain.to_json(),
                 "entries": [self.domain.scalar_str(e) for e in self.entries]}
 
 
 def evaluate(f: WeightMultiset, s: SatakeParameter):
-    """Evaluate a spherical element, or any WeightMultiset, at s.
+    """Evaluate a spherical element, or any WeightMultiset, at s."""
+    return evaluate_many([f], [s])[0][0]
 
-    Terms are grouped by coefficient, so each distinct coefficient is
-    reduced once and multiplied into the sum of s^w over its weights: a
-    twisted coefficient v^t * n costs one power of v, not one per weight.
-    The grouping is made on the first evaluation of f and reused after.
+
+def evaluate_many(functions, points) -> list[list]:
+    """[[evaluate(f, s) for f in functions] for s in points].
+
+    Terms are grouped by coefficient (``WeightMultiset.by_coefficient``,
+    grouped on a function's first evaluation and kept), and the weights
+    of every group of every function are laid out once.  Each distinct
+    coefficient of a function is reduced once per domain and multiplied
+    into the sum of s^w over its weights: a twisted coefficient v^t * n
+    costs one power of v, not one per weight or per point.  Each point
+    takes its s^w from one ``ScalarDomain.monomials`` call and reads
+    them in layout order, so one point's monomials at most are held.
     """
-    dom = s.domain
-    return dom.sum(dom.mul(dom.reduce(c), dom.sum(s.power(w) for w in ws))
-                   for c, ws in f.by_coefficient())
+    groups, weights = [], []
+    for f in functions:
+        spans = []
+        for c, ws in f.by_coefficient():
+            spans.append((c, len(ws)))
+            weights.extend(ws)
+        groups.append(spans)
+    layout = MonomialLayout(weights)
+    out, reduced, reduced_in = [], None, None
+    for s in points:
+        if layout.lengths - {s.rank}:
+            raise ValidationError("coweight length does not match parameter rank")
+        dom = s.domain
+        if dom is not reduced_in:
+            reduced = [[(dom.reduce(c), n) for c, n in spans] for spans in groups]
+            reduced_in = dom
+        monomials = iter(dom.monomials(s.entries, layout))
+        out.append([dom.sum(dom.mul(c, dom.sum(islice(monomials, n)))
+                            for c, n in spans) for spans in reduced])
+    return out
 
 
 def resolve_twist(datum: BasedRootDatum, mu: Coweight, twist,
@@ -128,10 +155,22 @@ def frobenius_matrix(datum: BasedRootDatum, mu: Coweight, s: SatakeParameter,
                      twist_exponent: int) -> FrobeniusMatrix:
     """Diagonal entries v^twist * s^{lam_j} over the canonical weight order;
     ``resolve_twist`` turns a preset into ``twist_exponent``."""
+    return frobenius_matrices(datum, mu, [s], twist_exponent)[0]
+
+
+def frobenius_matrices(datum: BasedRootDatum, mu: Coweight, points,
+                       twist_exponent: int) -> list[FrobeniusMatrix]:
+    """``frobenius_matrix`` at each point, from one walk of the weights."""
     weights = minuscule_weights(datum, mu)
-    if s.rank != datum.rank:
-        raise ValidationError("parameter rank does not match the datum")
-    dom = s.domain
-    scale = dom.reduce(LaurentHalf.v_power(twist_exponent))
-    diag = tuple(dom.mul(scale, s.power(w)) for w in weights)
-    return FrobeniusMatrix(weights, diag, dom, twist_exponent)
+    layout = MonomialLayout(weights)
+    twist = LaurentHalf.v_power(twist_exponent)
+    out = []
+    for s in points:
+        if s.rank != datum.rank:
+            raise ValidationError("parameter rank does not match the datum")
+        dom = s.domain
+        scale = dom.reduce(twist)
+        diag = tuple(dom.mul(scale, x)
+                     for x in dom.monomials(s.entries, layout))
+        out.append(FrobeniusMatrix(weights, diag, dom, twist_exponent))
+    return out

@@ -88,7 +88,7 @@ def ch_trials():
                 rng = _rng(index)
                 index += 1
                 s = SatakeParameter.random(dom, datum.rank, rng)
-                values = evaluate_coefficients(h, s)
+                values = evaluate_coefficients(h, [s])[0]
                 m = frobenius_matrix(datum, mu, s,
                                      twist_exponent=h.twist_exponent)
                 out.append((h, dom, s, values, m))
@@ -192,7 +192,7 @@ def test_criterion_08_mod_ell_functoriality():
                 rng = _rng(index)
                 index += 1
                 s = SatakeParameter.random(dom, datum.rank, rng)
-                assert evaluate_coefficients(h, s) == \
+                assert evaluate_coefficients(h, [s])[0] == \
                     [evaluate(c, s) for c in red]
                 cases += 1
     assert cases >= 50

@@ -3,6 +3,7 @@ import hashlib
 import importlib.resources
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -467,6 +468,31 @@ def test_verify_newton_checks_the_polynomial_it_is_given(capsys,
     assert [line["passed"] for line in lines] == [False] * 4
 
 
+def test_verify_newton_refuses_ell_at_most_d(capsys, monkeypatch):
+    # over F_ell with ell <= d the identity i = ell has no c_ell term:
+    # GL3 (1,0,0) has d = 3, so a wrong c_3 would pass at ell = 3
+    base = ["verify", "newton", "--family", "GL", "--rank", "3",
+            "--mu", "1,0,0", "--trials", "3"]
+    code, out, err = _run(base + ["--field", "ell=3,v=1"], capsys)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert "ell=3" in message and "d=3" in message
+    assert _run(base + ["--field", "ell=7,v=1"], capsys)[0] == 0
+    build = cli.evaluate_coefficients
+
+    def last_plus_one(h, points):
+        values = build(h, points)
+        for c in values:
+            c[-1] = (c[-1] + 1) % 7
+        return values
+
+    monkeypatch.setattr(cli, "evaluate_coefficients", last_plus_one)
+    code, out, _ = _run(base + ["--field", "ell=7,v=1"], capsys)
+    assert code == 1
+    assert [json.loads(line)["passed"] for line in out.splitlines()] == \
+        [False] * 4
+
+
 def test_verify_modell_needs_prime_field(capsys):
     code, _, err = _run(["verify", "modell", "--family", "GL", "--rank", "2",
                          "--mu", "1,0", "--field", "rat:v=3"], capsys)
@@ -649,6 +675,36 @@ def test_benchmark_tracer_targets_still_resolve():
     spans, counts = json.loads(proc.stdout)
     assert set(spans) <= _STALE_TRACER_TARGETS
     assert counts == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ch", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
+     "--field", "ell=11,v=4", "--trials", "3"],
+    ["eval", "--family", "GL", "--rank", "4", "--mu", "1,1,0,0",
+     "--field", "ell=1000003,v=5", "--entries", "2,3,5,7"]],
+    ids=["ch-F11", "eval-F1000003"])
+@pytest.mark.parametrize("mode", ["spans", "counts"])
+def test_benchmark_traced_job_runs(argv, mode):
+    # the benchmark's job runner with the tracer installed: a wrapped
+    # function whose signature no longer fits its callers or observer
+    # would crash the job, not just read 0
+    root = Path(__file__).parents[1]
+    spec = {"src": str(root / "src"), "argv": argv, "mode": mode,
+            "job_id": 0}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "job.py")],
+        input=json.dumps(spec), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["error"] is None and result["code"] == 0, result["error"]
+    trace = result["trace"]
+    assert set(trace["missing"]) <= _STALE_TRACER_TARGETS
+    if mode == "spans":
+        names = {span[1] for span in trace["spans"]}
+        assert "hecke.evaluate_coefficients" in names
+    else:
+        assert trace["counts"]["laurent.domain_mul_calls"] > 0
 
 
 def test_cli_import_leaves_kato_unloaded():
@@ -930,6 +986,17 @@ PINNED_STDOUT = [
      "cdb2bdf6ca57c60bf85a4abd052484eb9974e05be9ea303edbfd70fd29a3cbd0"),
     (["verify", "satake", "--family", "Sp", "--rank", "4", "--max-norm", "3"],
      "a8c32b83677d2d3b013b18e3dc2457224c45aa870084b63ecd4b9f33f5eb7bde"),
+    (["verify", "newton", "--family", "GL", "--rank", "6",
+      "--mu", "1,1,0,0,0,0", "--field", "ell=1000003,v=5"],
+     "28066626b3a34434d29a05379cf67903e0c6046260fa0e99daf058261c43c99a"),
+    (["eval", "--family", "GL", "--rank", "5", "--mu", "1,1,0,0,0",
+      "--field", "ell=1000003,v=5",
+      "--entries", "17,999983,4242,31337,500001"],
+     "226807eba96dc90bef03cd3df52db4e5bd95a337ee34514911c32f3673dcc369"),
+    # PGL4 weights have negative entries: the negative half of the tables
+    (["verify", "ch", "--family", "PGL", "--rank", "4", "--mu", "0,1,0",
+      "--field", "ell=1000003,v=5"],
+     "d4a35674742da606c1b137ce5a29eb840b7ddb4a9ad77feb94e16938a67389e4"),
 ]
 
 
@@ -942,7 +1009,9 @@ PINNED_STDOUT = [
                               "coset-GL5-11000", "inertia-d8",
                               "ch-GL5-11000-F1000003", "modell-PGL4-010-F7",
                               "eval-rat-GL4-1100", "ch-rat-GL3-100",
-                              "satake-GL4", "satake-Sp4-norm3"])
+                              "satake-GL4", "satake-Sp4-norm3",
+                              "newton-GL6-110000-F1000003",
+                              "eval-GL5-11000-F1000003", "ch-PGL4-010-F1000003"])
 def test_stdout_bytes_pinned(argv, digest, capsys):
     code, out, _ = _run(argv, capsys)
     assert code == 0

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from heckepoly import laurent
 from heckepoly.errors import ResourceLimitError, ValidationError
-from heckepoly.laurent import (PRIME_TEST_BOUND, LaurentHalf, PrimeFieldWithV,
-                               RationalWithV, ScalarDomain, is_prime,
-                               validate_sqrt)
+from heckepoly.laurent import (PRIME_TEST_BOUND, LaurentHalf, MonomialLayout,
+                               PrimeFieldWithV, RationalWithV, ScalarDomain,
+                               is_prime, validate_sqrt)
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-50, 50),
                            max_size=6).map(LaurentHalf)
@@ -179,20 +179,25 @@ def test_prime_field_from_int_is_the_residue():
 
 
 def test_prime_field_monomial_matches_the_default_fold():
+    # the F_ell kernel, tables of powers per column, against the fold of
+    # ScalarDomain.monomial one weight at a time
     rng = random.Random(61)
     for dom in (F11, PrimeFieldWithV(1_000_003, 5)):
         for rank in range(1, 7):
             for _ in range(40):
                 entries = [rng.randrange(dom.ell) for _ in range(rank)]
-                w = [rng.randint(-3, 3) for _ in range(rank)]
-                if any(a == 0 and k < 0 for a, k in zip(entries, w)):
+                ws = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                      for _ in range(rng.randint(1, 4))]
+                layout = MonomialLayout(ws)
+                if any(a == 0 and k < 0 for w in ws
+                       for a, k in zip(entries, w)):
                     with pytest.raises(ValidationError, match="by zero"):
-                        dom.monomial(entries, w)
+                        dom.monomials(entries, layout)
                     with pytest.raises(ValidationError, match="by zero"):
-                        ScalarDomain.monomial(dom, entries, w)
+                        [ScalarDomain.monomial(dom, entries, w) for w in ws]
                     continue
-                assert dom.monomial(entries, w) == \
-                    ScalarDomain.monomial(dom, entries, w)
+                assert dom.monomials(entries, layout) == \
+                    [ScalarDomain.monomial(dom, entries, w) for w in ws]
 
 
 def test_monomial_of_a_zero_entry_to_a_negative_power_is_refused():
@@ -202,6 +207,14 @@ def test_monomial_of_a_zero_entry_to_a_negative_power_is_refused():
         F11.monomial((22,), (-2,))
     assert F11.monomial((3, 0), (1, 0)) == 3
     assert F11.monomial((3, 0), (0, 2)) == 0
+    # the kernel refuses the same, and only the negative power
+    for ws in ([(1, -1)], [(1, 0), (2, -3)]):
+        with pytest.raises(ValidationError, match="division by zero"):
+            F11.monomials((3, 0), MonomialLayout(ws))
+    with pytest.raises(ValidationError, match="division by zero"):
+        F11.monomials((22,), MonomialLayout([(-2,)]))
+    assert F11.monomials((3, 0), MonomialLayout([(1, 0), (0, 2), (0, 0)])) \
+        == [3, 0, 1]
 
 
 def test_scalar_string_roundtrip():

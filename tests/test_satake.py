@@ -3,13 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckepoly.errors import ValidationError
-from heckepoly.laurent import LaurentHalf, PrimeFieldWithV, RationalWithV
+from heckepoly.laurent import (LaurentHalf, MonomialLayout, PrimeFieldWithV,
+                               RationalWithV, ScalarDomain)
 from heckepoly.characters import (WeightMultiset, minuscule_weights,
                                   orbit_character)
 from heckepoly.root_data import build_standard
 from heckepoly.satake import (FormalTorusDomain, SatakeParameter, evaluate,
+                              evaluate_many,
                               frobenius_matrix, resolve_twist)
 from oracles import ext_power_character, permuted, trace_of
 
@@ -197,7 +201,7 @@ def test_evaluate_reduces_each_distinct_coefficient_once():
             CountingRationals.calls = 0
             value = evaluate(c, s)
             assert CountingRationals.calls == len(distinct)
-            assert value == sum(dom.reduce(coeff) * s.power(w)
+            assert value == sum(dom.reduce(coeff) * dom.monomial(s.entries, w)
                                 for w, coeff in c.terms.items())
 
 
@@ -221,5 +225,82 @@ def test_evaluate_groups_the_terms_of_a_function_once(monkeypatch):
     second = evaluate(f, points[1])
     assert len(hashes) == grouped
     for value, s in zip((first, second), points):
-        assert value == sum(F11.reduce(c) * s.power(w)
+        assert value == sum(F11.reduce(c) * F11.monomial(s.entries, w)
                             for w, c in f.terms.items()) % 11
+
+
+# -- evaluate_many against the per-weight fold --------------------------------
+
+KERNEL_DOMAINS = (F11, PrimeFieldWithV(1_000_003, 5),
+                  RationalWithV(Fraction(3, 2)))
+
+
+def _fold_value(f, s):
+    """sum of reduce(c) * s^w, term by term, with the fold of
+    ScalarDomain.monomial and of ScalarDomain.sum."""
+    dom = s.domain
+    return ScalarDomain.sum(dom, [
+        dom.mul(dom.reduce(c), ScalarDomain.monomial(dom, s.entries, w))
+        for w, c in f.terms.items()])
+
+
+@st.composite
+def functions_and_points(draw):
+    dom = draw(st.sampled_from(KERNEL_DOMAINS))
+    rank = draw(st.integers(1, 6))
+    weight = st.tuples(*[st.integers(-4, 4)] * rank)
+    # a small pool of coefficients, so that groups hold several weights;
+    # the pool's empty maps make the zero function
+    coeff = st.sampled_from([LaurentHalf({0: 1}), LaurentHalf({2: -3}),
+                             LaurentHalf({-1: 2, 3: 1}), LaurentHalf({5: 7})])
+    functions = draw(st.lists(
+        st.dictionaries(weight, coeff, max_size=12).map(WeightMultiset),
+        max_size=4))
+    if isinstance(dom, PrimeFieldWithV):
+        entry = st.integers(1, dom.ell - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1),
+                          st.integers(1, 9))
+    points = draw(st.lists(st.tuples(*[entry] * rank).map(
+        lambda e: SatakeParameter(dom, e)), max_size=4))
+    return functions, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(functions_and_points())
+def test_evaluate_many_matches_the_fold_term_by_term(case):
+    functions, points = case
+    got = evaluate_many(functions + [WeightMultiset.zero()], points)
+    assert len(got) == len(points)
+    for values, s in zip(got, points):
+        assert values == [_fold_value(f, s) for f in functions] + \
+            [s.domain.zero()]
+        assert [type(x) for x in values] == \
+            [type(_fold_value(f, s)) for f in functions] + [int]
+
+
+def test_evaluate_many_of_no_points_or_no_functions():
+    f = orbit_character(GL3, (1, 0, 0))
+    assert evaluate_many([f], []) == []
+    s = SatakeParameter(F11, (2, 7, 3))
+    assert evaluate_many([], [s, s]) == [[], []]
+
+
+def test_evaluate_many_refuses_a_rank_mismatch():
+    f = orbit_character(GL3, (1, 0, 0))
+    for dom in KERNEL_DOMAINS:
+        good = SatakeParameter(dom, (2, 3, 5))
+        bad = SatakeParameter(dom, (2, 3))
+        with pytest.raises(ValidationError, match="coweight length"):
+            evaluate_many([f], [good, bad])
+    # a function with no terms has no weight to disagree with
+    assert evaluate_many([WeightMultiset.zero()], [bad]) == [[0]]
+
+
+def test_kernel_refuses_a_zero_entry_to_a_negative_power():
+    for dom in KERNEL_DOMAINS:
+        for ws in ([(1, -1)], [(2, 0), (0, 3), (1, -2)]):
+            with pytest.raises(ValidationError, match="division by zero"):
+                list(dom.monomials((3, 0), MonomialLayout(ws)))
+        assert list(dom.monomials((3, 0), MonomialLayout([(2, 0), (0, 3)]))) \
+            == [9, 0]
