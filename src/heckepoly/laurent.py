@@ -338,16 +338,14 @@ class ScalarDomain:
 class MonomialLayout:
     """A list of weights laid out once for ``ScalarDomain.monomials``.
 
-    ``lengths`` is the set of weight lengths.  ``columns`` is built on
-    first use: one (j, low, high, shifted) per coordinate j that some
-    weight moves, with low <= 0 <= high the range of the w[j] widened to
-    0, and shifted[k] = weights[k][j] - low, an index into a table of
-    the powers a^low .. a^high.
+    ``columns`` is built on first use: one (j, low, high, shifted) per
+    coordinate j that some weight moves, with low <= 0 <= high the range
+    of the w[j] widened to 0, and shifted[k] = weights[k][j] - low, an
+    index into a table of the powers a^low .. a^high.
     """
 
     def __init__(self, weights):
         self.weights = weights
-        self.lengths = frozenset(map(len, weights))
 
     @cached_property
     def columns(self) -> tuple:

@@ -103,13 +103,16 @@ def evaluate_many(functions, points) -> list[list]:
             weights.extend(ws)
         groups.append(spans)
     layout = MonomialLayout(weights)
+    lengths = set(map(len, weights))
     out, reduced, reduced_in = [], None, None
     for s in points:
-        if layout.lengths - {s.rank}:
-            raise ValidationError("coweight length does not match parameter rank")
+        if lengths - {s.rank}:
+            raise ValidationError(
+                "coweight length does not match parameter rank")
         dom = s.domain
         if dom is not reduced_in:
-            reduced = [[(dom.reduce(c), n) for c, n in spans] for spans in groups]
+            reduced = [[(dom.reduce(c), n) for c, n in spans]
+                       for spans in groups]
             reduced_in = dom
         monomials = iter(dom.monomials(s.entries, layout))
         out.append([dom.sum(dom.mul(c, dom.sum(islice(monomials, n)))

@@ -1011,7 +1011,8 @@ PINNED_STDOUT = [
                               "eval-rat-GL4-1100", "ch-rat-GL3-100",
                               "satake-GL4", "satake-Sp4-norm3",
                               "newton-GL6-110000-F1000003",
-                              "eval-GL5-11000-F1000003", "ch-PGL4-010-F1000003"])
+                              "eval-GL5-11000-F1000003",
+                              "ch-PGL4-010-F1000003"])
 def test_stdout_bytes_pinned(argv, digest, capsys):
     code, out, _ = _run(argv, capsys)
     assert code == 0
