@@ -46,11 +46,7 @@ import json
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, ONE, ScalarDomain
-from .root_data import BasedRootDatum, Coweight
-
-# Default bound on the working set of a guarded stage: the Kostka-Foulkes
-# table here, the cosets of the spherical module in iwahori.
-DEFAULT_MAX_SUPPORT = 20_000
+from .root_data import DEFAULT_MAX_SUPPORT, BasedRootDatum, Coweight
 
 
 class WeightMultiset:

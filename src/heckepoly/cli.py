@@ -15,16 +15,25 @@ are reproducible.  Exit codes: 0 pass, 1 verification failure,
 2 validation error (usage errors included), 3 resource guard,
 4 internal consistency failure.  Exits 2-4 print one JSON error line
 to stderr.
+
+A command line is read from the option tables (``_COMMANDS``,
+``_VERIFY``, ``_TAKES``, ``_OPTIONS``) by ``_parse_from_tables``.
+argparse, built from the same tables, is imported only for the command
+lines that parser declines: help, usage errors, and the rare value forms
+argparse alone accepts (a separate value that starts with "-" and is not
+a number joined to its flag, such as ``-`` or ``-.5``).  So help and
+usage errors are argparse's own text, and a run that parses loads
+neither argparse nor gettext.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import random
 import sys
 from math import comb
+from types import SimpleNamespace
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .laurent import LaurentHalf, PrimeFieldWithV, RationalWithV, ScalarDomain
@@ -92,7 +101,7 @@ def parse_twist(text: str):
     raise ValidationError(f"bad twist {text!r} (paper|classical|exp=<int>)")
 
 
-def _check_options(args: argparse.Namespace) -> argparse.Namespace:
+def _check_options(args):
     """Convert and check the parsed options in place, so a rejected
     option never starts a run.  A command's parser defines only the
     options it takes; the checks skip the others."""
@@ -464,13 +473,6 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors follow the JSON error contract, in subparsers too."""
-
-    def error(self, message):
-        raise ValidationError(f"{self.prog}: {message}")
-
-
 def _register(p, name: str):
     for flag in _TAKES[name]:
         p.add_argument(flag, **_OPTIONS[flag])
@@ -482,7 +484,7 @@ def _named(names, argv, i: int) -> list:
     return [word] if word in names else list(names)
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
+def build_parser(argv=()):
     """The parser for argv.
 
     Registering options is most of the parser's cost, so only the
@@ -490,6 +492,22 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     check its second word names) is registered.  When a word names
     none, all are, so help and usage errors read as the full parser's.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors follow the JSON error contract, in subparsers
+        too."""
+
+        def error(self, message):
+            raise ValidationError(f"{self.prog}: {message}")
+
+        def _get_values(self, action, arg_strings):
+            # argparse drops a value "--" (as in --mu=--) and would
+            # store []; refuse it as it refuses a missing value
+            if action.option_strings and arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(
         prog="heckepoly",
         description="Exact Hecke polynomials and their matrix relations")
@@ -503,6 +521,51 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         for check in _named(sorted(_VERIFY), argv, 1):
             _register(vsub.add_parser(check), check)
     return parser
+
+
+def _parse_from_tables(argv):
+    """The namespace argparse gives for argv, or None if this parser
+    declines argv.
+
+    It reads the command word (and the check word of ``verify``), then
+    ``--flag value`` and ``--flag=value`` for the flags the command
+    takes, each flag exact or a unique prefix.  Each value is converted
+    at each occurrence, the last one wins, and a flag not given takes its
+    default.  Anything else is declined: help, an unknown word or an
+    ambiguous prefix, a missing or mistyped value, an attached value
+    "--", or a separate value that starts with "-".
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name, start, args = argv[0], 1, {"command": argv[0]}
+    if name == "verify":
+        if len(argv) < 2 or argv[1] not in _VERIFY:
+            return None
+        name, start, args["check"] = argv[1], 2, argv[1]
+    takes = _TAKES[name]
+    values = {flag: _OPTIONS[flag].get("default") for flag in takes}
+    words = iter(argv[start:])
+    for word in words:
+        prefix, eq, value = word.partition("=")
+        flags = [prefix] if prefix in takes else \
+            [f for f in takes + ("--help",) if f.startswith(prefix)]
+        if prefix[:2] != "--" or len(flags) != 1 or flags == ["--help"]:
+            return None
+        (flag,) = flags
+        # a separate value must be there and not start with "-"; an
+        # attached "--" is one argparse drops
+        if not eq:
+            value = next(words, "-")
+        if value[:1] == "-" and (not eq or value == "--"):
+            return None
+        convert = _OPTIONS[flag].get("type")
+        try:
+            values[flag] = value if convert is None else convert(value)
+        except ValueError:
+            return None
+    args.update((flag[2:].replace("-", "_"), value)
+                for flag, value in values.items())
+    return SimpleNamespace(**args)
 
 
 def _attach_dash_values(argv) -> list[str]:
@@ -527,7 +590,8 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 def main(argv=None) -> int:
     argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _check_options(build_parser(argv).parse_args(argv))
+        args = _check_options(_parse_from_tables(argv)
+                              or build_parser(argv).parse_args(argv))
         if args.command == "datum":
             lines, code = cmd_datum(args)
         elif args.command == "poly":

@@ -32,13 +32,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import mul
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 Coweight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 SUPPORTED_FAMILIES = ("GL", "SL", "PGL", "Sp")
+
+# Default bound on the working set of a guarded stage: the roots of a
+# standard datum here, the Kostka-Foulkes table of characters, the
+# cosets of the spherical module in iwahori.
+DEFAULT_MAX_SUPPORT = 20_000
 
 _BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -48,7 +54,7 @@ def _identity(n: int) -> Matrix:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def solve_integer_combination(columns: list[Coweight], target) -> tuple | None:
@@ -404,10 +410,27 @@ class BasedRootDatum:
 
 
 def build_standard(family: str, n: int) -> BasedRootDatum:
-    """Standard datum for GL_n, SL_n, PGL_n or Sp_n (n even)."""
+    """Standard datum for GL_n, SL_n, PGL_n or Sp_n (n even).
+
+    A datum with more than DEFAULT_MAX_SUPPORT roots is refused before
+    any vector is built: the root walk's tables grow as the roots do.
+    """
+    if family not in SUPPORTED_FAMILIES:
+        raise ValidationError(f"unsupported family {family!r} "
+                              f"(expected one of {SUPPORTED_FAMILIES})")
+    if family == "GL" and n < 1:
+        raise ValidationError("GL needs n >= 1")
+    if family in ("SL", "PGL") and n < 2:
+        raise ValidationError(f"{family} needs n >= 2")
+    if family == "Sp" and (n < 2 or n % 2 != 0):
+        raise ValidationError("Sp needs even n >= 2")
+    # type A_{n-1} has n(n-1) roots, type C_{n/2} has 2 (n/2)^2
+    count = n * n // 2 if family == "Sp" else n * (n - 1)
+    if count > DEFAULT_MAX_SUPPORT:
+        raise ResourceLimitError(
+            f"root system: {family}{n} has {count} roots, which exceeds "
+            f"max_support={DEFAULT_MAX_SUPPORT}")
     if family == "GL":
-        if n < 1:
-            raise ValidationError("GL needs n >= 1")
         roots = []
         coroots = []
         for i in range(n - 1):
@@ -416,8 +439,6 @@ def build_standard(family: str, n: int) -> BasedRootDatum:
             coroots.append(vec)
         return BasedRootDatum("GL", n, roots, coroots)
     if family in ("SL", "PGL"):
-        if n < 2:
-            raise ValidationError(f"{family} needs n >= 2")
         r = n - 1
         cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
                    for j in range(r)] for i in range(r)]
@@ -429,20 +450,15 @@ def build_standard(family: str, n: int) -> BasedRootDatum:
         # PGL: lattice = coweight lattice: roots are the dual basis,
         # coroots are Cartan columns (= rows in type A)
         return BasedRootDatum("PGL", r, basis, [tuple(row) for row in cartan])
-    if family == "Sp":
-        # Sp_n for even n, type C_{n/2} on the lattice Z^{n/2}
-        if n < 2 or n % 2 != 0:
-            raise ValidationError("Sp needs even n >= 2")
-        m = n // 2
-        roots = []
-        coroots = []
-        for i in range(m - 1):
-            vec = tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(m))
-            roots.append(vec)
-            coroots.append(vec)
-        last = tuple(1 if j == m - 1 else 0 for j in range(m))
-        roots.append(tuple(2 * x for x in last))
-        coroots.append(last)
-        return BasedRootDatum("Sp", m, roots, coroots)
-    raise ValidationError(f"unsupported family {family!r} "
-                          f"(expected one of {SUPPORTED_FAMILIES})")
+    # Sp_n for even n, type C_{n/2} on the lattice Z^{n/2}
+    m = n // 2
+    roots = []
+    coroots = []
+    for i in range(m - 1):
+        vec = tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(m))
+        roots.append(vec)
+        coroots.append(vec)
+    last = tuple(1 if j == m - 1 else 0 for j in range(m))
+    roots.append(tuple(2 * x for x in last))
+    coroots.append(last)
+    return BasedRootDatum("Sp", m, roots, coroots)

@@ -249,6 +249,24 @@ def test_inertia_work_is_refused_before_a_matrix_is_built(capsys):
         "inertia work: d^3 = 2803221 exceeds max_support=20000")
 
 
+@pytest.mark.parametrize("family,rank,roots", [
+    ("GL", 142, 20022), ("SL", 142, 20022), ("PGL", 142, 20022),
+    ("Sp", 202, 20402), ("GL", 10 ** 5, 9999900000),
+    ("SL", 10 ** 9, 999999999000000000)])
+def test_a_huge_rank_is_refused_before_the_datum_is_built(family, rank, roots,
+                                                          capsys):
+    # GL140 took about 61 s and 229 MB before the guard; GL10^5 would ask
+    # for 10^10 entries
+    code, out, err = _run_within(1.0, ["datum", "--family", family,
+                                       "--rank", str(rank)], capsys)
+    assert code == 3 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"] == {"kind": "resource", "message": (
+        f"root system: {family}{rank} has {roots} roots, which exceeds "
+        "max_support=20000")}
+
+
 def test_verify_satake_engine_guard_names_its_stage(capsys):
     # the window passes its check (4^2 = 16); the engine's supports do not
     code, out, err = _run_within(5.0, ["verify", "satake", "--family", "Sp",
@@ -542,7 +560,9 @@ def test_unwritable_out_exits_2(target, tmp_path, capsys):
      "1c86c0916ad6a4c9237c3608ab87a5687e146a581fc363e41ec918ccf2194a6f"),
     (["verify", "satake", "--help"],
      "7fb79648a1e75d42335ed5837b988e3119aeb7ed411391e78eb3fc8e9b0a65b8"),
-], ids=["heckepoly", "poly", "verify", "verify-satake"])
+    (["verify", "ch", "--help"],
+     "113c455a1d51e67a37f64ecece355753961f2525ee193cef23d388690202b13a"),
+], ids=["heckepoly", "poly", "verify", "verify-satake", "verify-ch"])
 def test_help_bytes_pinned(argv, digest, capsys, monkeypatch):
     # argparse wraps help to the terminal width, which COLUMNS sets; the
     # digests are of Python 3.11's argparse layout
@@ -560,7 +580,17 @@ def test_help_bytes_pinned(argv, digest, capsys, monkeypatch):
     (["verify", "bogus"], "heckepoly verify: argument check: invalid choice: "
                           "'bogus' (choose from 'ch', 'inertia', 'modell', "
                           "'newton', 'satake')"),
-], ids=["unknown-command", "unknown-check"])
+    (["poly", "--rank"],
+     "heckepoly poly: argument --rank: expected one argument"),
+    (["poly", "--rank", "x"],
+     "heckepoly poly: argument --rank: invalid int value: 'x'"),
+    (["verify", "satake", "--max", "1"],
+     "heckepoly verify satake: ambiguous option: --max could match "
+     "--max-support, --max-norm"),
+    (["poly", "--mu", "1,0", "extra"],
+     "heckepoly: unrecognized arguments: extra"),
+], ids=["unknown-command", "unknown-check", "missing-value", "invalid-int",
+        "ambiguous-prefix", "extra-word"])
 def test_unknown_command_errors_are_pinned(argv, message, capsys):
     code, out, err = _run(argv, capsys)
     assert code == 2 and out == ""
@@ -890,6 +920,32 @@ def test_a_value_may_start_with_a_minus_sign(argv, capsys):
     assert got == _run(joined, capsys)
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["poly", "--mu=--"], "--mu"),
+    (["poly", "--mu=1,0", "--twist=--"], "--twist"),
+    (["eval", "--mu=1,0", "--field=--"], "--field"),
+    (["eval", "--mu=1,0", "--field=ell=11,v=4", "--entries=--"], "--entries"),
+    (["datum", "--rank=--"], "--rank"),
+    (["datum", "--out=--"], "--out"),
+    (["datum", "--family=--"], "--family"),
+    (["poly", "--mu=1,0", "--basis=--"], "--basis"),
+    (["verify", "inertia", "--tri=--"], "--trials"),
+], ids=["poly-mu", "poly-twist", "eval-field", "eval-entries", "datum-rank",
+        "datum-out", "datum-family", "poly-basis", "inertia-abbreviated"])
+def test_a_value_of_two_dashes_exits_2(argv, flag, capsys):
+    # argparse drops an attached "--" and stored []: these crashed, or
+    # (--out, --family, --basis) ran with [] as the value
+    prog = " ".join(["heckepoly"] + argv[:2 if argv[0] == "verify" else 1])
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {
+        "kind": "validation",
+        "message": f"{prog}: argument {flag}: expected one argument"}}
+    # the separate form, which argparse refuses itself, reads the same
+    separate = argv[:-1] + [argv[-1].removesuffix("=--"), "--"]
+    assert _run(separate, capsys) == (code, out, err)
+
+
 # -- Weyl enumeration guard ----------------------------------------------------
 
 def test_datum_gl9_reports_weyl_order_without_enumerating(capsys):
@@ -1115,7 +1171,11 @@ _VALUES = {
     "--out": st.sampled_from(["/nonexistent/x", "/", "/dev/null"]),
     "--bogus": st.text(max_size=4),
 }
-# flags some command does not take, so argparse itself must reject them
+# argparse drops a value "--" (as in --mu=--); every flag must refuse it
+_VALUES = {flag: st.one_of(values, st.just("--"))
+           for flag, values in _VALUES.items()}
+# flags some command does not take: the table parser declines them, and
+# argparse rejects them
 _STRAY = ["--family", "--rank", "--twist", "--e-over-f", "--field", "--seed",
           "--trials", "--max-support", "--entries", "--d", "--max-norm",
           "--basis", "--bogus"]
@@ -1149,6 +1209,11 @@ EXAMPLE_SECONDS = 10.0
 @example(argv=["verify", "inertia", "--d=1000000", "--trials=1"])
 @example(argv=["poly", "--mu=1,0", "--out=/nonexistent/x"])
 @example(argv=["verify", "ch", "--mu=1,0", "--trials=1", "--out=/"])
+@example(argv=["poly", "--mu=--"])
+@example(argv=["poly", "--mu=1,0", "--twist=--"])
+@example(argv=["eval", "--mu=1,0", "--field=--"])
+@example(argv=["eval", "--mu=1,0", "--field=ell=11,v=4", "--entries=--"])
+@example(argv=["datum", "--rank=--"])
 def test_fuzzed_argv_keeps_the_error_contract(argv, capsys):
     code, _, err = _run_within(EXAMPLE_SECONDS, argv, capsys)
     assert code in (0, 1, 2, 3, 4)
@@ -1157,3 +1222,119 @@ def test_fuzzed_argv_keeps_the_error_contract(argv, capsys):
         lines = err.strip().split("\n")
         assert len(lines) == 1
         jsonschema.validate(json.loads(lines[0]), _schema("error"))
+
+
+# -- the table parser: argparse is its oracle ---------------------------------
+
+def _benchmark_argvs():
+    """The argv of every benchmark job, seeds 1-3."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n"
+         f"sys.path[:0] = [{str(Path(__file__).parents[1] / 'perfbench')!r}]\n"
+         "from workloads import WORKLOADS, jobs_for\n"
+         "print(json.dumps([job.argv for workload in WORKLOADS\n"
+         "                  for seed in (1, 2, 3)\n"
+         "                  for job in jobs_for(workload, seed)]))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _readme_argvs():
+    """The command lines of README.md's CLI block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^## CLI\n\n```sh\n(.*?)^```", text, re.M | re.S)
+    return [line.split()[1:] for line in block.splitlines()]
+
+
+# each spelling the README documents: unique prefixes, "=" forms, values
+# joined to their flag, and a repeated flag, whose last value wins
+_SPELLINGS = [
+    ["poly", "--fam", "GL", "--ra", "3", "--mu", "1,1,0", "--tw", "classical",
+     "--b", "double-coset", "--max-s", "500", "--e-", "2"],
+    ["eval", "--family=GL", "--rank=2", "--mu=1,0", "--field=ell=11,v=4",
+     "--entries=2,7", "--seed=3", "--e-over-f=2", "--out=x.json"],
+    ["verify", "satake", "--max-n=1", "--max-s=500", "--r=3", "--f", "PGL"],
+    ["poly", "--mu", "-1,0"],
+    ["eval", "--mu", "1,0", "--field", "rat:v=2", "--entries", "-1/2,3"],
+    ["eval", "--mu", "1,0", "--field", "ell=11,v=4", "--ent", "-1,2",
+     "--seed", "-5"],
+    ["verify", "inertia", "--d", "4", "--d=5", "--trials", "2", "--seed=-1"],
+    ["verify", "ch"],
+]
+
+
+def test_every_run_the_docs_and_the_benchmark_name_parses_from_the_tables():
+    argvs = _benchmark_argvs() + _readme_argvs() + _SPELLINGS
+    assert len(argvs) == 81 + 8 + len(_SPELLINGS)
+    for argv in argvs:
+        argv = cli._attach_dash_values(argv)
+        parsed = cli._parse_from_tables(argv)
+        assert parsed is not None, argv
+        assert vars(parsed) == vars(cli.build_parser(argv).parse_args(argv))
+
+
+def test_a_parsed_run_loads_no_argparse():
+    # argparse's messages go through gettext, which imports locale; a
+    # usage error still builds argparse
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, heckepoly.cli\n"
+         "names = ('argparse', 'gettext', 'locale')\n"
+         "loaded = lambda: [name for name in names if name in sys.modules]\n"
+         "after_import = loaded()\n"
+         "code = heckepoly.cli.main(['datum', '--family', 'GL', '--rank', '2'])\n"
+         "after_run = loaded()\n"
+         "error = heckepoly.cli.main(['datum', '--rank'])\n"
+         "print(json.dumps([after_import, code, after_run, error, loaded()]))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    datum, report = proc.stdout.splitlines()
+    assert json.loads(datum)["weyl_order"] == 2
+    assert json.loads(report) == [[], 0, [], 2,
+                                  ["argparse", "gettext", "locale"]]
+
+
+# words that are no flag of any command
+_NOT_FLAGS = ["--help", "-h", "--", "-x", "--bogus"]
+# values of each kind argparse reads: plain, empty, "-" forms, numbers,
+# flags, and "--", which it drops when attached
+_PARSER_VALUES = ["1", "0", " 2", "x", "", "-", "--", "-1", "-.5", "-1,0",
+                  "1,0", "GL", "ell=11,v=4", "-h", "--rank", "--mu=1", "a b"]
+
+
+@st.composite
+def _parser_argv(draw):
+    """A command line near one the table parser reads: mostly the
+    command's own flags, exact or cut to a prefix, with a value."""
+    words, flags = draw(st.sampled_from(_COMMANDS))
+    argv = list(words)
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.one_of(st.sampled_from(flags or _NOT_FLAGS),
+                              st.sampled_from(flags or _NOT_FLAGS),
+                              st.sampled_from(sorted(cli._OPTIONS)
+                                              + _NOT_FLAGS)))
+        flag = flag[:draw(st.one_of(st.just(len(flag)),
+                                    st.integers(2, len(flag))))]
+        value = draw(st.one_of(st.integers(-2, 3).map(str),
+                               st.sampled_from(_PARSER_VALUES),
+                               st.text(max_size=3)))
+        form = draw(st.sampled_from(["separate", "attached"] * 3
+                                    + ["flag", "word"]))
+        argv += {"separate": [flag, value], "attached": [f"{flag}={value}"],
+                 "flag": [flag], "word": [value]}[form]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=_parser_argv())
+@example(argv=["poly", "--rank=x", "--rank=3"])
+@example(argv=["poly", "--mu=--"])
+@example(argv=["verify", "satake", "--max-n", "1", "--max-n", "2"])
+def test_the_table_parser_agrees_with_argparse(argv):
+    # argparse converts every occurrence of a flag, so --rank=x --rank=3
+    # is refused, and it drops an attached "--": the table parser must
+    # decline both, and whatever it accepts argparse parses the same
+    argv = cli._attach_dash_values(argv)
+    parsed = cli._parse_from_tables(argv)
+    if parsed is not None:
+        assert vars(parsed) == vars(cli.build_parser(argv).parse_args(argv))

@@ -353,6 +353,13 @@ def test_braid_relations_are_checked_by_reflections():
         BasedRootDatum("bad", 2, [(1, 0), (0, 1)], [(2, -2), (-2, 2)])
 
 
+@pytest.mark.parametrize("family,n", SMALL, ids=[f"{f}{n}" for f, n in SMALL])
+def test_root_count_has_the_closed_form_of_the_size_guard(family, n):
+    # build_standard refuses a datum by this count before building it
+    expected = n * n // 2 if family == "Sp" else n * (n - 1)
+    assert len(build_standard(family, n).roots) == expected
+
+
 def test_builder_rejects_bad_input():
     with pytest.raises(ValidationError):
         build_standard("XX", 2)
