@@ -348,10 +348,13 @@ def verify_satake(args):
         if datum.is_dominant(lam):
             closure.update(datum.dominants_below(lam))
     # one image per label, lowest first, with v^<2 rho, label> on its
-    # label.  An image outside its label's lower set never gets here:
-    # the transform refuses it (exit 4).
+    # label.  The coefficient of S(1_lam) at m_lam is the first step of
+    # the transform's strip: the inverse of the unit coefficient of
+    # satake_inverse(m_lam) at lam.  An image outside its label's lower
+    # set, or without that unit, never gets here: _orbit_sum_image
+    # refuses it (exit 4).
     labels = sorted(closure, key=lambda l: (datum.rho_pairing_exponent(l), l))
-    diagonal = [algebra.satake_of_indicator(lam).coeff(lam)
+    diagonal = [algebra._orbit_sum_image(lam)[lam].monomial_inverse()
                 for lam in labels]
     reports.append({
         "check": "satake-triangular",

@@ -41,10 +41,10 @@ from math import comb
 from .errors import ValidationError
 from .laurent import (LaurentHalf, PrimeFieldWithV, RationalWithV,
                       ScalarDomain, elementary_symmetric)
-from .characters import WeightMultiset
+from .characters import FormalTorusDomain, WeightMultiset, minuscule_weights
 from .root_data import BasedRootDatum, Coweight
 from .satake import (FrobeniusMatrix, SatakeParameter, evaluate_many,
-                     frobenius_matrix, resolve_twist)
+                     resolve_twist)
 
 
 # -- small exact matrix kit --------------------------------------------------
@@ -109,17 +109,20 @@ def hecke_polynomial(datum: BasedRootDatum, mu: Coweight, twist="paper",
 
     Rejects non-minuscule mu.  The coefficients are those of det(X - M)
     with M the Frobenius matrix at the generic parameter: e_i of the
-    negated diagonal.  The diagonal is a Weyl orbit, so each e_i is
-    W-invariant by construction, and no check runs here.
+    negated diagonal, whose j-th entry is the monomial -v^t e^{lam_j}
+    and is written down from the weights.  The diagonal is a Weyl
+    orbit, so each e_i is W-invariant by construction, and no check
+    runs here.
     """
     mu = tuple(mu)
     t = resolve_twist(datum, mu, twist, e_over_f)
-    m = frobenius_matrix(datum, mu, SatakeParameter.generic(datum.rank),
-                         twist_exponent=t)
-    dom = m.domain
-    coeffs = elementary_symmetric(dom, [dom.neg(a) for a in m.diagonal])
+    weights = minuscule_weights(datum, mu)
+    entry = LaurentHalf.v_power(t, -1)
+    coeffs = elementary_symmetric(
+        FormalTorusDomain(datum.rank),
+        [WeightMultiset({w: entry}) for w in weights])
     return HeckePolynomial(
-        datum=datum, mu=mu, degree=m.size, coefficients=coeffs,
+        datum=datum, mu=mu, degree=len(weights), coefficients=coeffs,
         twist_exponent=t, e_over_f=e_over_f,
         twist_preset=twist if isinstance(twist, str) else None)
 

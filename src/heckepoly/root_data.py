@@ -13,11 +13,11 @@ engine of ``iwahori`` names a Weyl element w by its orbit point
 w 2 rho^vee, which fixes w because 2 rho^vee is regular.  |W| comes from
 the heights of the positive roots (``weyl_order``).
 
-The reflection walk that finds the roots also carries the integer
-simple coordinates of each root and coroot.  ``dominant_walk`` steps
-down by positive coroots (``coroot_steps``) between dominant coweights;
-``dominants_below`` and the Kostka-Foulkes table of ``characters`` read
-it.
+The roots are found by a walk on their integer simple coordinates,
+which steps by the Cartan matrix and carries each root's coroot along.
+``dominant_walk`` steps down by positive coroots (``coroot_steps``)
+between dominant coweights; ``dominants_below`` and the Kostka-Foulkes
+table of ``characters`` read it.
 
 Builders cover GL_n (lattice Z^n, roots e_i - e_j), SL_n (lattice =
 coroot lattice, coroots the standard basis), PGL_n (lattice = coweight
@@ -175,11 +175,6 @@ class BasedRootDatum:
         av = self.simple_coroots[i]
         return tuple(x - c * y for x, y in zip(lam, av))
 
-    def dual_reflect(self, i: int, chi: Coweight) -> Coweight:
-        c = _dot(chi, self.simple_coroots[i])
-        a = self.simple_roots[i]
-        return tuple(x - c * y for x, y in zip(chi, a))
-
     # -- Weyl group -------------------------------------------------------
 
     @cached_property
@@ -197,26 +192,45 @@ class BasedRootDatum:
     @cached_property
     def _root_table(self) -> dict[Coweight, tuple[Coweight, Coweight, Coweight]]:
         """Each root (dual side) mapped to its coroot (lattice side) and the
-        simple coordinates of both; s_i changes coordinate i of each."""
+        simple coordinates of both.
+
+        The walk runs on simple coordinates, which name a root because
+        the simple roots are independent.  A root carries its pairings
+        with the simple coroots and its coroot the pairings with the
+        simple roots.  s_i moves a root only where its pairing k_i is
+        nonzero; then it takes k_i from coordinate i and k_i times
+        Cartan row i from the pairings (column i on the coroot side).
+        Each lattice vector is formed once, from its parent's, when its
+        root is first found.
+        """
         r = self.num_simple
-        unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        table = {}
-        frontier = list(zip(self.simple_roots, self.simple_coroots, unit, unit))
+        rows = self.cartan
+        columns = tuple(zip(*rows))
+        roots, coroots = self.simple_roots, self.simple_coroots
+        found = {}
+        for i in range(r):
+            unit = tuple(int(i == j) for j in range(r))
+            found[unit] = (unit, rows[i], columns[i], roots[i], coroots[i])
+        frontier = list(found)
         while frontier:
-            alpha, alpha_v, c, c_v = frontier.pop()
-            if alpha in table:
-                continue
-            table[alpha] = (alpha_v, c, c_v)
-            for i in range(r):
-                beta = self.dual_reflect(i, alpha)
-                if beta not in table:
-                    k = _dot(alpha, self.simple_coroots[i])
-                    k_v = _dot(self.simple_roots[i], alpha_v)
-                    frontier.append((
-                        beta, self.reflect(i, alpha_v),
-                        tuple(x - k * (j == i) for j, x in enumerate(c)),
-                        tuple(x - k_v * (j == i) for j, x in enumerate(c_v))))
-        return table
+            c = frontier.pop()
+            c_v, p, p_v, alpha, alpha_v = found[c]
+            for i, k in enumerate(p):
+                if k:
+                    b = c[:i] + (c[i] - k,) + c[i + 1:]
+                    if b not in found:
+                        k_v = p_v[i]
+                        found[b] = (
+                            c_v[:i] + (c_v[i] - k_v,) + c_v[i + 1:],
+                            tuple(x - k * y for x, y in zip(p, rows[i])),
+                            tuple(x - k_v * y
+                                  for x, y in zip(p_v, columns[i])),
+                            tuple(x - k * y for x, y in zip(alpha, roots[i])),
+                            tuple(x - k_v * y
+                                  for x, y in zip(alpha_v, coroots[i])))
+                        frontier.append(b)
+        return {alpha: (alpha_v, c, c_v)
+                for c, (c_v, _, _, alpha, alpha_v) in found.items()}
 
     @cached_property
     def roots(self) -> tuple[Coweight, ...]:

@@ -4,7 +4,8 @@ computes, kept here so the tests can check the library against them.
 Each helper repeats one computation by the direct route: one e_k call,
 a sum over the finite Weyl group (enumerated here, in ``WeylTables``,
 and nowhere in the library), the whole candidate window, every
-reflection of every orbit point, a rational solve, or the product in
+reflection of every orbit point or root, a rational solve, the
+Frobenius matrix at the generic parameter, or the product in
 the T basis of the affine Hecke algebra (``TBasisAlgebra``), or
 charge on semistandard tableaux.  ``_within`` is the wall-clock alarm
 that the slow tests run under.
@@ -24,7 +25,8 @@ from heckepoly.characters import (DEFAULT_MAX_SUPPORT, FormalTorusDomain,
                                   WeightMultiset, _moving_reflection)
 from heckepoly.iwahori import AffineHeckeAlgebra
 from heckepoly.root_data import _dot, _identity, solve_integer_combination
-from heckepoly.satake import SatakeParameter
+from heckepoly.satake import (SatakeParameter, frobenius_matrix,
+                              resolve_twist)
 
 PRODUCT = "T-basis product"
 
@@ -592,6 +594,46 @@ def small_minuscule_dominants_by_product(datum):
         (cand for cand in itertools.product(window, repeat=datum.rank)
          if datum.is_dominant(cand) and datum.is_minuscule(cand)),
         reverse=True))
+
+
+def root_table_by_reflections(datum):
+    """Each root mapped to (coroot, simple coordinates of the root, simple
+    coordinates of the coroot), by reflecting every root found, and its
+    coroot, in every simple root: two rank-length reflections and two
+    pairings per root and simple root."""
+    def dual_reflect(i, chi):
+        c = _dot(chi, datum.simple_coroots[i])
+        return tuple(x - c * y for x, y in zip(chi, datum.simple_roots[i]))
+
+    r = datum.num_simple
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    table = {}
+    frontier = list(zip(datum.simple_roots, datum.simple_coroots, unit, unit))
+    while frontier:
+        alpha, alpha_v, c, c_v = frontier.pop()
+        if alpha in table:
+            continue
+        table[alpha] = (alpha_v, c, c_v)
+        for i in range(r):
+            beta = dual_reflect(i, alpha)
+            if beta not in table:
+                k = _dot(alpha, datum.simple_coroots[i])
+                k_v = _dot(datum.simple_roots[i], alpha_v)
+                frontier.append((
+                    beta, datum.reflect(i, alpha_v),
+                    tuple(x - k * (j == i) for j, x in enumerate(c)),
+                    tuple(x - k_v * (j == i) for j, x in enumerate(c_v))))
+    return table
+
+
+def hecke_polynomial_by_frobenius(datum, mu, twist="paper", e_over_f=1):
+    """The coefficients of det(X - M), e_i of the negated diagonal of the
+    Frobenius matrix M at the generic parameter, each entry v^t e^{lam_j}
+    formed in the formal domain as a product of coordinate powers."""
+    t = resolve_twist(datum, tuple(mu), twist, e_over_f)
+    m = frobenius_matrix(datum, tuple(mu), SatakeParameter.generic(datum.rank),
+                         twist_exponent=t)
+    return elementary_symmetric(m.domain, [m.domain.neg(a) for a in m.diagonal])
 
 
 def weyl_orbit_by_reflections(datum, lam):

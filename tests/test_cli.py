@@ -305,6 +305,31 @@ def test_verify_satake_refuses_an_image_outside_its_lower_set(capsys,
         "image of m_(2, 0) is supported outside its lower set")
 
 
+def test_verify_satake_refuses_an_image_without_a_unit_on_its_label(
+        capsys, monkeypatch):
+    # a planted image of m_(2,0) whose coefficient at (2, 0) is doubled:
+    # the triangular diagonal inverts that coefficient, and the engine
+    # refuses it first
+    engine = AffineHeckeAlgebra.satake_inverse
+    top = orbit_character(build_standard("GL", 2), (2, 0))
+
+    def planted(self, f):
+        image = engine(self, f)
+        if f == top:
+            image = {**image, (2, 0): image[(2, 0)] + image[(2, 0)]}
+        return image
+
+    monkeypatch.setattr(AffineHeckeAlgebra, "satake_inverse", planted)
+    code, out, err = _run(["verify", "satake", "--family", "GL", "--rank",
+                           "2", "--max-norm", "2"], capsys)
+    assert code == 4 and out == ""
+    obj = json.loads(err)
+    jsonschema.validate(obj, _schema("error"))
+    assert obj["error"]["kind"] == "consistency"
+    assert obj["error"]["message"] == (
+        "image of m_(2, 0) has no unit coefficient at (2, 0)")
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_minuscule_calibration_past_the_old_weyl_bound(n):
     # |W| = 40320 and 362880: the engine keys by orbit points of
@@ -427,6 +452,9 @@ def test_engine_memos_do_not_depend_on_the_order_of_use(family, rank):
         for lam in labels:
             alone = AffineHeckeAlgebra(datum)._orbit_sum_image(lam)
             assert ascending[lam] == descending[lam] == alone
+            # the triangular report's diagonal entry, read off the image
+            assert (shared.satake_of_indicator(lam).coeff(lam)
+                    == alone[lam].monomial_inverse())
         # the translations of the labels, and every key the images used
         keys = {shared.translation_key(lam) for lam in labels}
         for key in keys | set(shared._word_memo):

@@ -16,6 +16,7 @@ from heckepoly.hecke import (cayley_hamilton_check, evaluate_coefficients,
                              excursion_values, hecke_polynomial,
                              inertia_relation_check, mat_is_zero, mat_mul,
                              mat_pow, mat_strings, reduce_mod_ell)
+from oracles import hecke_polynomial_by_frobenius
 
 GL2 = build_standard("GL", 2)
 GL3 = build_standard("GL", 3)
@@ -139,6 +140,35 @@ def test_monic_and_rejects_non_minuscule():
         assert h.coefficients[0] == WeightMultiset({zero: 1})
     with pytest.raises(ValidationError):
         hecke_polynomial(GL2, (2, 0))
+
+
+PGL = {n: build_standard("PGL", n) for n in range(3, 6)}
+# (family, n, mu): GL2-GL6 at mu = (1^k, 0^(n-k)) with k <= 3, and every
+# minuscule dominant in the window of PGL3-PGL5
+DET_CASES = ([("GL", n, (1,) * k + (0,) * (n - k))
+              for n in range(2, 7) for k in range(min(n, 3) + 1)]
+             + [("PGL", n, mu) for n in range(3, 6)
+                for mu in PGL[n].small_minuscule_dominants()])
+# (twist, e_over_f): both presets, explicit exponents (exp=), and the
+# paper twist at [E:F] = 2
+DET_TWISTS = [("paper", 1), ("classical", 1), (3, 1), (-2, 1), ("paper", 2)]
+# d = 20: one run of its recurrence takes a second or more, so it runs
+# at the paper twist alone
+DET_RUNS = [case + twist for case in DET_CASES for twist in DET_TWISTS
+            if case != ("GL", 6, (1, 1, 1, 0, 0, 0)) or twist == ("paper", 1)]
+
+
+@pytest.mark.parametrize(
+    "family,n,mu,twist,e_over_f", DET_RUNS,
+    ids=[f"{f}{n}-{''.join(map(str, mu))}-{t}-{e}"
+         for f, n, mu, t, e in DET_RUNS])
+def test_polynomial_is_det_of_x_minus_the_generic_frobenius(family, n, mu,
+                                                            twist, e_over_f):
+    datum = build_standard(family, n)
+    h = hecke_polynomial(datum, mu, twist, e_over_f)
+    expected = hecke_polynomial_by_frobenius(datum, mu, twist, e_over_f)
+    assert h.coefficients == expected
+    assert h.degree == len(expected) - 1
 
 
 INVARIANCE_GROUPS = {f"{f}{n}": build_standard(f, n) for f, n in

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from heckepoly.root_data import (BasedRootDatum, build_standard, _identity,
                                  solve_integer_combination)
 from oracles import (MAX_WEYL_ORDER, WeylTables, dominance_leq,
                      is_positive_root, mat_mul, reflection_matrix,
+                     root_table_by_reflections,
                      small_minuscule_dominants_by_product,
                      weyl_orbit_by_reflections, weyl_tables)
 
@@ -393,6 +395,22 @@ def test_root_coordinates_match_the_rational_solve(family, n):
             steps.add((tuple(datum.pairing(a, alpha_v)
                              for a in datum.simple_roots), c_v))
     assert datum.coroot_steps == tuple(sorted(steps))
+
+
+# |S_n| for type A_{n-1}, 2^m m! for type C_m (n = 2m), 12 for G2
+ROOT_WALK_DATA = (
+    {f"{f}{n}": (build_standard(f, n), math.factorial(n))
+     for f in ("GL", "SL", "PGL") for n in range(1 if f == "GL" else 2, 9)}
+    | {f"Sp{2 * m}": (build_standard("Sp", 2 * m), 2 ** m * math.factorial(m))
+       for m in range(1, 6)}
+    | {"G2": (G2, 12)})
+
+
+@pytest.mark.parametrize("datum,order", ROOT_WALK_DATA.values(),
+                         ids=ROOT_WALK_DATA.keys())
+def test_root_walk_matches_the_reflection_walk(datum, order):
+    assert datum._root_table == root_table_by_reflections(datum)
+    assert datum.weyl_order == order
 
 
 def test_small_minuscule_dominants():
